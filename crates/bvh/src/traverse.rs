@@ -100,11 +100,14 @@ pub struct TraversalStats {
     /// Escape-pointer follows (stackless walker only).
     pub rope_hops: u64,
     /// Minimum squared distance among subtrees/leaves pruned **by the
-    /// radius** (predicate-skipped subtrees do not contribute). After a
-    /// query that accepted nothing, every candidate the predicate would
-    /// ever admit lies at least this far away — a durable lower bound the
-    /// sharded merge uses to never repeat a provably-empty query
-    /// (`+inf` when nothing was radius-pruned).
+    /// radius**: boxes and leaves beyond it, and leaves the `leaf` callback
+    /// accepted at a metric value beyond it (predicate-skipped subtrees and
+    /// callback-rejected leaves do not contribute). After a query that
+    /// accepted nothing, every candidate the callback would ever admit lies
+    /// at least this far away in its metric — a durable lower bound the
+    /// sharded merge and the Borůvka kernel use to never repeat a
+    /// provably-empty query (`+inf` when nothing was radius-pruned).
+    /// Tracked only by [`Bvh::nearest_floor`].
     pub pruned_min_sq: Scalar,
 }
 
@@ -185,8 +188,8 @@ impl<const D: usize> Bvh<D> {
 
     /// [`Bvh::nearest_with`] with `TRACK` compiled in or out: tracking the
     /// radius-pruned frontier minimum costs a `min` on the pruning paths,
-    /// which the monolithic hot path must not pay — only the sharded merge
-    /// (via [`Bvh::nearest_floor`]) asks for it.
+    /// which only callers that keep the floor (the Borůvka kernel and the
+    /// sharded merge, via [`Bvh::nearest_floor`]) pay.
     fn nearest_with_impl<const TRACK: bool, FSkip, FLeaf>(
         &self,
         query: &Point<D>,
@@ -212,6 +215,8 @@ impl<const D: usize> Bvh<D> {
                     if let Some(m) = leaf(rank, e) {
                         if m <= radius_sq {
                             best = Some(NearestHit { rank, dist_sq: m });
+                        } else if TRACK {
+                            stats.pruned_min_sq = stats.pruned_min_sq.min(m);
                         }
                     }
                 } else if TRACK {
@@ -278,6 +283,11 @@ impl<const D: usize> Bvh<D> {
                                 Some(b) if rank >= b.rank => {}
                                 _ => best = Some(NearestHit { rank, dist_sq: m }),
                             }
+                        } else if TRACK {
+                            // Within the Euclidean radius but beyond it in
+                            // the metric: as much a pruned candidate as a
+                            // box beyond the radius.
+                            stats.pruned_min_sq = stats.pruned_min_sq.min(m);
                         }
                     }
                 } else {
@@ -340,7 +350,7 @@ impl<const D: usize> Bvh<D> {
     /// frontier minimum in [`TraversalStats::pruned_min_sq`]. Identical
     /// results; the tracking `min`s are monomorphized out of the plain
     /// [`Bvh::nearest`] path, so only callers that want the floor (the
-    /// sharded merge) pay for it.
+    /// Borůvka kernel and the sharded merge) pay for it.
     #[inline]
     pub fn nearest_floor<FSkip, FLeaf>(
         &self,
@@ -403,7 +413,7 @@ impl<const D: usize> Bvh<D> {
     }
 
     /// [`Bvh::nearest_stackless`] with the pruning-floor tracking compiled
-    /// in (`TRACK = true`, the merge) or out (`false`, the hot path).
+    /// in (`TRACK = true`, via [`Bvh::nearest_floor`]) or out (`false`).
     fn nearest_stackless_impl<const TRACK: bool, FSkip, FLeaf>(
         &self,
         query: &Point<D>,
@@ -494,6 +504,10 @@ impl<const D: usize> Bvh<D> {
                                 Some(b) if rank >= b.rank => {}
                                 _ => best = Some(NearestHit { rank, dist_sq: m }),
                             }
+                        } else if TRACK {
+                            // Metric-rejected: feeds the floor (see the
+                            // stack walker).
+                            stats.pruned_min_sq = stats.pruned_min_sq.min(m);
                         }
                     }
                 } else if descend == INVALID_NODE {
@@ -916,6 +930,27 @@ mod tests {
         let labels: Vec<u32> = (0..pts.len() as u32).map(|r| r % 5).collect();
         assert_walkers_agree(&pts, &labels, f32::INFINITY);
         assert_walkers_agree(&pts, &labels, 1.0);
+    }
+
+    #[test]
+    fn floor_counts_leaves_beyond_the_radius_in_the_metric() {
+        // Every leaf passes the Euclidean test (e <= 8 < 9) but its metric
+        // value e + 10 lies beyond the radius, so the query finds nothing.
+        // The floor must still bound those leaves: it is their minimum.
+        let pts = random_points_2d(64, 4);
+        let q = Point::new([0.0, 0.0]);
+        // The single-leaf tree takes its own path in the stack walker.
+        for n in [64, 1] {
+            let bvh = Bvh::build(&Serial, &pts[..n]);
+            let expect =
+                pts[..n].iter().map(|p| q.squared_distance(p) + 10.0).fold(f32::INFINITY, f32::min);
+            for t in [Traversal::Stack, Traversal::Stackless] {
+                let mut st = TraversalStats::default();
+                let hit = bvh.nearest_floor(t, &q, 9.0, |_| false, |_, e| Some(e + 10.0), &mut st);
+                assert!(hit.is_none(), "n={n} {t:?}");
+                assert_eq!(st.pruned_min_sq, expect, "n={n} {t:?}");
+            }
+        }
     }
 
     #[test]

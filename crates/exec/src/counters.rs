@@ -28,7 +28,9 @@ pub struct Counters {
     pub leaf_visits: AtomicU64,
     /// Subtrees skipped by the same-component check (Optimization 1).
     pub subtrees_skipped: AtomicU64,
-    /// Traversal queries executed (one per point per Borůvka iteration).
+    /// Tree traversals actually issued. A point whose answer is decided
+    /// without walking — by its carried Borůvka state or by a bound — does
+    /// not count, in the monolithic kernel and the cross-shard merge alike.
     pub queries: AtomicU64,
     /// Borůvka iterations executed.
     pub iterations: AtomicU64,

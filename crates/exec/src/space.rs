@@ -161,7 +161,7 @@ impl ExecSpace for Threads {
         M: Fn(usize) -> T + Sync + Send,
         C: Fn(T, T) -> T + Sync + Send,
     {
-        (0..n).into_par_iter().map(map).reduce(|| identity.clone(), &combine)
+        reduce_per_worker(n, identity, map, combine)
     }
 
     fn parallel_scan_exclusive(&self, data: &mut [usize]) -> usize {
@@ -224,7 +224,7 @@ impl ExecSpace for GpuSim {
         C: Fn(T, T) -> T + Sync + Send,
     {
         self.stats.record_launch(n);
-        (0..n).into_par_iter().map(map).reduce(|| identity.clone(), &combine)
+        reduce_per_worker(n, identity, map, combine)
     }
 
     fn parallel_scan_exclusive(&self, data: &mut [usize]) -> usize {
@@ -249,6 +249,29 @@ impl ExecSpace for GpuSim {
     fn is_simulated_device(&self) -> bool {
         true
     }
+}
+
+/// The map-reduce of the threaded backends: each worker folds its own
+/// contiguous index range in place, so only one partial per worker reaches
+/// the calling thread — never an `n`-length buffer of map outputs.
+/// `identity` enters the result exactly once, as on [`Serial`]; regrouping
+/// the combines is sound because the trait requires them to be associative
+/// and commutative.
+fn reduce_per_worker<T, M, C>(n: usize, identity: T, map: M, combine: C) -> T
+where
+    T: Send,
+    M: Fn(usize) -> T + Sync,
+    C: Fn(T, T) -> T + Sync,
+{
+    let chunk = n.div_ceil(rayon::current_num_threads()).max(1);
+    let partials: Vec<T> = (0..n.div_ceil(chunk))
+        .into_par_iter()
+        .map(|p| {
+            let (lo, hi) = (p * chunk, ((p + 1) * chunk).min(n));
+            (lo + 1..hi).fold(map(lo), |acc, i| combine(acc, map(i)))
+        })
+        .collect();
+    partials.into_iter().fold(identity, combine)
 }
 
 /// Serial exclusive scan, shared with the chaos backend.
@@ -369,6 +392,38 @@ mod tests {
         assert!(Threads.kernel_stats().is_none());
         assert!(!Serial.is_simulated_device());
         assert!(GpuSim::new().is_simulated_device());
+    }
+
+    #[test]
+    fn struct_reduce_matches_serial_at_edge_sizes() {
+        // The shape of the traversal-stats reductions: integer sums plus a
+        // float minimum, folded per worker on the threaded backends.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Work {
+            count: u64,
+            sum: u64,
+            min: f32,
+        }
+        let identity = Work { count: 0, sum: 0, min: f32::INFINITY };
+        let map = |i: usize| Work {
+            count: 1,
+            sum: (i as u64).wrapping_mul(0x9E37_79B9) % 1_000_003,
+            min: ((i * 7919) % 10_007) as f32 * 0.5 + 1.0,
+        };
+        let combine = |a: Work, b: Work| Work {
+            count: a.count + b.count,
+            sum: a.sum + b.sum,
+            min: a.min.min(b.min),
+        };
+        let threads = rayon::current_num_threads();
+        for n in [0, 1, threads - 1, 100_007] {
+            let serial = Serial.parallel_reduce(n, identity.clone(), map, combine);
+            assert_eq!(serial.count, n as u64);
+            let threaded = Threads.parallel_reduce(n, identity.clone(), map, combine);
+            let gpu = GpuSim::new().parallel_reduce(n, identity.clone(), map, combine);
+            assert_eq!(threaded, serial, "Threads n={n}");
+            assert_eq!(gpu, serial, "GpuSim n={n}");
+        }
     }
 
     #[test]

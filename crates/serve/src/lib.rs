@@ -1164,7 +1164,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             }
             // Digest equality is necessary but not sufficient: verify the
             // bytes (cheap at resident scale next to one merge round).
-            if r.points.len() == points.len() && r.points == points {
+            if spill::same_bits(&r.points, points) {
                 self.touch(r);
                 return Lookup::Hit(Arc::clone(r));
             }
@@ -1192,7 +1192,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             for dir in self.spill_dirs() {
                 match spill::read_spill::<D>(dir, key, self.fault_plan()) {
                     Ok(None) => {}
-                    Ok(Some(existing)) if existing.points == points => return key,
+                    Ok(Some(existing)) if spill::same_bits(&existing.points, points) => return key,
                     Ok(Some(_)) | Err(_) => {
                         key.salt += 1;
                         continue 'salts;
@@ -2620,6 +2620,20 @@ mod tests {
         let ea = self::answer(&engine, &ra2);
         let eb = self::answer(&engine, &rb2);
         assert_ne!(ea, eb);
+    }
+
+    /// A cloud holding a NaN is verified by its bits, like its digest: it
+    /// hits its own resident instead of logging a collision with itself
+    /// and admitting a salted copy on every query. (One point: solving
+    /// larger non-finite clouds trips the kernels' debug assertions.)
+    #[test]
+    fn nan_bearing_cloud_hits_its_own_resident() {
+        let pts = [Point::new([f32::NAN, 0.5])];
+        let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(2, 4));
+        assert_eq!(engine.emst(&pts).outcome, CacheOutcome::Miss);
+        assert_eq!(engine.emst(&pts).outcome, CacheOutcome::Hit);
+        assert_eq!(engine.resident_keys().len(), 1);
+        assert_eq!(engine.stats().digest_collisions, 0);
     }
 
     fn answer(engine: &ServeEngine<Serial, 2>, r: &Resident<2>) -> Vec<Edge> {

@@ -118,6 +118,14 @@ pub fn digest_points<const D: usize>(points: &[Point<D>]) -> u64 {
     h
 }
 
+/// Bit-exact equality of two clouds — the relation [`digest_points`]
+/// hashes, so it is what verifies a digest match. Float `==` would call a
+/// cloud holding a NaN unequal to itself.
+pub(crate) fn same_bits<const D: usize>(a: &[Point<D>], b: &[Point<D>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(p, q)| (0..D).all(|d| p[d].to_bits() == q[d].to_bits()))
+}
+
 /// Spill file of `key` inside `dir`. Salt-0 keys (the overwhelmingly
 /// common case) keep the plain name; salted keys get a suffix so two
 /// colliding clouds never clobber each other's spill.
