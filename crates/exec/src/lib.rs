@@ -6,8 +6,10 @@
 //! the Rust substitute:
 //!
 //! - [`Serial`] — plain loops (the paper's sequential results);
-//! - [`Threads`] — rayon work-stealing (the paper's multithreaded results);
-//! - [`GpuSim`] — executes kernels on the host thread pool (bit-identical
+//! - [`Threads`] — kernels on one persistent worker pool whose threads
+//!   claim blocks of the index range from a shared counter (the paper's
+//!   multithreaded results);
+//! - [`GpuSim`] — executes kernels on the same pool (bit-identical
 //!   results) while recording [`KernelStats`]; an analytic [`DeviceModel`]
 //!   converts the recorded work into a modeled GPU execution time. This is
 //!   the documented substitution for the paper's A100/MI250X measurements —

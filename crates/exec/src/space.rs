@@ -1,6 +1,7 @@
 //! The execution-space abstraction and its three backends.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use rayon::prelude::*;
 
@@ -136,8 +137,9 @@ impl ExecSpace for Serial {
     }
 }
 
-/// Multithreaded backend on the global rayon pool (the paper's OpenMP
-/// analogue).
+/// Multithreaded backend on the process-wide worker pool of the vendored
+/// `rayon` (the paper's OpenMP analogue): the calling thread and the idle
+/// workers claim blocks of each kernel's index range from a shared counter.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Threads;
 
@@ -179,7 +181,7 @@ impl ExecSpace for Threads {
 
 /// Simulated-device backend.
 ///
-/// Kernels execute for real on the rayon pool (results are bit-identical to
+/// Kernels execute for real on the worker pool (results are bit-identical to
 /// [`Threads`] up to atomics races the algorithms already tolerate) while
 /// [`KernelStats`] accumulates launches and work items. Together with the
 /// algorithm-level [`crate::Counters`], a [`crate::DeviceModel`] converts the
@@ -251,27 +253,41 @@ impl ExecSpace for GpuSim {
     }
 }
 
-/// The map-reduce of the threaded backends: each worker folds its own
-/// contiguous index range in place, so only one partial per worker reaches
-/// the calling thread — never an `n`-length buffer of map outputs.
-/// `identity` enters the result exactly once, as on [`Serial`]; regrouping
-/// the combines is sound because the trait requires them to be associative
-/// and commutative.
+/// The map-reduce of the threaded backends: each pool participant folds
+/// the blocks it claims into one partial of its own, so only one partial
+/// per participant meets the others — never an `n`-length buffer of map
+/// outputs, and nothing allocated. `identity` enters the result exactly
+/// once, as on [`Serial`]; regrouping the combines is sound because the
+/// trait requires them to be associative and commutative.
 fn reduce_per_worker<T, M, C>(n: usize, identity: T, map: M, combine: C) -> T
 where
     T: Send,
     M: Fn(usize) -> T + Sync,
     C: Fn(T, T) -> T + Sync,
 {
-    let chunk = n.div_ceil(rayon::current_num_threads()).max(1);
-    let partials: Vec<T> = (0..n.div_ceil(chunk))
-        .into_par_iter()
-        .map(|p| {
-            let (lo, hi) = (p * chunk, ((p + 1) * chunk).min(n));
-            (lo + 1..hi).fold(map(lo), |acc, i| combine(acc, map(i)))
-        })
-        .collect();
-    partials.into_iter().fold(identity, combine)
+    let fold_in = |into: &mut Option<T>, part: T| {
+        *into = Some(match into.take() {
+            Some(acc) => combine(acc, part),
+            None => part,
+        });
+    };
+    let total: Mutex<Option<T>> = Mutex::new(None);
+    rayon::scatter_blocks(n, rayon::BLOCK_LEN, |blocks| {
+        let mut acc = None;
+        while let Some(claimed) = blocks.claim() {
+            let (lo, hi) = (claimed.start, claimed.end);
+            fold_in(&mut acc, (lo + 1..hi).fold(map(lo), |a, i| combine(a, map(i))));
+        }
+        if let Some(acc) = acc {
+            // A poisoned lock means another participant's combine panicked;
+            // the launch re-raises that panic, so this value is never read.
+            fold_in(&mut total.lock().unwrap_or_else(PoisonError::into_inner), acc);
+        }
+    });
+    match total.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        Some(t) => combine(identity, t),
+        None => identity,
+    }
 }
 
 /// Serial exclusive scan, shared with the chaos backend.
@@ -316,13 +332,16 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn check_space<S: ExecSpace>(space: &S) {
-        // parallel_for touches every index exactly once
+        // parallel_for touches every index exactly once, on either side of
+        // the pool's inline threshold too
+        for n in [1, rayon::BLOCK_LEN - 1, rayon::BLOCK_LEN + 1, 10_000] {
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            space.parallel_for(n, |i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "n={n}");
+        }
         let n = 10_000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        space.parallel_for(n, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
 
         // reduce computes a sum
         let sum = space.parallel_reduce(n, 0usize, |i| i, |a, b| a + b);
@@ -415,8 +434,8 @@ mod tests {
             sum: a.sum + b.sum,
             min: a.min.min(b.min),
         };
-        let threads = rayon::current_num_threads();
-        for n in [0, 1, threads - 1, 100_007] {
+        let block = rayon::BLOCK_LEN;
+        for n in [0, 1, block - 1, block, block + 1, 100_007] {
             let serial = Serial.parallel_reduce(n, identity.clone(), map, combine);
             assert_eq!(serial.count, n as u64);
             let threaded = Threads.parallel_reduce(n, identity.clone(), map, combine);
@@ -424,6 +443,34 @@ mod tests {
             assert_eq!(threaded, serial, "Threads n={n}");
             assert_eq!(gpu, serial, "GpuSim n={n}");
         }
+    }
+
+    /// Launches from many OS threads at once (as from a server's worker
+    /// threads) share one pool: none deadlocks, and each gets the serial
+    /// answer.
+    #[test]
+    fn concurrent_reduces_from_many_threads_match_serial() {
+        let n = 20 * rayon::BLOCK_LEN + 7;
+        let map = |i: usize| ((i as u64).wrapping_mul(0x9E37_79B9) % 1_000_003, i as u32);
+        let combine = |a: (u64, u32), b: (u64, u32)| (a.0 + b.0, a.1.min(b.1));
+        let expect = Serial.parallel_reduce(n, (0, u32::MAX), map, combine);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..25 {
+                        let got = if t % 2 == 0 {
+                            Threads.parallel_reduce(n, (0, u32::MAX), map, combine)
+                        } else {
+                            GpuSim::new().parallel_reduce(n, (0, u32::MAX), map, combine)
+                        };
+                        assert_eq!(got, expect, "thread {t}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

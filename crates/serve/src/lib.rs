@@ -1181,27 +1181,57 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// off as the original (a true collision shares the digest, so the
     /// reload digest check cannot catch it). A spill whose contents equal
     /// `points` is this cloud's own earlier eviction: its salt is reused.
-    /// Unreadable or corrupt spill files are conservatively skipped.
+    /// Only a readable spill holding different points proves another
+    /// owner: a spill that stays unreadable through the retry ladder proves
+    /// nothing, so it is logged and skipped, and a transient read fault
+    /// cannot re-key a cloud.
     fn durable_salt(&self, mut key: CloudKey, points: &[Point<D>]) -> CloudKey {
-        // Bounded so a spill dir that errors on every open (not per-file
-        // corruption — e.g. permissions) cannot loop forever; past the
-        // bound the eviction write itself will fail and be counted. Both
-        // spill directories are probed: a relocated spill claims its salt
-        // just as firmly as a primary one.
+        // Bounded so a pathological run of distinct colliding clouds
+        // cannot loop forever. Both spill directories are probed: a
+        // relocated spill claims its salt just as firmly as a primary one.
         'salts: for _ in 0..1024 {
             for dir in self.spill_dirs() {
-                match spill::read_spill::<D>(dir, key, self.fault_plan()) {
+                match self.read_spill_retrying(dir, key) {
                     Ok(None) => {}
                     Ok(Some(existing)) if spill::same_bits(&existing.points, points) => return key,
-                    Ok(Some(_)) | Err(_) => {
+                    Ok(Some(_)) => {
                         key.salt += 1;
                         continue 'salts;
                     }
+                    Err(e) => emst_obs::log::warn(
+                        "emst-serve",
+                        "unreadable spill proves no other owner, keeping the salt",
+                        &[
+                            ("key", &key.to_string()),
+                            ("dir", &dir.display().to_string()),
+                            ("error", &e.to_string()),
+                        ],
+                    ),
                 }
             }
             return key;
         }
         key
+    }
+
+    /// Reads `key`'s spill in `dir` on the write ladder's schedule
+    /// ([`ServeConfig::spill_retries`] retries, see [`backoff`]); errs only
+    /// when every attempt did.
+    fn read_spill_retrying(
+        &self,
+        dir: &Path,
+        key: CloudKey,
+    ) -> std::io::Result<Option<spill::SpillContents<D>>> {
+        let mut attempt = 0;
+        loop {
+            match spill::read_spill::<D>(dir, key, self.fault_plan()) {
+                Err(_) if attempt < u64::from(self.config.spill_retries) => {
+                    attempt += 1;
+                    backoff(attempt);
+                }
+                read => return read,
+            }
+        }
     }
 
     /// Spill directories in probe/write order: primary, then fallback.
@@ -1231,7 +1261,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 if attempt > 0 {
                     self.stats.spill_retries.fetch_add(1, Relaxed);
                     self.obs_event(|o| o.spill_retries.inc());
-                    std::thread::sleep(Duration::from_millis((1u64 << (attempt - 1)).min(20)));
+                    backoff(attempt);
                 }
                 match spill::write_spill(dir, key, points, artifacts, self.fault_plan()) {
                     Ok(()) => {
@@ -2413,6 +2443,12 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
+/// The sleep before retry `attempt` (from 1) of a spill read or write:
+/// 1 ms, doubling, at most 20 ms.
+fn backoff(attempt: u64) {
+    std::thread::sleep(Duration::from_millis((1u64 << (attempt - 1).min(5)).min(20)));
+}
+
 /// Best-effort extraction of a panic payload's message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -3124,29 +3160,38 @@ mod tests {
 
     /// Tentpole: a panicking query is isolated to `QueryPanic` — the
     /// caller's thread survives, scratch returns to the pool, and the
-    /// engine keeps serving.
+    /// engine keeps serving — on `Threads` too, whose kernels run on the
+    /// shared worker pool (a panic raised on a pool worker is re-raised on
+    /// the launching thread; the pool's own tests pin that).
     #[test]
     fn query_panics_are_isolated_to_errors() {
-        let a = random_points_2d(200, 82);
-        let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(2, 2));
-        let key = engine.ingest(&a);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence the expected panic
-                                                // An out-of-range subset index panics inside the merge machinery.
-        let result = engine.emst_subset_by_key(key, &[0, 9999]);
-        std::panic::set_hook(prev);
-        match result {
-            Err(ServeError::QueryPanic(msg)) => {
-                assert!(msg.contains("out of range"), "payload carried through: {msg}")
+        fn check<S: ExecSpace>(space: S) {
+            let a = random_points_2d(200, 82);
+            let engine = ServeEngine::<_, 2>::new(space, ServeConfig::new(2, 2));
+            let key = engine.ingest(&a);
+            let before = engine.emst_by_key(key).unwrap();
+            // Silence the expected panic: an out-of-range subset index
+            // panics inside the merge machinery.
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            let result = engine.emst_subset_by_key(key, &[0, 9999]);
+            std::panic::set_hook(prev);
+            match result {
+                Err(ServeError::QueryPanic(msg)) => {
+                    assert!(msg.contains("out of range"), "payload carried through: {msg}")
+                }
+                other => panic!("expected QueryPanic, got {other:?}"),
             }
-            other => panic!("expected QueryPanic, got {other:?}"),
+            assert_eq!(engine.stats().query_panics, 1);
+            assert_eq!(engine.in_flight.load(Relaxed), 0);
+            // Still serving, bit-identically, on the same resident.
+            let ok = engine.emst_by_key(key).unwrap();
+            assert_eq!(ok.outcome, CacheOutcome::Hit);
+            assert_eq!(ok.edges.len(), 199);
+            assert_eq!(ok.edges, before.edges);
         }
-        assert_eq!(engine.stats().query_panics, 1);
-        assert_eq!(engine.in_flight.load(Relaxed), 0);
-        // Still serving, bit-identically, on the same resident.
-        let ok = engine.emst_by_key(key).unwrap();
-        assert_eq!(ok.outcome, CacheOutcome::Hit);
-        assert_eq!(ok.edges.len(), 199);
+        check(Serial);
+        check(Threads);
     }
 
     /// Injected read faults surface as typed errors (or clean retries on
@@ -3179,6 +3224,28 @@ mod tests {
         // Re-presenting the points always recovers, whatever the read path
         // is doing.
         assert_eq!(engine.emst(&a).edges, cold.edges);
+    }
+
+    /// A spill that stays unreadable through the retry ladder proves no
+    /// other owner: re-presenting the evicted cloud keeps its key instead
+    /// of counting a digest collision and admitting a salted copy.
+    #[test]
+    fn unreadable_own_spill_keeps_the_cloud_key() {
+        let a = random_points_2d(250, 85);
+        let plan = Arc::new(FaultPlan::new(11).with_rule(FaultSite::Read, FaultKind::BitFlip, 1.0));
+        let mut cfg = ServeConfig::new(3, 1);
+        cfg.fault_plan = Some(Arc::clone(&plan));
+        // Points-only spills: every flipped bit lands in a checksummed
+        // section, so every read of `a`'s spill errs.
+        cfg.spill_artifacts = false;
+        let engine = ServeEngine::<_, 2>::new(Serial, cfg);
+        let cold = engine.emst(&a);
+        engine.emst(&random_points_2d(250, 86)); // evicts `a` (writes are clean)
+        let again = engine.emst(&a);
+        assert!(plan.injected() > 0, "the probe read was faulted");
+        assert_eq!(again.key, cold.key);
+        assert_eq!(again.edges, cold.edges);
+        assert_eq!(engine.stats().digest_collisions, 0);
     }
 
     /// Evictions record spill-write durations and eviction events in the
