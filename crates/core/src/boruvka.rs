@@ -186,6 +186,13 @@ pub struct SingleTreeBoruvka<'a, const D: usize> {
 impl<'a, const D: usize> SingleTreeBoruvka<'a, D> {
     /// Creates a solver over `points` (borrowed; nothing is copied until
     /// [`Self::run`]).
+    ///
+    /// Precondition: every coordinate passes
+    /// [`emst_geometry::is_valid_coordinate`] (finite, at most 1e18 in
+    /// magnitude), so every squared distance is finite. The solver does not
+    /// check: a NaN never compares and can stall a Borůvka round, and an
+    /// overflowing distance gives a wrong tree. The `emst_datasets` readers
+    /// and the serving protocol enforce the bound on outside input.
     pub fn new(points: &'a [Point<D>]) -> Self {
         Self { points }
     }

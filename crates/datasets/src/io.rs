@@ -9,12 +9,17 @@
 //!   optional header line (skipped when non-numeric), extra columns
 //!   ignored;
 //! - **XYZ** — whitespace-separated, the classic particle-dump layout.
+//!
+//! Every reader checks each coordinate with
+//! [`emst_geometry::is_valid_coordinate`]: a field that parses as a number
+//! but is NaN, infinite or larger than 1e18 in magnitude is an
+//! `origin:line` error, on line 1 too (it is never taken for a header).
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use emst_geometry::Point;
+use emst_geometry::{is_valid_coordinate, Point, MAX_COORDINATE};
 
 /// Writes points as CSV (no header) with full `f32` round-trip precision.
 pub fn save_csv<const D: usize>(path: &Path, points: &[Point<D>]) -> io::Result<()> {
@@ -58,7 +63,29 @@ pub fn load_xyz<const D: usize>(path: &Path) -> io::Result<Vec<Point<D>>> {
     load_delimited(path, b' ')
 }
 
-fn parse_line<const D: usize>(line: &str, delim: u8) -> Option<Point<D>> {
+/// Why a non-blank line did not parse as a point.
+enum LineError {
+    /// Too few fields, or a field that is not a number. Allowed once, as
+    /// a header on line 1.
+    NotNumeric,
+    /// A numeric field that [`is_valid_coordinate`] rejects (NaN, ±inf or
+    /// too large); never a header.
+    Invalid(String),
+}
+
+impl LineError {
+    fn at<const D: usize>(self, origin: &str, line_no: usize) -> io::Error {
+        let what = match self {
+            LineError::NotNumeric => format!("expected {D} numeric fields"),
+            LineError::Invalid(field) => format!(
+                "coordinate {field:?} is not finite or exceeds {MAX_COORDINATE:e} in magnitude"
+            ),
+        };
+        io::Error::new(io::ErrorKind::InvalidData, format!("{origin}:{line_no}: {what}"))
+    }
+}
+
+fn parse_line<const D: usize>(line: &str, delim: u8) -> Result<Point<D>, LineError> {
     let mut coords = [0.0f32; D];
     let mut fields = if delim == b',' {
         FieldIter::Comma(line.split(','))
@@ -66,10 +93,13 @@ fn parse_line<const D: usize>(line: &str, delim: u8) -> Option<Point<D>> {
         FieldIter::Whitespace(line.split_whitespace())
     };
     for c in coords.iter_mut() {
-        let field = fields.next()?;
-        *c = field.trim().parse().ok()?;
+        let field = fields.next().ok_or(LineError::NotNumeric)?.trim();
+        *c = field.parse().map_err(|_| LineError::NotNumeric)?;
+        if !is_valid_coordinate(*c) {
+            return Err(LineError::Invalid(field.to_string()));
+        }
     }
-    Some(Point::new(coords))
+    Ok(Point::new(coords))
 }
 
 enum FieldIter<'a> {
@@ -119,7 +149,7 @@ pub fn read_points_chunked<const D: usize>(
             continue;
         }
         match parse_line::<D>(line, b',') {
-            Some(p) => {
+            Ok(p) => {
                 chunk.push(p);
                 if chunk.len() == chunk_points {
                     f(total, &chunk)?;
@@ -127,13 +157,8 @@ pub fn read_points_chunked<const D: usize>(
                     chunk.clear();
                 }
             }
-            None if line_no == 1 => {} // header
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}:{line_no}: expected {D} numeric fields", path.display()),
-                ));
-            }
+            Err(LineError::NotNumeric) if line_no == 1 => {} // header
+            Err(e) => return Err(e.at::<D>(&path.display().to_string(), line_no)),
         }
     }
     if !chunk.is_empty() {
@@ -361,14 +386,9 @@ fn parse_delimited<const D: usize>(
             continue;
         }
         match parse_line::<D>(line, delim) {
-            Some(p) => out.push(p),
-            None if line_no == 1 => {} // header
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{origin}:{line_no}: expected {D} numeric fields"),
-                ));
-            }
+            Ok(p) => out.push(p),
+            Err(LineError::NotNumeric) if line_no == 1 => {} // header
+            Err(e) => return Err(e.at::<D>(origin, line_no)),
         }
     }
     Ok(out)
@@ -420,6 +440,32 @@ mod tests {
         std::fs::write(&path, "1.0,2.0\nnot,numbers\n").unwrap();
         let err = load_csv::<2>(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_and_huge_coordinates_are_line_errors() {
+        for (text, line) in [
+            ("NaN,0.5\n1.0,2.0\n", 1),
+            ("1.0,2.0\ninf,0.5\n", 2),
+            ("x,y\n1.0,2.0\n0.5,-inf\n", 3),
+            ("1.0,2.0\n1e30,0.5\n", 2),
+        ] {
+            let err = parse_csv::<2>(text.as_bytes(), "pts.csv").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+            let msg = err.to_string();
+            assert!(msg.starts_with(&format!("pts.csv:{line}: coordinate ")), "{msg}");
+        }
+        let err = parse_xyz::<3>(b"0 0 nan\n", "pts.xyz").unwrap_err();
+        assert!(err.to_string().starts_with("pts.xyz:1: coordinate \"nan\""), "{err}");
+        // The bound itself is accepted.
+        let pts = parse_csv::<2>(b"1e18,-1e18\n", "pts.csv").unwrap();
+        assert_eq!(pts, vec![Point::new([1e18, -1e18])]);
+
+        let path = tmp("chunked-nan.csv");
+        std::fs::write(&path, "NaN,0.5\n1.0,2.0\n").unwrap();
+        let err = read_points_chunked::<2>(&path, 64, |_, _| Ok(())).unwrap_err();
+        assert!(err.to_string().contains("chunked-nan.csv:1: coordinate"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

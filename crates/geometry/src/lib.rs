@@ -8,7 +8,8 @@
 //! implementation without dynamic dispatch.
 //!
 //! Contents:
-//! - [`Point`] — a `D`-dimensional point;
+//! - [`Point`] — a `D`-dimensional point, and [`is_valid_coordinate`],
+//!   the finite-and-bounded check every input coordinate passes;
 //! - [`Aabb`] — axis-aligned bounding box (the BVH bounding volume);
 //! - [`metric`] — the [`metric::Metric`] abstraction with
 //!   [`metric::Euclidean`] and [`metric::MutualReachability`] (the HDBSCAN*
@@ -24,7 +25,7 @@ pub mod point;
 
 pub use aabb::Aabb;
 pub use metric::{brute_force_core_distances_sq, Euclidean, Metric, MutualReachability};
-pub use point::Point;
+pub use point::{is_valid_coordinate, Point, MAX_COORDINATE};
 
 /// The scalar type used for coordinates and distances throughout the
 /// workspace. Single precision matches the paper's implementation.

@@ -76,6 +76,21 @@ impl<const D: usize> Point<D> {
     }
 }
 
+/// Largest accepted input coordinate magnitude. Two 3D points with every
+/// coordinate in `[-MAX_COORDINATE, MAX_COORDINATE]` are at most
+/// `3 · (2e18)² = 1.2e37` apart squared, which is finite in `f32`
+/// (`f32::MAX` ≈ 3.4e38).
+pub const MAX_COORDINATE: Scalar = 1e18;
+
+/// Whether `c` is an accepted input coordinate: `|c| <= MAX_COORDINATE`.
+/// NaN and ±inf fail the comparison. The solvers assume finite squared
+/// distances (a NaN never compares, so a Borůvka round can stall on it);
+/// point files and wire requests are checked with this at the boundary.
+#[inline]
+pub fn is_valid_coordinate(c: Scalar) -> bool {
+    c.abs() <= MAX_COORDINATE
+}
+
 impl<const D: usize> Default for Point<D> {
     fn default() -> Self {
         Self::origin()
@@ -145,6 +160,19 @@ mod tests {
         assert!(Point::new([0.0, 1.0]).is_finite());
         assert!(!Point::new([f32::NAN, 1.0]).is_finite());
         assert!(!Point::new([f32::INFINITY, 1.0]).is_finite());
+    }
+
+    #[test]
+    fn valid_coordinates_keep_squared_distances_finite() {
+        for c in [0.0, -0.0, 1.0, -MAX_COORDINATE, MAX_COORDINATE, f32::MIN_POSITIVE] {
+            assert!(is_valid_coordinate(c), "{c}");
+        }
+        for c in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30, -1.1e18] {
+            assert!(!is_valid_coordinate(c), "{c}");
+        }
+        let lo = Point::new([-MAX_COORDINATE; 3]);
+        let hi = Point::new([MAX_COORDINATE; 3]);
+        assert!(lo.squared_distance(&hi).is_finite());
     }
 
     fn arb_point3() -> impl Strategy<Value = Point<3>> {

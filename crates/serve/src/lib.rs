@@ -39,14 +39,13 @@
 //! pair — is one [`ServeRequest`] executed by [`ServeEngine::execute`],
 //! which applies the guard surface (admission control, per-query
 //! deadline, panic isolation) uniformly. The named methods ([`emst`],
-//! [`try_emst`], [`emst_by_key`], …) are thin wrappers that build the
-//! request and unwrap the matching [`ServeResponse`] arm; the serve
-//! REPL and the wire protocol ([`net::respond`]) dispatch through the
-//! same `execute`, so in-process, REPL and network traffic are provably
-//! one code path.
+//! [`emst_by_key`], …) are thin wrappers that build the request and
+//! unwrap the matching [`ServeResponse`] arm. The wire protocol has one
+//! parser, [`net::respond`], which dispatches through the same `execute`
+//! and serves both TCP connections and the `emst-cli serve` stdin
+//! session, so in-process, stdin and network traffic are one code path.
 //!
 //! [`emst`]: ServeEngine::emst
-//! [`try_emst`]: ServeEngine::try_emst
 //! [`emst_by_key`]: ServeEngine::emst_by_key
 //!
 //! # Incremental updates
@@ -181,10 +180,10 @@ pub struct ServeConfig {
     /// backoff (1 ms base, doubling, capped at 20 ms). `0` means one
     /// attempt and no retry.
     pub spill_retries: u32,
-    /// Per-query wall-clock budget for the fallible (`try_*` / `*_by_key`)
-    /// EMST paths. Checked at merge-round boundaries: an over-budget query
-    /// returns [`ServeError::DeadlineExceeded`] instead of a late answer.
-    /// `None` (the default) disables deadlines.
+    /// Per-query wall-clock budget for the fallible (`execute` /
+    /// `*_by_key`) EMST paths. Checked at merge-round boundaries: an
+    /// over-budget query returns [`ServeError::DeadlineExceeded`] instead
+    /// of a late answer. `None` (the default) disables deadlines.
     pub deadline: Option<Duration>,
     /// Admission control for the fallible query paths: more than this many
     /// in-flight guarded queries sheds the excess with
@@ -457,6 +456,8 @@ pub struct HdbscanResponse {
 #[derive(Clone, Copy, Debug)]
 pub enum CloudRef<'a, const D: usize> {
     /// The full point cloud; digested and admitted if not yet resident.
+    /// Every coordinate must pass [`emst_geometry::is_valid_coordinate`]
+    /// (finite, at most 1e18 in magnitude); the engine does not check.
     Points(&'a [Point<D>]),
     /// A previously minted key; errors with [`ServeError::UnknownKey`]
     /// when neither resident nor spilled.
@@ -465,8 +466,16 @@ pub enum CloudRef<'a, const D: usize> {
 
 /// One typed serving request — the single argument of
 /// [`ServeEngine::execute`], covering every verb the engine speaks.
-/// The named convenience methods and both transports (REPL, wire) build
-/// exactly these values, so behavior can never diverge per entry point.
+/// The named convenience methods and the wire protocol ([`net::respond`],
+/// behind both TCP and the `emst-cli serve` stdin session) build exactly
+/// these values, so behavior can never diverge per entry point.
+///
+/// Precondition: points passed in-process — [`CloudRef::Points`] and the
+/// `Load`/`Insert` point lists — must have every coordinate pass
+/// [`emst_geometry::is_valid_coordinate`]. The engine trusts its caller:
+/// a NaN or infinite coordinate can stall a solve or give a wrong tree.
+/// The wire parser and the `emst_datasets` readers enforce the bound for
+/// outside input.
 #[derive(Debug)]
 pub enum ServeRequest<'a, const D: usize> {
     /// Full EMST of the cloud (warm path: merge only).
@@ -1808,9 +1817,9 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     // The execution API
     //
     // `execute` is the one entry point every fallible verb flows
-    // through — the `try_*`/`*_by_key` wrappers, `insert`/`delete`, the
-    // serve REPL, and the wire protocol all build a `ServeRequest` and
-    // call it. (The legacy infallible positional wrappers run the same
+    // through — the `*_by_key` wrappers, `insert`/`delete` and the wire
+    // protocol (TCP and stdin alike) all build a `ServeRequest` and call
+    // it. (The legacy infallible positional wrappers run the same
     // `dispatch_guarded` table with the guards off — see the wrapper
     // block.) `Load`/`Stats` run unguarded (`Stats`
     // is a lock-free snapshot; `Load` is the explicit admission path —
@@ -1826,7 +1835,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     // ------------------------------------------------------------------
 
     /// Executes one typed [`ServeRequest`] — the single code path behind
-    /// every named method, the serve REPL, and [`net::respond`].
+    /// every named method and [`net::respond`].
     ///
     /// Query and mutation verbs run under the uniform guard surface
     /// (admission control, deadline, panic isolation — see
@@ -2214,19 +2223,18 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         Ok(Some(guard))
     }
 
-    // BEGIN WRAPPERS OVER EXECUTE ---------------------------------------
+    // WRAPPERS OVER EXECUTE -----------------------------------------------
     //
     // Every named method below is a one-line wrapper: build the
     // `ServeRequest`, run it through the `execute` dispatch table, unwrap
-    // the matching `ServeResponse` arm. No query logic lives here — CI
-    // greps this block's markers and fails if a new `pub fn try_*`
-    // appears outside it. The fallible surface (`try_*`, `*_by_key`,
-    // `insert`/`delete`) calls [`Self::execute`] and inherits its full
-    // guard surface. The infallible positional signatures run the same
-    // dispatch *unguarded* — no admission gate, no deadline — because an
-    // infallible signature cannot report an honest shed; they surface
-    // the remaining errors (invalid requests) by panicking with the
-    // `Display`, preserving the historical panic contracts.
+    // the matching `ServeResponse` arm. No query logic lives here. The
+    // fallible surface (`*_by_key`, `insert`/`delete`) calls
+    // [`Self::execute`] and inherits its full guard surface. The
+    // infallible positional signatures run the same dispatch *unguarded*
+    // — no admission gate, no deadline — because an infallible signature
+    // cannot report an honest shed; they surface the remaining errors
+    // (invalid requests) by panicking with the `Display`, preserving the
+    // historical panic contracts.
 
     /// Ingests `points` (builds and admits artifacts) without running a
     /// query, returning the key future queries can use. Re-ingesting a
@@ -2244,22 +2252,12 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// bit-identical to the cold solve because both are the same
     /// deterministic merge over the same artifacts. Unguarded wrapper
     /// over [`ServeRequest::Emst`]: no admission gate, no deadline — use
-    /// [`Self::try_emst`] / [`Self::emst_by_key`] for the guarded
-    /// surface.
+    /// [`Self::execute`] or [`Self::emst_by_key`] for the guarded surface.
     pub fn emst(&self, points: &[Point<D>]) -> QueryResponse {
         match self.dispatch_guarded(ServeRequest::Emst { cloud: CloudRef::Points(points) }, None) {
             Ok(ServeResponse::Emst(r)) => r,
             Ok(other) => unreachable!("Emst returns Emst: {other:?}"),
             Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Self::emst`] under the fallible signature. Wrapper over
-    /// [`ServeRequest::Emst`] via [`Self::execute`].
-    pub fn try_emst(&self, points: &[Point<D>]) -> Result<QueryResponse, ServeError> {
-        match self.execute(ServeRequest::Emst { cloud: CloudRef::Points(points) })? {
-            ServeResponse::Emst(r) => Ok(r),
-            other => unreachable!("Emst returns Emst: {other:?}"),
         }
     }
 
@@ -2279,8 +2277,8 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// their resident BVH + local MST (see
     /// [`emst_shard::ShardArtifacts::merge_subset`]). Unguarded wrapper
     /// over [`ServeRequest::Subset`] (no gate, no deadline) — use
-    /// [`Self::try_emst_subset`] / [`Self::emst_subset_by_key`] for the
-    /// guarded surface.
+    /// [`Self::execute`] or [`Self::emst_subset_by_key`] for the guarded
+    /// surface.
     ///
     /// # Panics
     /// On out-of-range or duplicate subset indices.
@@ -2290,19 +2288,6 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             Ok(ServeResponse::Subset(r)) => r,
             Ok(other) => unreachable!("Subset returns Subset: {other:?}"),
             Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Self::emst_subset`] under the fallible signature. Wrapper over
-    /// [`ServeRequest::Subset`] via [`Self::execute`].
-    pub fn try_emst_subset(
-        &self,
-        points: &[Point<D>],
-        subset: &[u32],
-    ) -> Result<QueryResponse, ServeError> {
-        match self.execute(ServeRequest::Subset { cloud: CloudRef::Points(points), subset })? {
-            ServeResponse::Subset(r) => Ok(r),
-            other => unreachable!("Subset returns Subset: {other:?}"),
         }
     }
 
@@ -2323,29 +2308,14 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// The `k` nearest ingested points to `query`, answered from the
     /// resident per-shard BVHs. Unguarded wrapper over
     /// [`ServeRequest::KNearest`] (no gate, no deadline) — use
-    /// [`Self::try_k_nearest`] / [`Self::k_nearest_by_key`] for the
-    /// guarded surface.
+    /// [`Self::execute`] or [`Self::k_nearest_by_key`] for the guarded
+    /// surface.
     pub fn k_nearest(&self, points: &[Point<D>], query: &Point<D>, k: usize) -> KnnResponse {
         let req = ServeRequest::KNearest { cloud: CloudRef::Points(points), query: *query, k };
         match self.dispatch_guarded(req, None) {
             Ok(ServeResponse::KNearest(r)) => r,
             Ok(other) => unreachable!("KNearest returns KNearest: {other:?}"),
             Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Self::k_nearest`] under the fallible signature. Wrapper over
-    /// [`ServeRequest::KNearest`] via [`Self::execute`].
-    pub fn try_k_nearest(
-        &self,
-        points: &[Point<D>],
-        query: &Point<D>,
-        k: usize,
-    ) -> Result<KnnResponse, ServeError> {
-        let req = ServeRequest::KNearest { cloud: CloudRef::Points(points), query: *query, k };
-        match self.execute(req)? {
-            ServeResponse::KNearest(r) => Ok(r),
-            other => unreachable!("KNearest returns KNearest: {other:?}"),
         }
     }
 
@@ -2367,27 +2337,14 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// HDBSCAN* clustering of `points`, drawing the EMST pass's working
     /// arrays from a warm scratch pool ([`Hdbscan::fit_scratch`]).
     /// Unguarded wrapper over [`ServeRequest::Hdbscan`] (no gate, no
-    /// deadline) — use [`Self::try_hdbscan`] / [`Self::hdbscan_by_key`]
-    /// for the guarded surface.
+    /// deadline) — use [`Self::execute`] or [`Self::hdbscan_by_key`] for
+    /// the guarded surface.
     pub fn hdbscan(&self, points: &[Point<D>], params: Hdbscan) -> HdbscanResponse {
         let req = ServeRequest::Hdbscan { cloud: CloudRef::Points(points), params };
         match self.dispatch_guarded(req, None) {
             Ok(ServeResponse::Hdbscan(r)) => r,
             Ok(other) => unreachable!("Hdbscan returns Hdbscan: {other:?}"),
             Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Self::hdbscan`] under the fallible signature. Wrapper over
-    /// [`ServeRequest::Hdbscan`] via [`Self::execute`].
-    pub fn try_hdbscan(
-        &self,
-        points: &[Point<D>],
-        params: Hdbscan,
-    ) -> Result<HdbscanResponse, ServeError> {
-        match self.execute(ServeRequest::Hdbscan { cloud: CloudRef::Points(points), params })? {
-            ServeResponse::Hdbscan(r) => Ok(r),
-            other => unreachable!("Hdbscan returns Hdbscan: {other:?}"),
         }
     }
 
@@ -2429,8 +2386,6 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             other => unreachable!("Delete returns Mutated: {other:?}"),
         }
     }
-
-    // END WRAPPERS OVER EXECUTE -----------------------------------------
 }
 
 /// Releases an in-flight admission slot on drop — including on the
@@ -3121,7 +3076,8 @@ mod tests {
         cfg.deadline = Some(Duration::ZERO); // every guarded merge is late
         let engine = ServeEngine::<_, 2>::new(Serial, cfg);
         let key = engine.ingest(&a);
-        assert!(matches!(engine.try_emst(&a), Err(ServeError::DeadlineExceeded(k)) if k == key));
+        let req = ServeRequest::Emst { cloud: CloudRef::Points(&a) };
+        assert!(matches!(engine.execute(req), Err(ServeError::DeadlineExceeded(k)) if k == key));
         assert!(matches!(engine.emst_by_key(key), Err(ServeError::DeadlineExceeded(_))));
         assert!(matches!(
             engine.emst_subset_by_key(key, &(0..100).collect::<Vec<_>>()),
@@ -3150,7 +3106,8 @@ mod tests {
         let key = engine.ingest(&a);
         let gate = engine.admission_gate().unwrap(); // occupy the only slot
         assert!(matches!(engine.emst_by_key(key), Err(ServeError::Overloaded)));
-        assert!(matches!(engine.try_emst(&a), Err(ServeError::Overloaded)));
+        let req = ServeRequest::Emst { cloud: CloudRef::Points(&a) };
+        assert!(matches!(engine.execute(req), Err(ServeError::Overloaded)));
         assert_eq!(engine.stats().shed, 2);
         drop(gate); // slot freed: queries admit again
         assert!(engine.emst_by_key(key).is_ok());
@@ -3376,7 +3333,7 @@ mod tests {
         assert_eq!(engine.stats().inserts, 2);
     }
 
-    /// `execute` speaks `Load` and `Stats` directly (the REPL/wire path).
+    /// `execute` speaks `Load` and `Stats` directly (the wire path).
     #[test]
     fn execute_load_and_stats_roundtrip() {
         let pts = random_points_2d(200, 94);

@@ -1,13 +1,17 @@
 //! Network serving front-end: a std-only TCP listener over [`ServeEngine`].
 //!
 //! [`ServeServer`] binds a [`std::net::TcpListener`] and speaks a
-//! line-based request/response protocol with the same verbs as the CLI
-//! REPL (`emst`, `subset`, `knn`, `hdbscan`, `insert`, `delete`, `load`,
-//! `stats`, `metrics [json]`, `trace [n]`, plus `ping` and `quit`).
-//! Every request is one `\n`-terminated line; every reply is one
-//! `ok …`/`err …` line (multi-line payloads are length-framed as
-//! `ok body <len>\n<bytes>`). The full grammar lives in
-//! `docs/serving-protocol.md`.
+//! line-based request/response protocol (`emst`, `subset`, `knn`,
+//! `hdbscan`, `insert`, `delete`, `load`, `stats`, `metrics [json]`,
+//! `trace [n]`, plus `ping` and `quit`). Every request is one
+//! `\n`-terminated line; every reply is one `ok …`/`err …` line
+//! (multi-line payloads are length-framed as `ok body <len>\n<bytes>`).
+//! The full grammar lives in `docs/serving-protocol.md`.
+//!
+//! [`respond`] is the protocol's one parser and dispatcher, and
+//! [`next_line`] its one line reader. A TCP connection and the
+//! `emst-cli serve` stdin session are both a [`NetSession`] driven by
+//! those two functions, so a line gets the same reply bytes on either.
 //!
 //! Design constraints and how they are met:
 //!
@@ -47,10 +51,11 @@
 //! bit-identity guarantee, and the reply format contains no wall-clock
 //! fields. The mutation verbs (`insert`, `delete`) never coalesce: they
 //! swap the session's cloud, so sharing a reply would desynchronize the
-//! follower's session from the cloud its reply claims to describe. The one observable sharing artifact is the `cache=` outcome
-//! (a follower may see the leader's `miss`) and error replies (a
-//! follower shares the leader's honest `err …`, which an identical
-//! concurrent request could equally have earned itself).
+//! follower's session from the cloud its reply claims to describe. The
+//! one observable sharing artifact is the `cache=` outcome (a follower
+//! may see the leader's `miss`) and error replies (a follower shares the
+//! leader's honest `err …`, which an identical concurrent request could
+//! equally have earned itself).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -65,7 +70,7 @@ use std::time::{Duration, Instant};
 use emst_core::Edge;
 use emst_datasets::io::{fnv1a_64, parse_csv, parse_xyz};
 use emst_exec::ExecSpace;
-use emst_geometry::Point;
+use emst_geometry::{is_valid_coordinate, Point};
 use emst_hdbscan::Hdbscan;
 use emst_obs::{Counter, Gauge, Histogram};
 use parking_lot::{Condvar, Mutex};
@@ -129,6 +134,12 @@ impl NetReply {
         Self { text: format!("ok body {}\n{body}", body.len()), close: false }
     }
 
+    /// The reply to a line longer than [`MAX_LINE_BYTES`]; the session
+    /// closes after it, since the rest of the line cannot be framed.
+    pub fn line_too_long() -> Self {
+        Self { text: format!("err line too long (max {MAX_LINE_BYTES} bytes)\n"), close: true }
+    }
+
     /// Whether this is an `err …` reply (drives the error-reply counter).
     pub fn is_err(&self) -> bool {
         self.text.starts_with("err ")
@@ -140,9 +151,10 @@ impl NetReply {
     }
 }
 
-/// Per-connection state: the cloud this session queries. Starts as the
+/// Per-session state: the cloud this session queries. Starts as the
 /// server's initial cloud; `load <path>`, `insert` and `delete` swap it
-/// (for this connection only), exactly like the REPL's session cloud.
+/// for this session only. Each TCP connection has one, and so does the
+/// `emst-cli serve` stdin session.
 pub struct NetSession<const D: usize> {
     points: Arc<Vec<Point<D>>>,
 }
@@ -190,15 +202,15 @@ fn labels_check(labels: &[i32]) -> u64 {
 }
 
 /// Executes one request line against the engine and formats the wire
-/// reply. This is the whole protocol in one pure-ish function: the
-/// integration tests run it in-process to compute the bytes the socket
-/// path must reproduce bit-for-bit.
+/// reply. This is the whole protocol in one pure-ish function: the socket
+/// path and the `emst-cli serve` stdin session both call it, and the
+/// integration tests run it in-process to compute the bytes either must
+/// reproduce bit-for-bit.
 ///
-/// Unlike the REPL, replies carry **no wall-clock fields** — instead the
-/// tree-shaped answers carry a `check=` content digest — so identical
-/// requests against identical clouds produce identical bytes, which is
-/// what makes both the bit-identity proof and same-key coalescing
-/// possible.
+/// Replies carry **no wall-clock fields** — instead the tree-shaped
+/// answers carry a `check=` content digest — so identical requests
+/// against identical clouds produce identical bytes, which is what makes
+/// both the bit-identity proof and same-key coalescing possible.
 pub fn respond<S: ExecSpace, const D: usize>(
     engine: &ServeEngine<S, D>,
     session: &mut NetSession<D>,
@@ -228,6 +240,14 @@ fn mutation_reply<const D: usize>(verb: &str, m: &MutateResponse<D>) -> NetReply
         m.update.total_weight,
         edges_check(&m.update.edges),
     ))
+}
+
+/// Parses one `knn`/`insert` coordinate. A NaN, infinite or too-large
+/// value ([`is_valid_coordinate`]) is rejected like a non-number: the
+/// solvers need every squared distance finite.
+fn parse_coordinate(v: &str) -> Result<f32, String> {
+    let c = v.parse().ok().filter(|&c| is_valid_coordinate(c));
+    c.ok_or_else(|| format!("invalid coordinate {v:?}"))
 }
 
 fn execute<S: ExecSpace, const D: usize>(
@@ -296,7 +316,7 @@ fn execute<S: ExecSpace, const D: usize>(
             }
             let mut coords = [0.0f32; D];
             for (c, v) in coords.iter_mut().zip(&rest[1..]) {
-                *c = v.parse().map_err(|_| format!("invalid coordinate {v:?}"))?;
+                *c = parse_coordinate(v)?;
             }
             let req = ServeRequest::KNearest {
                 cloud: CloudRef::Points(points.as_slice()),
@@ -347,7 +367,7 @@ fn execute<S: ExecSpace, const D: usize>(
             for chunk in rest.chunks(D) {
                 let mut coords = [0.0f32; D];
                 for (c, v) in coords.iter_mut().zip(chunk) {
-                    *c = v.parse().map_err(|_| format!("invalid coordinate {v:?}"))?;
+                    *c = parse_coordinate(v)?;
                 }
                 added.push(Point::new(coords));
             }
@@ -701,25 +721,34 @@ fn worker_loop<S: ExecSpace, const D: usize>(shared: &NetShared<S, D>) {
     }
 }
 
-/// What the incremental line reader produced.
-enum ReadEvent {
+/// What [`next_line`] produced.
+pub enum ReadEvent {
     /// One request line (terminator stripped; lossy UTF-8).
     Line(String),
     /// Clean end of stream with no buffered partial line.
     Eof,
-    /// The server is shutting down; stop reading.
+    /// The `shutdown` flag was set while the reader sat idle; stop
+    /// reading.
     Shutdown,
-    /// The buffered line exceeded [`MAX_LINE_BYTES`] with no terminator.
+    /// The buffered line exceeded [`MAX_LINE_BYTES`] with no terminator;
+    /// answer [`NetReply::line_too_long`] and stop reading.
     TooLong,
 }
 
-/// Reads the next `\n`-terminated line from `reader`, polling `shutdown`
-/// on every read timeout. Split and partial writes are handled naturally
-/// (bytes accumulate in `buf` across reads); a final unterminated line at
-/// EOF is served as a line. `reader` must be in timeout mode for the
-/// shutdown poll to fire (the unit tests drive it with plain readers,
-/// which simply never time out).
-fn next_line<R: Read>(
+/// Reads the next request line from `reader`: the protocol's one line
+/// reader, shared by TCP connections and the `emst-cli serve` stdin
+/// session.
+///
+/// A line ends at `\n` (a trailing `\r` is stripped) and is decoded as
+/// lossy UTF-8, so junk bytes become an ordinary line that [`respond`]
+/// answers. Split and partial writes are handled naturally (bytes
+/// accumulate in `buf` across reads; pass the same `buf` to every call);
+/// a final unterminated line at EOF is served as a line. More than
+/// [`MAX_LINE_BYTES`] without a terminator yields [`ReadEvent::TooLong`].
+/// `shutdown` is polled on every read timeout, so it only fires for a
+/// `reader` in timeout mode; a plain blocking reader never reports
+/// [`ReadEvent::Shutdown`].
+pub fn next_line<R: Read>(
     reader: &mut R,
     buf: &mut Vec<u8>,
     shutdown: &AtomicBool,
@@ -787,9 +816,7 @@ fn handle_connection<S: ExecSpace, const D: usize>(shared: &NetShared<S, D>, str
                 return;
             }
             Ok(ReadEvent::TooLong) => {
-                let _ = (&*stream).write_all(
-                    format!("err line too long (max {MAX_LINE_BYTES} bytes)\n").as_bytes(),
-                );
+                let _ = (&*stream).write_all(NetReply::line_too_long().bytes());
                 if let Some(obs) = &shared.obs {
                     obs.error_replies.inc();
                 }
@@ -897,6 +924,10 @@ mod tests {
             ("insert", "err insert needs coordinates in groups of 2\n"),
             ("insert 0.1 0.2 0.3", "err insert needs coordinates in groups of 2\n"),
             ("insert 0.1 oops", "err invalid coordinate \"oops\"\n"),
+            ("knn 2 nan 0", "err invalid coordinate \"nan\"\n"),
+            ("knn 2 inf 0", "err invalid coordinate \"inf\"\n"),
+            ("insert nan 0.5", "err invalid coordinate \"nan\"\n"),
+            ("insert 0.5 1e30", "err invalid coordinate \"1e30\"\n"),
             ("delete", "err delete needs at least one <id>\n"),
             ("delete seven", "err invalid id \"seven\"\n"),
             (

@@ -5,33 +5,30 @@
 //! emst-cli emst     --input pts.csv --dim 3 --output mst.csv [--algorithm single-tree]
 //! emst-cli emst     --input pts.csv --shards 8 [--max-resident 1000000]
 //! emst-cli hdbscan  --input pts.csv --dim 3 --k 5 --min-cluster-size 20 --output labels.csv
-//! emst-cli serve    --input pts.csv --shards 8 --max-resident 4   # then commands on stdin
+//! emst-cli serve    --input pts.csv --shards 8 --max-resident 4   # then requests on stdin
 //! ```
 //!
-//! Arguments are `--key value` pairs; unknown keys abort with usage help and
-//! malformed values (e.g. a non-numeric `--n`) abort with an error message
-//! and a non-zero exit code. The MST output is CSV rows `u,v,weight`;
-//! HDBSCAN output is one label per line (`-1` = noise).
+//! Arguments are `--key value` pairs. Each command accepts exactly the
+//! flags its usage block lists: an unknown flag, like a malformed value
+//! (e.g. a non-numeric `--n`), aborts with an error message naming it and
+//! a non-zero exit code. The MST output is CSV rows `u,v,weight`; HDBSCAN
+//! output is one label per line (`-1` = noise).
 //!
 //! `serve` starts the long-lived engine (`emst::serve`): the cloud's shard
-//! artifacts stay resident between queries, so repeated `emst` commands are
-//! answered by the cross-shard merge alone. Commands, one per line on
-//! stdin: `emst [out.csv]`, `subset <lo>..<hi>`, `knn <k> <x> <y> [<z>]`,
-//! `hdbscan <k_pts> <min_cluster_size>`, `insert <x> <y> [<z>] …`,
-//! `delete <id> …`, `load <points.csv>`, `stats`, `metrics [json]`,
-//! `trace [n]`, `quit`. Responses go to stdout
-//! (`cache=hit|miss|reloaded` tells whether the local phase ran);
-//! malformed commands print an error and continue. `insert`/`delete`
-//! mutate the session's cloud through the engine's incremental
-//! delta-solve (only dirty shards re-solve) and swap the session onto
-//! the new cloud, exactly like `load`.
+//! artifacts stay resident between queries, so repeated `emst` requests
+//! are answered by the cross-shard merge alone. Stdin speaks the wire
+//! protocol of `docs/serving-protocol.md` byte for byte: each line is one
+//! more session answered by `emst::serve::net::respond`, exactly as a TCP
+//! connection's line is, so every line (blank, junk and over-long ones
+//! included) gets one `ok …`/`err …` reply on stdout. `--listen <addr>`
+//! serves the same engine over TCP as well; `quit` or EOF on stdin shuts
+//! the listener down gracefully.
 //!
 //! Serve diagnostics go through the `emst::obs` structured logger —
 //! `--log-format json` turns them into machine-parseable JSON lines — and
 //! `--metrics-file <path>` keeps a Prometheus-style exposition of the
-//! engine's metrics current on disk (rewritten after each sequential
-//! command and at exit; write failures are logged and counted, never
-//! fatal).
+//! engine's metrics current on disk (rewritten after each stdin line and
+//! at exit; write failures are logged and counted, never fatal).
 //!
 //! Fault tolerance: `--spill-dir`/`--fallback-spill-dir` choose where
 //! evicted clouds are persisted (both are probed for writability at
@@ -48,6 +45,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 use emst::core::{EmstConfig, SingleTreeBoruvka, Traversal};
 use emst::datasets::{self, Kind};
@@ -55,9 +54,9 @@ use emst::exec::{ExecSpace, GpuSim, Serial, Threads};
 use emst::geometry::Point;
 use emst::hdbscan::Hdbscan;
 use emst::serve::fault::{faulted_read, faulted_write};
+use emst::serve::net::{next_line, respond, ReadEvent};
 use emst::serve::{
-    CacheOutcome, CloudRef, FaultPlan, FaultSite, MutateResponse, NetConfig, ServeConfig,
-    ServeEngine, ServeRequest, ServeResponse, ServeServer,
+    FaultPlan, FaultSite, NetConfig, NetReply, NetSession, ServeConfig, ServeEngine, ServeServer,
 };
 use emst::shard::{emst_sharded_csv, emst_sharded_with, ShardConfig, ShardStats, StreamConfig};
 
@@ -75,32 +74,61 @@ fn usage() -> ExitCode {
                     [--min-cluster-size <m>] [--output <labels.csv>]
   emst-cli serve    --input <points.csv> [--dim 2|3] [--shards <K>]
                     [--max-resident <clouds>] [--backend serial|threads|gpusim]
-                    [--traversal stackless|stack] [--workers <N>]
+                    [--traversal stackless|stack]
                     [--log-format text|json] [--metrics-file <metrics.prom>]
                     [--spill-dir <dir>] [--fallback-spill-dir <dir>]
                     [--spill-retries <N>] [--deadline-ms <ms>]
                     [--max-in-flight <N>] [--fault-plan <spec>]
                     [--listen <addr>] [--net-workers <N>] [--max-pending <M>]
-                    stdin commands: emst [out.csv] | subset <lo>..<hi> |
-                    knn <k> <x> <y> [<z>] | hdbscan <k_pts> <min_cluster_size> |
-                    insert <x> <y> [<z>] … | delete <id> … |
-                    load <points.csv> | stats | metrics [json] | trace [n] | quit
-                    --listen serves the same verbs over TCP (one line per
-                    request/reply; see docs/serving-protocol.md); stdin still
-                    works and `quit`/EOF shuts the listener down gracefully"
+                    stdin speaks the line protocol of docs/serving-protocol.md,
+                    one `ok …`/`err …` reply per line: ping | emst |
+                    subset <lo>..<hi> | knn <k> <x> <y> [<z>] |
+                    hdbscan <k_pts> <min_cluster_size> | insert <x> <y> [<z>] … |
+                    delete <id> … | load <points.csv> | stats | metrics [json] |
+                    trace [n] | quit
+                    --listen serves the same protocol over TCP as well;
+                    `quit`/EOF on stdin shuts the listener down gracefully"
     );
     ExitCode::FAILURE
 }
 
-fn parse_args(args: &[String]) -> Option<HashMap<String, String>> {
+/// The flags each command accepts: exactly those its usage block lists.
+/// `None` for an unknown command.
+fn flags_of(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "generate" => "kind n dim seed output",
+        "emst" => "input dim output algorithm backend traversal shards max-resident",
+        "hdbscan" => "input dim k min-cluster-size output",
+        "serve" => {
+            "input dim shards max-resident backend traversal log-format metrics-file spill-dir \
+             fallback-spill-dir spill-retries deadline-ms max-in-flight fault-plan listen \
+             net-workers max-pending"
+        }
+        _ => return None,
+    })
+}
+
+/// Parses `command`'s `--key value` pairs. A key outside the command's
+/// flags is an error naming both, never silently ignored.
+fn parse_args(command: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let flags = flags_of(command).ok_or(format!(
+        "unknown command {command:?} (expected generate, emst, hdbscan or serve; run with no \
+         arguments for usage)"
+    ))?;
     let mut map = HashMap::new();
     let mut it = args.iter();
-    while let Some(key) = it.next() {
-        let key = key.strip_prefix("--")?;
-        let value = it.next()?;
+    while let Some(arg) = it.next() {
+        let key =
+            arg.strip_prefix("--").ok_or(format!("expected --<flag> <value>, got {arg:?}"))?;
+        if !flags.split_whitespace().any(|flag| flag == key) {
+            return Err(format!(
+                "unknown flag --{key} for {command} (run with no arguments for usage)"
+            ));
+        }
+        let value = it.next().ok_or(format!("--{key} needs a value"))?;
         map.insert(key.to_string(), value.clone());
     }
-    Some(map)
+    Ok(map)
 }
 
 /// Parses an optional `--key value` argument strictly: a present but
@@ -127,11 +155,7 @@ fn main() -> ExitCode {
     let Some((command, rest)) = args.split_first() else {
         return usage();
     };
-    let Some(opts) = parse_args(rest) else {
-        return usage();
-    };
-    let result = run(command, &opts);
-    match result {
+    match parse_args(command, rest).and_then(|opts| run(command, &opts)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -154,10 +178,7 @@ fn run(command: &str, opts: &HashMap<String, String>) -> Result<(), String> {
         ("hdbscan", 3) => run_hdbscan::<3>(opts),
         ("serve", 2) => run_serve::<2>(opts),
         ("serve", 3) => run_serve::<3>(opts),
-        _ => Err(format!(
-            "unknown command {command:?} (expected generate, emst, hdbscan or serve; run with \
-             no arguments for usage)"
-        )),
+        _ => unreachable!("parse_args admits only the four commands"),
     }
 }
 
@@ -196,12 +217,13 @@ fn load_points_from<const D: usize>(
 ) -> Result<Vec<Point<D>>, String> {
     let bytes = faulted_read(plan, FaultSite::IngestRead, Path::new(input))
         .map_err(|e| format!("{input}: {e}"))?;
+    // Parse errors already name `input:line`.
     let points = if input.ends_with(".xyz") {
         datasets::parse_xyz::<D>(&bytes, input)
     } else {
         datasets::parse_csv::<D>(&bytes, input)
     }
-    .map_err(|e| format!("{input}: {e}"))?;
+    .map_err(|e| e.to_string())?;
     if points.is_empty() {
         return Err(format!("{input}: no points"));
     }
@@ -349,12 +371,11 @@ fn report_and_write(
 }
 
 /// The `serve` subcommand: start a [`ServeEngine`], ingest `--input`, then
-/// answer stdin commands until EOF/`quit`. Flag errors abort; command
-/// errors print and continue (a server should not die on one bad query).
+/// answer stdin lines until EOF/`quit`. Flag errors abort; request errors
+/// are `err …` replies (a server should not die on one bad request).
 fn run_serve<const D: usize>(opts: &HashMap<String, String>) -> Result<(), String> {
     let shards: usize = parse_opt(opts, "shards", 4)?;
     let max_resident: usize = parse_opt(opts, "max-resident", 4)?;
-    let workers: usize = parse_opt(opts, "workers", 1)?;
     let backend = opts.get("backend").map(String::as_str).unwrap_or("threads");
     let traversal = match opts.get("traversal") {
         None => Traversal::default(),
@@ -366,9 +387,6 @@ fn run_serve<const D: usize>(opts: &HashMap<String, String>) -> Result<(), Strin
     }
     if max_resident == 0 {
         return Err("--max-resident must be at least 1".into());
-    }
-    if workers == 0 {
-        return Err("--workers must be at least 1".into());
     }
     let log_format = opts.get("log-format").map(String::as_str).unwrap_or("text");
     let log_format = emst::obs::log::Format::parse(log_format)
@@ -382,7 +400,7 @@ fn run_serve<const D: usize>(opts: &HashMap<String, String>) -> Result<(), Strin
     let max_in_flight: usize = parse_opt(opts, "max-in-flight", 0)?;
     let fault_plan = match opts.get("fault-plan") {
         None => None,
-        Some(spec) => Some(std::sync::Arc::new(
+        Some(spec) => Some(Arc::new(
             FaultPlan::parse(spec).map_err(|e| format!("invalid --fault-plan: {e}"))?,
         )),
     };
@@ -414,7 +432,6 @@ fn run_serve<const D: usize>(opts: &HashMap<String, String>) -> Result<(), Strin
     config.max_in_flight = max_in_flight;
     config.fault_plan = fault_plan.clone();
     let session = ServeSession {
-        workers,
         metrics: metrics_file.as_deref(),
         plan: fault_plan.as_deref(),
         listen: listen.as_deref(),
@@ -428,66 +445,86 @@ fn run_serve<const D: usize>(opts: &HashMap<String, String>) -> Result<(), Strin
     }
 }
 
-/// Everything `serve` needs besides the engine itself: REPL sizing, the
-/// metrics sink, the fault plan (for metrics writes and ingest reads) and
-/// the optional network front-end.
+/// Everything `serve` needs besides the engine itself: the metrics sink,
+/// the fault plan (for metrics writes) and the optional network front-end.
 struct ServeSession<'a> {
-    workers: usize,
     metrics: Option<&'a Path>,
     plan: Option<&'a FaultPlan>,
     listen: Option<&'a str>,
     net: NetConfig,
 }
 
-/// Starts the engine and serves: stdin REPL always, plus the TCP
-/// front-end when `--listen` is set. In listen mode the engine lives in
-/// an `Arc` shared with the server's worker threads; stdin `quit`/EOF
-/// triggers the server's graceful shutdown (in-flight requests drain).
+/// Starts the engine and serves stdin, plus TCP clients when `--listen` is
+/// set; stdin `quit`/EOF then shuts the server down gracefully (in-flight
+/// requests drain).
 fn serve_entry<S: ExecSpace + Send + Sync + 'static, const D: usize>(
     space: S,
     config: ServeConfig,
     points: Vec<Point<D>>,
     session: &ServeSession<'_>,
 ) -> Result<(), String> {
-    let Some(addr) = session.listen else {
-        return serve_repl(
-            &ServeEngine::<_, D>::new(space, config),
-            points,
-            session.workers,
-            session.metrics,
-            session.plan,
-        );
-    };
-    let engine = std::sync::Arc::new(ServeEngine::<S, D>::new(space, config));
-    let cloud = std::sync::Arc::new(points);
+    let engine = Arc::new(ServeEngine::<S, D>::new(space, config));
+    let cloud = Arc::new(points);
     let key = engine.ingest(&cloud);
-    let server = ServeServer::bind(
-        std::sync::Arc::clone(&engine),
-        std::sync::Arc::clone(&cloud),
-        addr,
-        session.net,
-    )
-    .map_err(|e| format!("--listen {addr}: {e}"))?;
-    // The bound address goes to stdout so scripts driving `--listen
-    // 127.0.0.1:0` can discover the ephemeral port.
-    println!("listening {}", server.local_addr());
-    emst::obs::log::info(
-        "emst-cli",
-        "serving over TCP (stdin commands still work; `quit` to exit)",
-        &[
-            ("addr", &server.local_addr().to_string()),
-            ("points", &cloud.len().to_string()),
-            ("key", &key.to_string()),
-            ("net_workers", &session.net.workers.to_string()),
-            ("max_pending", &session.net.max_pending.to_string()),
-        ],
-    );
-    let result = serve_sequential(&engine, cloud.as_ref().clone(), session.metrics, session.plan);
-    server.shutdown();
+    let server = match session.listen {
+        None => None,
+        Some(addr) => Some(
+            ServeServer::bind(Arc::clone(&engine), Arc::clone(&cloud), addr, session.net)
+                .map_err(|e| format!("--listen {addr}: {e}"))?,
+        ),
+    };
+    let mut fields = vec![("points", cloud.len().to_string()), ("key", key.to_string())];
+    if let Some(server) = &server {
+        // The bound address goes to stdout so scripts driving `--listen
+        // 127.0.0.1:0` can discover the ephemeral port.
+        println!("listening {}", server.local_addr());
+        fields.push(("addr", server.local_addr().to_string()));
+        fields.push(("net_workers", session.net.workers.to_string()));
+        fields.push(("max_pending", session.net.max_pending.to_string()));
+    }
+    let fields: Vec<(&str, &str)> = fields.iter().map(|(k, v)| (*k, v.as_str())).collect();
+    emst::obs::log::info("emst-cli", "serving (requests on stdin; `quit` to exit)", &fields);
+    let result = serve_stdin(&engine, NetSession::new(cloud), session);
+    if let Some(server) = server {
+        server.shutdown();
+    }
     if let Some(path) = session.metrics {
         write_metrics_file(&engine, path, session.plan);
     }
     result
+}
+
+/// Answers stdin as one more wire session: lines are read by the wire's own
+/// [`next_line`] and answered by [`respond`], so each line gets the bytes
+/// the same line gets over TCP, until `quit`, an over-long line or EOF.
+fn serve_stdin<S: ExecSpace, const D: usize>(
+    engine: &ServeEngine<S, D>,
+    mut net: NetSession<D>,
+    session: &ServeSession<'_>,
+) -> Result<(), String> {
+    let mut stdin = std::io::stdin().lock();
+    let mut stdout = std::io::stdout().lock();
+    let mut buf = Vec::new();
+    // Stdin never times out, so the wire's shutdown poll never fires.
+    let shutdown = AtomicBool::new(false);
+    loop {
+        let reply = match next_line(&mut stdin, &mut buf, &shutdown) {
+            Ok(ReadEvent::Line(line)) => respond(engine, &mut net, &line),
+            Ok(ReadEvent::TooLong) => NetReply::line_too_long(),
+            Ok(ReadEvent::Eof | ReadEvent::Shutdown) => return Ok(()),
+            Err(e) => return Err(format!("stdin: {e}")),
+        };
+        stdout
+            .write_all(reply.bytes())
+            .and_then(|()| stdout.flush())
+            .map_err(|e| format!("stdout: {e}"))?;
+        if let Some(path) = session.metrics {
+            write_metrics_file(engine, path, session.plan);
+        }
+        if reply.close {
+            return Ok(());
+        }
+    }
 }
 
 /// Checks that `dir` exists (creating it if needed) and takes writes, so
@@ -521,435 +558,6 @@ fn write_metrics_file<S: ExecSpace, const D: usize>(
             "metrics file write failed",
             &[("path", &path.display().to_string()), ("error", &e.to_string())],
         );
-    }
-}
-
-fn serve_repl<S: ExecSpace, const D: usize>(
-    engine: &ServeEngine<S, D>,
-    points: Vec<Point<D>>,
-    workers: usize,
-    metrics_file: Option<&Path>,
-    plan: Option<&FaultPlan>,
-) -> Result<(), String> {
-    let key = engine.ingest(&points);
-    emst::obs::log::info(
-        "emst-cli",
-        "serving (commands on stdin; `quit` to exit)",
-        &[
-            ("points", &points.len().to_string()),
-            ("key", &key.to_string()),
-            ("workers", &workers.to_string()),
-        ],
-    );
-    let result = if workers == 1 {
-        serve_sequential(engine, points, metrics_file, plan)
-    } else {
-        serve_pool(engine, points, workers, plan)
-    };
-    if let Some(path) = metrics_file {
-        write_metrics_file(engine, path, plan);
-    }
-    result
-}
-
-/// Loads a new cloud for the REPL's `load` command; returns the response
-/// line and the points the session serves from now on.
-fn load_cloud<S: ExecSpace, const D: usize>(
-    engine: &ServeEngine<S, D>,
-    rest: &[&str],
-    plan: Option<&FaultPlan>,
-) -> Result<(String, Vec<Point<D>>), String> {
-    let path = rest.first().ok_or("load needs a path")?;
-    let points = load_points_from::<D>(path, plan)?;
-    let key = match engine.execute(ServeRequest::Load { points: &points }) {
-        Ok(ServeResponse::Loaded { key }) => key,
-        Ok(other) => unreachable!("load request answered with {other:?}"),
-        Err(e) => return Err(e.to_string()),
-    };
-    Ok((format!("loaded n={} key={key}", points.len()), points))
-}
-
-/// Executes the REPL's `insert`/`delete` commands: parses the arguments,
-/// runs the engine's incremental delta-solve through
-/// [`ServeEngine::execute`], and returns the response line plus the
-/// mutated cloud the session serves from now on. Like `load`, the
-/// dispatching loops swap the session cloud on success.
-fn mutate_cloud<S: ExecSpace, const D: usize>(
-    engine: &ServeEngine<S, D>,
-    points: &[Point<D>],
-    cmd: &str,
-    rest: &[&str],
-) -> Result<(String, Vec<Point<D>>), String> {
-    let m: MutateResponse<D> = if cmd == "insert" {
-        if rest.is_empty() || !rest.len().is_multiple_of(D) {
-            return Err(format!("insert needs coordinates in groups of {D}"));
-        }
-        let mut added = Vec::with_capacity(rest.len() / D);
-        for chunk in rest.chunks(D) {
-            let mut coords = [0.0f32; D];
-            for (c, v) in coords.iter_mut().zip(chunk) {
-                *c = v.parse().map_err(|_| format!("invalid coordinate {v:?}"))?;
-            }
-            added.push(Point::new(coords));
-        }
-        let req = ServeRequest::Insert { cloud: CloudRef::Points(points), points: &added };
-        match engine.execute(req).map_err(|e| e.to_string())? {
-            ServeResponse::Mutated(m) => m,
-            other => unreachable!("insert request answered with {other:?}"),
-        }
-    } else {
-        if rest.is_empty() {
-            return Err("delete needs at least one <id>".to_string());
-        }
-        let mut ids = Vec::with_capacity(rest.len());
-        for v in rest {
-            ids.push(v.parse::<u32>().map_err(|_| format!("invalid id {v:?}"))?);
-        }
-        let req = ServeRequest::Delete { cloud: CloudRef::Points(points), ids: &ids };
-        match engine.execute(req).map_err(|e| e.to_string())? {
-            ServeResponse::Mutated(m) => m,
-            other => unreachable!("delete request answered with {other:?}"),
-        }
-    };
-    let line = format!(
-        "{cmd} key={} n={} dirty={} reused={} edges={} weight={:.6} merge={:.3}s",
-        m.key,
-        m.n,
-        m.dirty_shards.len(),
-        m.reused_shards,
-        m.update.edges.len(),
-        m.update.total_weight,
-        m.update.timings.get("merge"),
-    );
-    Ok((line, m.points))
-}
-
-/// The historical single-threaded REPL: one command, one response, in
-/// order, with no request-id prefix (`--workers 1`, the default).
-fn serve_sequential<S: ExecSpace, const D: usize>(
-    engine: &ServeEngine<S, D>,
-    mut points: Vec<Point<D>>,
-    metrics_file: Option<&Path>,
-    plan: Option<&FaultPlan>,
-) -> Result<(), String> {
-    use std::io::BufRead;
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| e.to_string())?;
-        let mut tok = line.split_whitespace();
-        let cmd = match tok.next() {
-            None => continue,
-            Some("quit") | Some("exit") => break,
-            Some(c) => c,
-        };
-        let rest: Vec<&str> = tok.collect();
-        let response = if cmd == "load" {
-            load_cloud(engine, &rest, plan).map(|(response, new_points)| {
-                points = new_points;
-                response
-            })
-        } else if cmd == "insert" || cmd == "delete" {
-            mutate_cloud(engine, &points, cmd, &rest).map(|(response, new_points)| {
-                points = new_points;
-                response
-            })
-        } else {
-            serve_command(engine, &points, cmd, &rest)
-        };
-        match response {
-            Ok(r) => println!("{r}"),
-            Err(e) => println!("error: {e}"),
-        }
-        if let Some(path) = metrics_file {
-            write_metrics_file(engine, path, plan);
-        }
-    }
-    Ok(())
-}
-
-/// The `--workers N` REPL: commands are numbered as read and dispatched to
-/// a pool of worker threads sharing one engine, so independent queries run
-/// concurrently. Responses carry their request id (`[3] emst cache=…`) and
-/// may interleave out of order; `quit`/EOF drains every outstanding
-/// request before exiting. `load`, `insert` and `delete` are barriers:
-/// the queue drains first, so earlier requests answer against the cloud
-/// they were issued under, then the session swaps onto the new cloud.
-fn serve_pool<S: ExecSpace, const D: usize>(
-    engine: &ServeEngine<S, D>,
-    points: Vec<Point<D>>,
-    workers: usize,
-    plan: Option<&FaultPlan>,
-) -> Result<(), String> {
-    use std::collections::VecDeque;
-    use std::io::BufRead;
-    use std::sync::{Arc, Condvar, Mutex, RwLock};
-
-    struct PoolState {
-        queue: VecDeque<(u64, String, Vec<String>)>,
-        closed: bool,
-        in_flight: usize,
-    }
-    struct Pool {
-        state: Mutex<PoolState>,
-        /// Wakes workers when a job lands (or the pool closes).
-        work_cv: Condvar,
-        /// Wakes the dispatcher when a job completes (drain barrier).
-        idle_cv: Condvar,
-    }
-    impl Pool {
-        fn drain(&self) {
-            let mut st = self.state.lock().unwrap();
-            while !st.queue.is_empty() || st.in_flight > 0 {
-                st = self.idle_cv.wait(st).unwrap();
-            }
-        }
-    }
-
-    let cloud = RwLock::new(Arc::new(points));
-    let pool = Pool {
-        state: Mutex::new(PoolState { queue: VecDeque::new(), closed: false, in_flight: 0 }),
-        work_cv: Condvar::new(),
-        idle_cv: Condvar::new(),
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (pool, cloud) = (&pool, &cloud);
-            scope.spawn(move || loop {
-                let job = {
-                    let mut st = pool.state.lock().unwrap();
-                    loop {
-                        if let Some(job) = st.queue.pop_front() {
-                            st.in_flight += 1;
-                            break Some(job);
-                        }
-                        if st.closed {
-                            break None;
-                        }
-                        st = pool.work_cv.wait(st).unwrap();
-                    }
-                };
-                let Some((id, cmd, rest)) = job else { return };
-                // Snapshot the cloud the request was queued under; a later
-                // `load` swaps the Arc without touching this query.
-                let pts = Arc::clone(&cloud.read().unwrap());
-                let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
-                match serve_command(engine, &pts, &cmd, &rest) {
-                    Ok(r) => println!("[{id}] {r}"),
-                    Err(e) => println!("[{id}] error: {e}"),
-                }
-                let mut st = pool.state.lock().unwrap();
-                st.in_flight -= 1;
-                drop(st);
-                pool.idle_cv.notify_all();
-            });
-        }
-
-        let mut io_error = None;
-        let mut next_id = 0u64;
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(e) => {
-                    io_error = Some(e.to_string());
-                    break;
-                }
-            };
-            let mut tok = line.split_whitespace();
-            let cmd = match tok.next() {
-                None => continue,
-                Some("quit") | Some("exit") => break,
-                Some(c) => c,
-            };
-            let id = next_id;
-            next_id += 1;
-            if cmd == "load" || cmd == "insert" || cmd == "delete" {
-                pool.drain();
-                let rest: Vec<&str> = tok.collect();
-                let result = if cmd == "load" {
-                    load_cloud(engine, &rest, plan)
-                } else {
-                    let pts = Arc::clone(&cloud.read().unwrap());
-                    mutate_cloud(engine, &pts, cmd, &rest)
-                };
-                match result {
-                    Ok((r, new_points)) => {
-                        *cloud.write().unwrap() = Arc::new(new_points);
-                        println!("[{id}] {r}");
-                    }
-                    Err(e) => println!("[{id}] error: {e}"),
-                }
-            } else {
-                let rest: Vec<String> = tok.map(str::to_string).collect();
-                pool.state.lock().unwrap().queue.push_back((id, cmd.to_string(), rest));
-                pool.work_cv.notify_one();
-            }
-        }
-        // Close the queue; workers finish what is pending, then exit (the
-        // scope joins them), so `quit` never drops an accepted request.
-        pool.state.lock().unwrap().closed = true;
-        pool.work_cv.notify_all();
-        match io_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })
-}
-
-fn outcome_name(o: CacheOutcome) -> &'static str {
-    match o {
-        CacheOutcome::Hit => "hit",
-        CacheOutcome::Miss => "miss",
-        CacheOutcome::Reloaded => "reloaded",
-    }
-}
-
-/// Executes one REPL command (everything except `load`/`insert`/`delete`,
-/// which swap the session cloud and are handled by the dispatching loop),
-/// returning the response line. Takes the engine by shared reference: any
-/// number of workers may execute commands concurrently. Every verb
-/// dispatches through the one typed [`ServeEngine::execute`] entry point,
-/// so `--deadline-ms`, `--max-in-flight` and panic isolation all apply: a
-/// late, shed or panicking query prints an error line and the server
-/// keeps going.
-fn serve_command<S: ExecSpace, const D: usize>(
-    engine: &ServeEngine<S, D>,
-    points: &[Point<D>],
-    cmd: &str,
-    rest: &[&str],
-) -> Result<String, String> {
-    let parse = |what: &str, v: Option<&&str>| -> Result<usize, String> {
-        let v = v.ok_or(format!("{what} is required"))?;
-        v.parse().map_err(|_| format!("invalid {what} {v:?}"))
-    };
-    match cmd {
-        "emst" => {
-            let req = ServeRequest::Emst { cloud: CloudRef::Points(points) };
-            let r = match engine.execute(req).map_err(|e| e.to_string())? {
-                ServeResponse::Emst(r) => r,
-                other => unreachable!("emst request answered with {other:?}"),
-            };
-            if let Some(path) = rest.first() {
-                write_edges(Path::new(path), &r.edges)?;
-            }
-            Ok(format!(
-                "emst cache={} n={} edges={} weight={:.6} build={:.3}s merge={:.3}s queries={}",
-                outcome_name(r.outcome),
-                points.len(),
-                r.edges.len(),
-                r.total_weight,
-                r.timings.get("plan") + r.timings.get("local"),
-                r.timings.get("merge"),
-                r.query_work.queries,
-            ))
-        }
-        "subset" => {
-            let range = rest.first().ok_or("subset needs <lo>..<hi>")?;
-            let (lo, hi) = range
-                .split_once("..")
-                .and_then(|(a, b)| Some((a.parse::<u32>().ok()?, b.parse::<u32>().ok()?)))
-                .ok_or(format!("invalid subset range {range:?} (expected <lo>..<hi>)"))?;
-            if lo >= hi || hi as usize > points.len() {
-                return Err(format!("subset {lo}..{hi} out of range for {} points", points.len()));
-            }
-            let subset: Vec<u32> = (lo..hi).collect();
-            let req = ServeRequest::Subset { cloud: CloudRef::Points(points), subset: &subset };
-            let r = match engine.execute(req).map_err(|e| e.to_string())? {
-                ServeResponse::Subset(r) => r,
-                other => unreachable!("subset request answered with {other:?}"),
-            };
-            Ok(format!(
-                "subset cache={} m={} edges={} weight={:.6} local={:.3}s merge={:.3}s",
-                outcome_name(r.outcome),
-                subset.len(),
-                r.edges.len(),
-                r.total_weight,
-                r.timings.get("local"),
-                r.timings.get("merge"),
-            ))
-        }
-        "knn" => {
-            let k = parse("<k>", rest.first())?;
-            if rest.len() != 1 + D {
-                return Err(format!("knn needs <k> and {D} coordinates"));
-            }
-            let mut coords = [0.0f32; D];
-            for (c, v) in coords.iter_mut().zip(&rest[1..]) {
-                *c = v.parse().map_err(|_| format!("invalid coordinate {v:?}"))?;
-            }
-            let req = ServeRequest::KNearest {
-                cloud: CloudRef::Points(points),
-                query: Point::new(coords),
-                k,
-            };
-            let r = match engine.execute(req).map_err(|e| e.to_string())? {
-                ServeResponse::KNearest(r) => r,
-                other => unreachable!("knn request answered with {other:?}"),
-            };
-            let hits: Vec<String> =
-                r.neighbors.iter().map(|(i, d)| format!("{i}:{:.6}", d.sqrt())).collect();
-            Ok(format!("knn cache={} {}", outcome_name(r.outcome), hits.join(" ")))
-        }
-        "hdbscan" => {
-            let k_pts = parse("<k_pts>", rest.first())?;
-            let min_cluster_size = parse("<min_cluster_size>", rest.get(1))?;
-            if k_pts < 1 || min_cluster_size < 2 {
-                return Err("hdbscan needs k_pts >= 1 and min_cluster_size >= 2".into());
-            }
-            let req = ServeRequest::Hdbscan {
-                cloud: CloudRef::Points(points),
-                params: Hdbscan { k_pts, min_cluster_size },
-            };
-            let r = match engine.execute(req).map_err(|e| e.to_string())? {
-                ServeResponse::Hdbscan(r) => r,
-                other => unreachable!("hdbscan request answered with {other:?}"),
-            };
-            let noise = r.result.labels.iter().filter(|&&l| l == emst::hdbscan::NOISE).count();
-            Ok(format!(
-                "hdbscan cache={} clusters={} noise={}",
-                outcome_name(r.outcome),
-                r.result.num_clusters,
-                noise,
-            ))
-        }
-        "stats" => {
-            // Iterate `named_fields` instead of naming fields by hand:
-            // `ServeStats::named_fields` destructures exhaustively, so adding
-            // a field to `ServeStats` without surfacing it here is a compile
-            // error in the library and a test failure in tests/cli.rs.
-            let s = match engine.execute(ServeRequest::Stats).map_err(|e| e.to_string())? {
-                ServeResponse::Stats(s) => s,
-                other => unreachable!("stats request answered with {other:?}"),
-            };
-            let mut line = format!("stats resident={} bytes={}", s.resident, s.resident_bytes);
-            for (name, value) in s.stats.named_fields() {
-                line.push_str(&format!(" {name}={value}"));
-            }
-            Ok(line)
-        }
-        "metrics" => match rest.first() {
-            None => Ok(engine.metrics_prometheus().trim_end().to_string()),
-            Some(&"json") => Ok(engine.metrics_json().trim_end().to_string()),
-            Some(other) => Err(format!("invalid metrics format {other:?} (expected json)")),
-        },
-        "trace" => {
-            let n = match rest.first() {
-                None => 5,
-                Some(v) => v.parse().map_err(|_| format!("invalid trace count {v:?}"))?,
-            };
-            let traces = engine.recent_traces(n);
-            if traces.is_empty() {
-                return Ok("no traces recorded".into());
-            }
-            let rendered: Vec<String> = traces.iter().map(|t| t.render_text()).collect();
-            Ok(rendered.join("\n").trim_end().to_string())
-        }
-        other => Err(format!(
-            "unknown command {other:?} (emst [out.csv] | subset <lo>..<hi> | knn <k> <x> <y> \
-             [<z>] | hdbscan <k_pts> <min_cluster_size> | insert <x> <y> [<z>] … | \
-             delete <id> … | load <points.csv> | stats | metrics [json] | trace [n] | quit)"
-        )),
     }
 }
 

@@ -125,6 +125,11 @@ fn malformed_numeric_arguments_error_instead_of_defaulting() {
     assert!(stderr.contains("invalid --shards"), "stderr: {stderr}");
     let stderr = expect_error(&["hdbscan", "--input", "x.csv", "--k", "2.5"]);
     assert!(stderr.contains("invalid --k"), "stderr: {stderr}");
+    // A misspelled or removed flag is an error naming it and the command.
+    let stderr = expect_error(&["emst", "--input", "x.csv", "--shardz", "4"]);
+    assert!(stderr.contains("unknown flag --shardz for emst"), "stderr: {stderr}");
+    let stderr = expect_error(&["serve", "--input", "x.csv", "--workers", "2"]);
+    assert!(stderr.contains("unknown flag --workers for serve"), "stderr: {stderr}");
 }
 
 #[test]
@@ -225,7 +230,6 @@ fn usage_mentions_every_command_and_flag() {
         "--max-resident",
         "--k",
         "--min-cluster-size",
-        "--workers",
         "--log-format",
         "--metrics-file",
         "--spill-dir",
@@ -240,9 +244,9 @@ fn usage_mentions_every_command_and_flag() {
     ] {
         assert!(usage.contains(flag), "usage misses flag {flag}: {usage}");
     }
-    // And the serve REPL's command vocabulary is spelled out.
-    for repl in ["subset", "knn", "stats", "metrics", "trace", "insert", "delete", "quit"] {
-        assert!(usage.contains(repl), "usage misses serve command {repl}: {usage}");
+    // And the serve protocol's verbs are spelled out.
+    for verb in ["subset", "knn", "stats", "metrics", "trace", "insert", "delete", "quit"] {
+        assert!(usage.contains(verb), "usage misses serve verb {verb}: {usage}");
     }
 }
 
@@ -267,7 +271,6 @@ fn serve_session(input: &std::path::Path, extra: &[&str], commands: &str) -> Str
 #[test]
 fn serve_answers_repeated_queries_from_the_cache() {
     let pts = tmp("serve-points.csv");
-    let mst = tmp("serve-mst.csv");
     assert!(bin()
         .args(["generate", "--kind", "uniform", "--n", "700", "--dim", "2"])
         .args(["--seed", "9", "--output", pts.to_str().unwrap()])
@@ -275,72 +278,149 @@ fn serve_answers_repeated_queries_from_the_cache() {
         .unwrap()
         .success());
 
-    let commands = format!(
-        "emst\nemst {}\nsubset 100..600\nknn 2 0.5 0.5\nhdbscan 5 20\nstats\nquit\n",
-        mst.to_str().unwrap()
-    );
-    let stdout = serve_session(&pts, &["--shards", "4", "--max-resident", "2"], &commands);
+    let commands = "emst\nemst\nsubset 100..600\nknn 2 0.5 0.5\nhdbscan 5 20\nstats\nquit\n";
+    let stdout = serve_session(&pts, &["--shards", "4", "--max-resident", "2"], commands);
 
     // Both full queries hit the resident artifacts (ingest ran at startup)
-    // and report the identical weight.
+    // and, carrying no wall-clock fields, are byte-identical.
     let emst_lines: Vec<&str> =
-        stdout.lines().filter(|l| l.starts_with("emst cache=hit")).collect();
+        stdout.lines().filter(|l| l.starts_with("ok emst cache=hit n=700 edges=699 ")).collect();
     assert_eq!(emst_lines.len(), 2, "stdout: {stdout}");
-    let weight_of = |line: &str| {
-        line.split("weight=").nth(1).unwrap().split_whitespace().next().unwrap().to_string()
-    };
-    assert_eq!(weight_of(emst_lines[0]), weight_of(emst_lines[1]));
-    assert!(emst_lines.iter().all(|l| l.contains("build=0.000s")), "stdout: {stdout}");
-    assert!(stdout.contains("subset cache=hit m=500 edges=499"), "stdout: {stdout}");
-    assert!(stdout.contains("knn cache=hit"), "stdout: {stdout}");
-    assert!(stdout.contains("hdbscan cache=hit"), "stdout: {stdout}");
-    assert!(stdout.contains("stats resident=1"), "stdout: {stdout}");
-    assert!(stdout.contains("misses=1"), "stdout: {stdout}");
-
-    // The written MST file matches the reported edge count.
-    let edges = std::fs::read_to_string(&mst).unwrap();
-    assert_eq!(edges.lines().count(), 699);
+    assert_eq!(emst_lines[0], emst_lines[1]);
+    assert!(stdout.contains("ok subset cache=hit m=500 edges=499"), "stdout: {stdout}");
+    assert!(stdout.contains("ok knn cache=hit k=2 "), "stdout: {stdout}");
+    assert!(stdout.contains("ok hdbscan cache=hit"), "stdout: {stdout}");
+    assert!(stdout.contains("ok stats resident=1"), "stdout: {stdout}");
+    assert!(stdout.contains(" misses=1 "), "stdout: {stdout}");
+    assert!(stdout.ends_with("ok bye\n"), "stdout: {stdout}");
     std::fs::remove_file(&pts).ok();
-    std::fs::remove_file(&mst).ok();
 }
 
+/// Stdin is one more wire session: piping a script into `emst-cli serve`
+/// prints exactly the bytes `respond` returns for the same lines on an
+/// in-process engine built like the CLI's (`--shards 4`, default
+/// `--max-resident 4`, Threads) — blank, unknown, refused and invalid
+/// UTF-8 lines included.
 #[test]
-fn serve_worker_pool_answers_every_request_with_its_id() {
-    let pts = tmp("serve-workers-points.csv");
+fn serve_stdin_transcript_equals_the_respond_oracle_byte_for_byte() {
+    use emst::serve::net::respond;
+    use emst::serve::{NetSession, ServeConfig, ServeEngine};
+    use std::io::Write as _;
+    use std::process::Stdio;
+    use std::sync::Arc;
+
+    let pts = tmp("transcript-points.csv");
+    let other = tmp("transcript-other.csv");
+    for (path, kind, n, seed) in [(&pts, "uniform", "400", "51"), (&other, "hacc", "300", "52")] {
+        assert!(bin()
+            .args(["generate", "--kind", kind, "--n", n, "--dim", "2"])
+            .args(["--seed", seed, "--output", path.to_str().unwrap()])
+            .status()
+            .unwrap()
+            .success());
+    }
+    let load = format!("load {}", other.to_str().unwrap());
+    let lines: Vec<&[u8]> = vec![
+        b"ping",
+        b"emst",
+        b"subset 40..360",
+        b"knn 3 0.5 0.5",
+        b"hdbscan 5 20",
+        b"insert 0.31 0.64 0.22 0.18",
+        b"emst",
+        b"delete 0 7 150",
+        b"emst",
+        load.as_bytes(),
+        b"emst",
+        b"stats",
+        b"",
+        b"frobnicate",
+        b"emst out.csv",
+        b"\xff\xfe junk",
+        b"quit",
+    ];
+    let script: Vec<u8> = lines.iter().flat_map(|l| l.iter().chain(b"\n")).copied().collect();
+
+    let mut child = bin()
+        .args(["serve", "--input", pts.to_str().unwrap(), "--shards", "4"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child.stdin.as_mut().unwrap().write_all(&script).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "serve failed: {}", String::from_utf8_lossy(&out.stderr));
+
+    let cloud = Arc::new(emst::datasets::load_csv::<2>(&pts).unwrap());
+    let engine = ServeEngine::<_, 2>::new(emst::exec::Threads, ServeConfig::new(4, 4));
+    engine.ingest(&cloud);
+    let mut session = NetSession::new(cloud);
+    let expected: String = lines
+        .iter()
+        .map(|l| respond(&engine, &mut session, &String::from_utf8_lossy(l)).text)
+        .collect();
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), expected);
+    // The oracle itself exercised what the script is for.
+    let replies: Vec<&str> = expected.lines().collect();
+    assert_eq!(replies.len(), lines.len(), "{expected}");
+    assert!(replies[10].starts_with("ok emst cache=hit n=300 "), "{expected}");
+    assert!(replies[13].starts_with("err unknown command \"frobnicate\""), "{expected}");
+    assert_eq!(replies[14], "err emst takes no arguments over the wire");
+    assert!(replies[15].starts_with("err unknown command \"\u{fffd}\u{fffd}\""), "{expected}");
+    assert_eq!(replies[16], "ok bye");
+    std::fs::remove_file(&pts).ok();
+    std::fs::remove_file(&other).ok();
+}
+
+/// One NaN coordinate once hung every solve path; now each input path
+/// refuses the file promptly with an error naming `file:line`.
+#[test]
+fn nan_coordinate_fails_fast_naming_file_and_line() {
+    use std::io::Read as _;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let pts = tmp("nan-points.csv");
     assert!(bin()
-        .args(["generate", "--kind", "uniform", "--n", "600", "--dim", "2"])
-        .args(["--seed", "17", "--output", pts.to_str().unwrap()])
+        .args(["generate", "--kind", "uniform", "--n", "300", "--dim", "2"])
+        .args(["--seed", "3", "--output", pts.to_str().unwrap()])
         .status()
         .unwrap()
         .success());
-
-    // 8 requests over 3 workers; responses may interleave in any order but
-    // every request id must be answered exactly once, and `quit` must
-    // drain the queue rather than dropping accepted requests.
-    let commands =
-        "emst\nemst\nsubset 50..550\nknn 4 0.5 0.5\nemst\nhdbscan 5 20\nstats\nemst\nquit\n";
-    let stdout =
-        serve_session(&pts, &["--shards", "4", "--max-resident", "2", "--workers", "3"], commands);
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 8, "stdout: {stdout}");
-    for id in 0..8 {
-        let tag = format!("[{id}] ");
-        assert_eq!(
-            lines.iter().filter(|l| l.starts_with(&tag)).count(),
-            1,
-            "request {id} answered != once: {stdout}"
-        );
+    let mut text = std::fs::read_to_string(&pts).unwrap();
+    text.push_str("NaN,0.5\n");
+    std::fs::write(&pts, text).unwrap();
+    let path = pts.to_str().unwrap();
+    for args in [
+        &["emst", "--input", path][..],
+        &["emst", "--input", path, "--shards", "2"],
+        &["emst", "--input", path, "--shards", "2", "--max-resident", "100"],
+        &["serve", "--input", path],
+    ] {
+        let mut child = bin()
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if Instant::now() > deadline {
+                child.kill().ok();
+                panic!("{args:?} still running after 60 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+        assert!(!status.success(), "{args:?} accepted a NaN coordinate");
+        assert!(stderr.contains(&format!("{path}:301: coordinate \"NaN\"")), "{stderr}");
     }
-    // The four emst answers (ids 0, 1, 4, 7) report the identical weight —
-    // concurrency must not perturb a single bit of the tree.
-    let weights: Vec<&str> = lines
-        .iter()
-        .filter(|l| l.contains("emst cache="))
-        .map(|l| l.split("weight=").nth(1).unwrap().split_whitespace().next().unwrap())
-        .collect();
-    assert_eq!(weights.len(), 4, "stdout: {stdout}");
-    assert!(weights.iter().all(|w| w == &weights[0]), "stdout: {stdout}");
-    assert!(!stdout.contains("error:"), "stdout: {stdout}");
     std::fs::remove_file(&pts).ok();
 }
 
@@ -358,12 +438,15 @@ fn serve_rejects_bad_commands_without_dying() {
         &[],
         "frobnicate\nsubset 90..300\nknn five 0 0\nhdbscan 0 1\nemst\nquit\n",
     );
-    assert!(stdout.contains("error: unknown command \"frobnicate\""), "stdout: {stdout}");
-    assert!(stdout.contains("error: subset 90..300 out of range"), "stdout: {stdout}");
-    assert!(stdout.contains("error: invalid <k>"), "stdout: {stdout}");
-    assert!(stdout.contains("error: hdbscan needs"), "stdout: {stdout}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 6, "one reply per line: {stdout}");
+    assert!(lines[0].starts_with("err unknown command \"frobnicate\""), "stdout: {stdout}");
+    assert_eq!(lines[1], "err subset 90..300 out of range for 100 points");
+    assert_eq!(lines[2], "err invalid <k> \"five\"");
+    assert_eq!(lines[3], "err hdbscan needs k_pts >= 1 and min_cluster_size >= 2");
     // The engine survived all of it and still answered.
-    assert!(stdout.contains("emst cache=hit n=100 edges=99"), "stdout: {stdout}");
+    assert!(lines[4].starts_with("ok emst cache=hit n=100 edges=99 "), "stdout: {stdout}");
+    assert_eq!(lines[5], "ok bye");
     std::fs::remove_file(&pts).ok();
 }
 
@@ -388,7 +471,7 @@ fn serve_mutates_the_session_cloud_in_place() {
     );
     let insert_line = stdout
         .lines()
-        .find(|l| l.starts_with("insert key="))
+        .find(|l| l.starts_with("ok insert key="))
         .unwrap_or_else(|| panic!("no insert reply: {stdout}"));
     assert!(insert_line.contains(" n=202 "), "stdout: {stdout}");
     assert!(insert_line.contains(" dirty="), "stdout: {stdout}");
@@ -396,16 +479,16 @@ fn serve_mutates_the_session_cloud_in_place() {
     assert!(insert_line.contains(" edges=201 "), "stdout: {stdout}");
     // The session now serves the mutated cloud: the emst between the
     // mutations sees 202 points, the one after the failed mutations 199.
-    assert!(stdout.contains("emst cache=hit n=202 edges=201"), "stdout: {stdout}");
+    assert!(stdout.contains("ok emst cache=hit n=202 edges=201"), "stdout: {stdout}");
     let delete_line = stdout
         .lines()
-        .find(|l| l.starts_with("delete key="))
+        .find(|l| l.starts_with("ok delete key="))
         .unwrap_or_else(|| panic!("no delete reply: {stdout}"));
     assert!(delete_line.contains(" n=199 "), "stdout: {stdout}");
     assert!(delete_line.contains(" edges=198 "), "stdout: {stdout}");
-    assert!(stdout.contains("error: invalid request: duplicate delete id 0"), "stdout: {stdout}");
-    assert!(stdout.contains("error: insert needs coordinates in groups of 2"), "stdout: {stdout}");
-    assert!(stdout.contains("emst cache=hit n=199 edges=198"), "stdout: {stdout}");
+    assert!(stdout.contains("\nerr invalid request: duplicate delete id 0\n"), "stdout: {stdout}");
+    assert!(stdout.contains("\nerr insert needs coordinates in groups of 2\n"), "stdout: {stdout}");
+    assert!(stdout.contains("ok emst cache=hit n=199 edges=198"), "stdout: {stdout}");
     std::fs::remove_file(&pts).ok();
 }
 
@@ -420,10 +503,6 @@ fn serve_strict_argument_errors() {
     assert!(stderr.contains("--max-resident must be at least 1"), "stderr: {stderr}");
     let stderr = expect_error(&["serve", "--input", "x.csv", "--max-resident", "-2"]);
     assert!(stderr.contains("invalid --max-resident"), "stderr: {stderr}");
-    let stderr = expect_error(&["serve", "--input", "x.csv", "--workers", "0"]);
-    assert!(stderr.contains("--workers must be at least 1"), "stderr: {stderr}");
-    let stderr = expect_error(&["serve", "--input", "x.csv", "--workers", "many"]);
-    assert!(stderr.contains("invalid --workers"), "stderr: {stderr}");
     let stderr = expect_error(&["serve", "--input", "x.csv", "--traversal", "recursive"]);
     assert!(stderr.contains("invalid --traversal"), "stderr: {stderr}");
     let stderr = expect_error(&["serve", "--input", "x.csv", "--log-format", "yaml"]);
@@ -487,13 +566,13 @@ fn serve_deadline_returns_honest_errors_and_keeps_serving() {
     // Whatever the machine's speed, every emst line is either a served
     // answer or an honest deadline error — and stats still answers, so the
     // server survived.
-    for line in stdout.lines().filter(|l| !l.starts_with("stats")) {
+    for line in stdout.lines().filter(|l| !l.starts_with("ok stats") && *l != "ok bye") {
         assert!(
-            line.starts_with("emst cache=") || line.contains("deadline exceeded"),
+            line.starts_with("ok emst cache=") || line.starts_with("err query deadline exceeded"),
             "unexpected line: {line}"
         );
     }
-    assert!(stdout.contains("stats resident=1"), "stdout: {stdout}");
+    assert!(stdout.contains("ok stats resident=1"), "stdout: {stdout}");
     assert!(stdout.contains("deadline_exceeded="), "stdout: {stdout}");
     std::fs::remove_file(&pts).ok();
 }
@@ -519,10 +598,10 @@ fn serve_fault_plan_injects_and_stats_report_it() {
         &["--max-resident", "1", "--fault-plan", "seed=5;write=eio@1.0"],
         &commands,
     );
-    assert!(stdout.contains("loaded n=300"), "stdout: {stdout}");
+    assert!(stdout.contains("ok loaded n=300"), "stdout: {stdout}");
     // Both clouds answered despite the storage chaos.
-    assert_eq!(stdout.lines().filter(|l| l.starts_with("emst cache=")).count(), 2, "{stdout}");
-    let stats_line = stdout.lines().find(|l| l.starts_with("stats ")).unwrap().to_string();
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("ok emst cache=")).count(), 2, "{stdout}");
+    let stats_line = stdout.lines().find(|l| l.starts_with("ok stats ")).unwrap().to_string();
     let field = |name: &str| -> u64 {
         let needle = format!(" {name}=");
         let at = stats_line.find(&needle).unwrap() + needle.len();
@@ -566,7 +645,7 @@ fn metrics_file_writes_go_through_the_fault_plan() {
     let out = child.wait_with_output().unwrap();
     assert!(out.status.success(), "serve failed: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("emst cache="), "server must keep serving: {stdout}");
+    assert!(stdout.starts_with("ok emst cache="), "server must keep serving: {stdout}");
     assert!(!metrics.exists(), "every metrics write was injected to fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("metrics file write failed"), "stderr: {stderr}");
@@ -595,8 +674,9 @@ fn dataset_ingest_reads_go_through_the_fault_plan() {
     assert!(stderr.contains(pts.to_str().unwrap()), "stderr: {stderr}");
     assert!(stderr.contains("os error 5"), "stderr: {stderr}");
 
-    // The REPL `load` path is covered too: a clean first read (the plan's
-    // rule fires on ingest ordinal 1, not 0) followed by an injected one.
+    // The protocol's `load` path is covered too: a clean first read (the
+    // plan's rule fires on ingest ordinal 1, not 0) followed by an
+    // injected one.
     let stdout = serve_session(
         &pts,
         &["--fault-plan", "seed=7;ingest=bitflip@1.0"],
@@ -605,9 +685,10 @@ fn dataset_ingest_reads_go_through_the_fault_plan() {
     // A flipped bit in CSV text either still parses (digit changed -> new
     // cloud) or is a clean parse error; both are honest line outcomes.
     assert!(
-        stdout.contains("loaded n=") || stdout.contains("error: "),
+        stdout.starts_with("ok loaded n=") || stdout.starts_with("err "),
         "load must answer honestly: {stdout}"
     );
+    assert!(stdout.ends_with("ok bye\n"), "stdout: {stdout}");
     std::fs::remove_file(&pts).ok();
 }
 
@@ -665,7 +746,7 @@ fn serve_listen_flags_validate_and_serve_over_tcp() {
 #[test]
 fn serve_stats_line_covers_every_serve_stats_field() {
     // Driven by `ServeStats::named_fields()` so that adding a field to
-    // `ServeStats` without printing it in the CLI `stats` line fails this
+    // `ServeStats` without printing it in the `stats` reply fails this
     // test (the exhaustive destructure inside `named_fields` already makes
     // forgetting to *export* the field a compile error).
     let pts = tmp("serve-statsline-points.csv");
@@ -678,7 +759,7 @@ fn serve_stats_line_covers_every_serve_stats_field() {
     let stdout = serve_session(&pts, &[], "emst\nstats\nquit\n");
     let line = stdout
         .lines()
-        .find(|l| l.starts_with("stats "))
+        .find(|l| l.starts_with("ok stats "))
         .unwrap_or_else(|| panic!("no stats line in: {stdout}"));
     assert!(line.contains("resident=1"), "stats line: {line}");
     assert!(line.contains("bytes="), "stats line: {line}");
@@ -730,7 +811,7 @@ fn serve_metrics_and_trace_commands_report_populated_observability() {
 
     // JSON exporter answers too, and a bad format is a clean error.
     assert!(stdout.contains("\"emst_serve_op_seconds{op=\\\"emst\\\"}\""), "stdout: {stdout}");
-    assert!(stdout.contains("error: invalid metrics format \"yaml\""), "stdout: {stdout}");
+    assert!(stdout.contains("\nerr invalid metrics format \"yaml\""), "stdout: {stdout}");
     std::fs::remove_file(&pts).ok();
 }
 
