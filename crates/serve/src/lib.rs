@@ -82,17 +82,22 @@
 //!   bounded free list per query and returned by an RAII guard on drop
 //!   (also on the panic path), so warm queries still allocate nothing.
 //! - **Single-flight builds**: concurrent requests for the same
-//!   non-resident [`CloudKey`] coalesce on one build — one leader builds
-//!   (outside all locks), the rest park on a condvar and re-check. The
+//!   non-resident [`CloudKey`] coalesce on one build, reload or mutation
+//!   child — one leader fills it (outside all locks), the rest park on a
+//!   condvar and re-check, each at most until its own query deadline. The
 //!   leader itself re-checks residency *after* winning its lease
 //!   (double-checked locking): a thread that read "not resident", stalled,
 //!   and won the next lease after the prior leader landed must serve the
-//!   landed resident, not rebuild and admit a duplicate.
+//!   landed resident, not rebuild and admit a duplicate. Points, keys and
+//!   mutation children all resolve through one private resolver, so this
+//!   protocol exists once.
 //!
 //! All atomics (stats, LRU ticks) use relaxed ordering on purpose: they
 //! are advisory counters and recency hints, and every correctness-bearing
 //! handoff (artifacts, accel contents, resident list) goes through a
-//! mutex/rwlock acquire-release pair.
+//! mutex/rwlock acquire-release pair. Each [`ServeStats`] field is one
+//! counter cell, which the metrics registry exports as
+//! `emst_serve_cache_events_total{event=…}` when observability is on.
 //!
 //! ```
 //! use emst_datasets::{generate_2d, DatasetSpec};
@@ -684,7 +689,7 @@ impl Drop for ScratchGuard<'_> {
 }
 
 /// Rendezvous for single-flight builds: followers park on the condvar
-/// until the leader marks the flight done.
+/// until the leader marks the flight done or their deadline passes.
 struct BuildFlight {
     done: Mutex<bool>,
     cv: Condvar,
@@ -695,11 +700,21 @@ impl BuildFlight {
         Self { done: Mutex::new(false), cv: Condvar::new() }
     }
 
-    fn wait(&self) {
+    /// Parks until the flight is done (`true`) or `deadline` passes first
+    /// (`false`).
+    fn wait(&self, deadline: Option<Instant>) -> bool {
         let mut done = self.done.lock();
         while !*done {
-            self.cv.wait(&mut done);
+            match deadline {
+                None => self.cv.wait(&mut done),
+                Some(at) => {
+                    if self.cv.wait_until(&mut done, at).timed_out() {
+                        return *done;
+                    }
+                }
+            }
         }
+        true
     }
 
     fn finish(&self) {
@@ -708,83 +723,19 @@ impl BuildFlight {
     }
 }
 
-/// Lifetime counters as atomics so `&self` queries can bump them; all
-/// relaxed — see the module docs on ordering.
-#[derive(Default)]
+/// Lifetime counters, one per [`ServeStats`] field. With observability on
+/// each cell *is* the registry's `emst_serve_cache_events_total{event=…}`
+/// counter, so [`ServeEngine::stats`] and the exposition read the same
+/// atomics; with it off the cells are unregistered. Every event is one
+/// relaxed `inc` — see the module docs on ordering.
 struct StatCells {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    reloads: AtomicU64,
-    evictions: AtomicU64,
-    spill_failures: AtomicU64,
-    digest_collisions: AtomicU64,
-    coalesced: AtomicU64,
-    spill_retries: AtomicU64,
-    spill_relocations: AtomicU64,
-    checksum_failures: AtomicU64,
-    artifact_restores: AtomicU64,
-    artifact_rebuilds: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    shed: AtomicU64,
-    query_panics: AtomicU64,
-    query_coalesced: AtomicU64,
-    inserts: AtomicU64,
-    deletes: AtomicU64,
-}
-
-impl StatCells {
-    fn snapshot(&self) -> ServeStats {
-        ServeStats {
-            hits: self.hits.load(Relaxed),
-            misses: self.misses.load(Relaxed),
-            reloads: self.reloads.load(Relaxed),
-            evictions: self.evictions.load(Relaxed),
-            spill_failures: self.spill_failures.load(Relaxed),
-            digest_collisions: self.digest_collisions.load(Relaxed),
-            coalesced: self.coalesced.load(Relaxed),
-            spill_retries: self.spill_retries.load(Relaxed),
-            spill_relocations: self.spill_relocations.load(Relaxed),
-            checksum_failures: self.checksum_failures.load(Relaxed),
-            artifact_restores: self.artifact_restores.load(Relaxed),
-            artifact_rebuilds: self.artifact_rebuilds.load(Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Relaxed),
-            shed: self.shed.load(Relaxed),
-            query_panics: self.query_panics.load(Relaxed),
-            query_coalesced: self.query_coalesced.load(Relaxed),
-            inserts: self.inserts.load(Relaxed),
-            deletes: self.deletes.load(Relaxed),
-        }
-    }
-}
-
-/// Capacity of the per-engine trace ring: enough to inspect a recent
-/// burst of queries, bounded so a long-serving engine cannot grow.
-const TRACE_CAPACITY: usize = 256;
-
-/// The engine's observability bundle: a metrics [`Registry`] with every
-/// handle pre-resolved (recording on the query path is relaxed-atomic,
-/// never a name lookup), and the bounded ring of per-query traces. Built
-/// once per engine when [`ServeConfig::observability`] is on.
-struct ServeObs {
-    registry: Registry,
-    traces: TraceRing,
-    /// Per-op-kind latency, `emst_serve_op_seconds{op="…"}`.
-    op_emst: Arc<Histogram>,
-    op_subset: Arc<Histogram>,
-    op_knn: Arc<Histogram>,
-    op_hdbscan: Arc<Histogram>,
-    op_insert: Arc<Histogram>,
-    op_delete: Arc<Histogram>,
-    op_ingest: Arc<Histogram>,
-    /// Cache events, `emst_serve_cache_events_total{event="…"}` —
-    /// mirrors [`StatCells`] so the exposition needs no snapshot calls.
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     reloads: Arc<Counter>,
-    coalesced: Arc<Counter>,
     evictions: Arc<Counter>,
     spill_failures: Arc<Counter>,
     digest_collisions: Arc<Counter>,
+    coalesced: Arc<Counter>,
     spill_retries: Arc<Counter>,
     spill_relocations: Arc<Counter>,
     checksum_failures: Arc<Counter>,
@@ -796,6 +747,81 @@ struct ServeObs {
     query_coalesced: Arc<Counter>,
     inserts: Arc<Counter>,
     deletes: Arc<Counter>,
+}
+
+impl StatCells {
+    fn new(registry: Option<&Registry>) -> Self {
+        let event = |e: &str| match registry {
+            Some(r) => r.counter(&format!("emst_serve_cache_events_total{{event=\"{e}\"}}")),
+            None => Arc::default(),
+        };
+        Self {
+            hits: event("hit"),
+            misses: event("miss"),
+            reloads: event("reload"),
+            evictions: event("eviction"),
+            spill_failures: event("spill_failure"),
+            digest_collisions: event("digest_collision"),
+            coalesced: event("coalesced"),
+            spill_retries: event("spill_retry"),
+            spill_relocations: event("spill_relocation"),
+            checksum_failures: event("checksum_failure"),
+            artifact_restores: event("artifact_restore"),
+            artifact_rebuilds: event("artifact_rebuild"),
+            deadline_exceeded: event("deadline_exceeded"),
+            shed: event("shed"),
+            query_panics: event("query_panic"),
+            query_coalesced: event("query_coalesced"),
+            inserts: event("insert"),
+            deletes: event("delete"),
+        }
+    }
+
+    fn snapshot(&self) -> ServeStats {
+        ServeStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            reloads: self.reloads.get(),
+            evictions: self.evictions.get(),
+            spill_failures: self.spill_failures.get(),
+            digest_collisions: self.digest_collisions.get(),
+            coalesced: self.coalesced.get(),
+            spill_retries: self.spill_retries.get(),
+            spill_relocations: self.spill_relocations.get(),
+            checksum_failures: self.checksum_failures.get(),
+            artifact_restores: self.artifact_restores.get(),
+            artifact_rebuilds: self.artifact_rebuilds.get(),
+            deadline_exceeded: self.deadline_exceeded.get(),
+            shed: self.shed.get(),
+            query_panics: self.query_panics.get(),
+            query_coalesced: self.query_coalesced.get(),
+            inserts: self.inserts.get(),
+            deletes: self.deletes.get(),
+        }
+    }
+}
+
+/// Capacity of the per-engine trace ring: enough to inspect a recent
+/// burst of queries, bounded so a long-serving engine cannot grow.
+const TRACE_CAPACITY: usize = 256;
+
+/// The engine's observability bundle: a metrics [`Registry`] with every
+/// handle pre-resolved (recording on the query path is relaxed-atomic,
+/// never a name lookup), and the bounded ring of per-query traces. Built
+/// once per engine when [`ServeConfig::observability`] is on. The cache
+/// events are not here: their registry handles are the engine's
+/// [`StatCells`].
+struct ServeObs {
+    registry: Registry,
+    traces: TraceRing,
+    /// Per-op-kind latency, `emst_serve_op_seconds{op="…"}`.
+    op_emst: Arc<Histogram>,
+    op_subset: Arc<Histogram>,
+    op_knn: Arc<Histogram>,
+    op_hdbscan: Arc<Histogram>,
+    op_insert: Arc<Histogram>,
+    op_delete: Arc<Histogram>,
+    op_ingest: Arc<Histogram>,
     /// Algorithmic work per [`CounterSnapshot`] field,
     /// `emst_serve_work_total{counter="…"}`, in `named_fields` order.
     work: [Arc<Counter>; 9],
@@ -823,8 +849,6 @@ impl ServeObs {
     fn new() -> Self {
         let registry = Registry::new();
         let op = |o: &str| registry.histogram(&format!("emst_serve_op_seconds{{op=\"{o}\"}}"));
-        let event =
-            |e: &str| registry.counter(&format!("emst_serve_cache_events_total{{event=\"{e}\"}}"));
         let lock =
             |l: &str| registry.histogram(&format!("emst_serve_lock_wait_seconds{{lock=\"{l}\"}}"));
         let work = CounterSnapshot::default().named_fields().map(|(name, _)| {
@@ -839,24 +863,6 @@ impl ServeObs {
             op_insert: op("insert"),
             op_delete: op("delete"),
             op_ingest: op("ingest"),
-            hits: event("hit"),
-            misses: event("miss"),
-            reloads: event("reload"),
-            coalesced: event("coalesced"),
-            evictions: event("eviction"),
-            spill_failures: event("spill_failure"),
-            digest_collisions: event("digest_collision"),
-            spill_retries: event("spill_retry"),
-            spill_relocations: event("spill_relocation"),
-            checksum_failures: event("checksum_failure"),
-            artifact_restores: event("artifact_restore"),
-            artifact_rebuilds: event("artifact_rebuild"),
-            deadline_exceeded: event("deadline_exceeded"),
-            shed: event("shed"),
-            query_panics: event("query_panic"),
-            query_coalesced: event("query_coalesced"),
-            inserts: event("insert"),
-            deletes: event("delete"),
             work,
             scratch_checkouts: registry.counter("emst_serve_scratch_checkouts_total"),
             scratch_pool_size: registry.gauge("emst_serve_scratch_pool_size"),
@@ -926,14 +932,20 @@ impl<S: ExecSpace, const D: usize> Drop for FlightLease<'_, S, D> {
     }
 }
 
-/// Outcome of one pass over the resident list for a `(digest, K)` pair.
+/// Outcome of one pass over the resident list for a cloud, by verified
+/// `(digest, K)` content or by key.
 enum Lookup<const D: usize> {
-    /// A resident whose points verified equal byte-for-byte.
+    /// The landed resident (for content lookups, one whose points
+    /// verified equal byte-for-byte).
     Hit(Arc<Resident<D>>),
-    /// No verified resident; admit under this key (salted past any
-    /// colliding residents).
+    /// Nothing resident; admit under this key (for content lookups, salted
+    /// past any colliding residents).
     Vacant(CloudKey),
 }
+
+/// A resolved cloud: the resident, how the cache answered, and the build
+/// work and timings spent on this call (zero on a hit).
+type Resolved<const D: usize> = (Arc<Resident<D>>, CacheOutcome, CounterSnapshot, PhaseTimings);
 
 impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// Creates an engine on `space`. Nothing is resident yet; clouds are
@@ -955,7 +967,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             config,
             residents: RwLock::new(vec![]),
             clock: AtomicU64::new(0),
-            stats: StatCells::default(),
+            stats: StatCells::new(obs.as_ref().map(|o| &o.registry)),
             scratch_pool: Mutex::new(vec![]),
             builds: Mutex::new(HashMap::new()),
             spill_dir,
@@ -970,7 +982,9 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         CloudKey::minted(digest_points(points), self.num_shards())
     }
 
-    /// Lifetime cache statistics.
+    /// Lifetime cache statistics: a snapshot of the same cells
+    /// [`Self::metrics_prometheus`] exports as
+    /// `emst_serve_cache_events_total{event=…}`.
     pub fn stats(&self) -> ServeStats {
         self.stats.snapshot()
     }
@@ -1047,16 +1061,14 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// that received an identical in-flight request's result bytes instead
     /// of executing (see [`net`]).
     pub(crate) fn count_query_coalesced(&self) {
-        self.stats.query_coalesced.fetch_add(1, Relaxed);
-        self.obs_event(|o| o.query_coalesced.inc());
+        self.stats.query_coalesced.inc();
     }
 
     /// Counts (and logs) one detected-corruption event — the accounting
     /// behind the "never wrong bits" guarantee: every rejected read shows
     /// up here instead of in an answer.
     fn count_checksum_failure(&self, key: CloudKey, what: &str) {
-        self.stats.checksum_failures.fetch_add(1, Relaxed);
-        self.obs_event(|o| o.checksum_failures.inc());
+        self.stats.checksum_failures.inc();
         emst_obs::log::warn(
             "emst-serve",
             "spill verification failed",
@@ -1268,15 +1280,13 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         for (which, dir) in self.spill_dirs().enumerate() {
             for attempt in 0..attempts {
                 if attempt > 0 {
-                    self.stats.spill_retries.fetch_add(1, Relaxed);
-                    self.obs_event(|o| o.spill_retries.inc());
+                    self.stats.spill_retries.inc();
                     backoff(attempt);
                 }
                 match spill::write_spill(dir, key, points, artifacts, self.fault_plan()) {
                     Ok(()) => {
                         if which > 0 {
-                            self.stats.spill_relocations.fetch_add(1, Relaxed);
-                            self.obs_event(|o| o.spill_relocations.inc());
+                            self.stats.spill_relocations.inc();
                             emst_obs::log::warn(
                                 "emst-serve",
                                 "spill relocated to fallback dir",
@@ -1397,18 +1407,16 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             if let Err(e) = written {
                 // A failed write only costs a later `UnknownKey`, never
                 // wrong data — but it must not be silent.
-                self.stats.spill_failures.fetch_add(1, Relaxed);
-                self.obs_event(|o| o.spill_failures.inc());
+                self.stats.spill_failures.inc();
                 emst_obs::log::warn(
                     "emst-serve",
                     "spill write failed",
                     &[("key", &victim.key.to_string()), ("error", &e.to_string())],
                 );
             }
-            self.stats.evictions.fetch_add(1, Relaxed);
+            self.stats.evictions.inc();
             if let (Some(obs), Some(evicted)) = (&self.obs, evicted) {
                 let secs = evicted.elapsed().as_secs_f64();
-                obs.evictions.inc();
                 obs.eviction.record_secs(secs);
                 spans.push(SpanRecord {
                     name: "spill",
@@ -1420,120 +1428,65 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         resident
     }
 
-    /// Resolves `points` to a resident, admitting on a miss (coalescing
-    /// concurrent misses for the same key onto one build).
-    fn resolve(
+    /// Resolves either cloud naming to a resident: points by content
+    /// digest (admitting on a miss), a key via residency + spill reload.
+    /// A follower of another thread's in-flight build or reload waits at
+    /// most until `deadline`.
+    fn resolve_cloud(
         &self,
-        points: &[Point<D>],
+        cloud: CloudRef<'_, D>,
+        deadline: Option<Instant>,
         spans: &mut Vec<SpanRecord>,
-    ) -> (Arc<Resident<D>>, CacheOutcome, CounterSnapshot, PhaseTimings) {
-        let digested = self.obs_now();
-        let digest = digest_points(points);
-        if let Some(digested) = digested {
-            spans.push(SpanRecord {
-                name: "digest",
-                secs: digested.elapsed().as_secs_f64(),
-                fields: vec![("points", points.len() as u64)],
-            });
+    ) -> Result<Resolved<D>, ServeError> {
+        match cloud {
+            CloudRef::Points(points) => {
+                let digested = self.obs_now();
+                let digest = digest_points(points);
+                if let Some(digested) = digested {
+                    spans.push(SpanRecord {
+                        name: "digest",
+                        secs: digested.elapsed().as_secs_f64(),
+                        fields: vec![("points", points.len() as u64)],
+                    });
+                }
+                self.resolve_digest_traced(digest, points, deadline, spans)
+            }
+            CloudRef::Key(key) => self.resolve_key(key, deadline, spans),
         }
-        self.resolve_digest_traced(digest, points, spans)
     }
 
-    /// [`Self::resolve`] with the digest supplied by the caller — the seam
-    /// the collision tests use to alias two distinct clouds.
+    /// [`Self::resolve_digest_traced`] untraced and without a deadline —
+    /// the seam the collision tests use to alias two distinct clouds.
     #[cfg(test)]
-    fn resolve_digest(
-        &self,
-        digest: u64,
-        points: &[Point<D>],
-    ) -> (Arc<Resident<D>>, CacheOutcome, CounterSnapshot, PhaseTimings) {
-        self.resolve_digest_traced(digest, points, &mut Vec::new())
+    fn resolve_digest(&self, digest: u64, points: &[Point<D>]) -> Resolved<D> {
+        self.resolve_digest_traced(digest, points, None, &mut Vec::new())
+            .expect("a follower without a deadline cannot time out")
     }
 
+    /// Resolves `points` under `digest`: a verified resident hits, a
+    /// vacancy builds and admits.
     fn resolve_digest_traced(
         &self,
         digest: u64,
         points: &[Point<D>],
+        deadline: Option<Instant>,
         spans: &mut Vec<SpanRecord>,
-    ) -> (Arc<Resident<D>>, CacheOutcome, CounterSnapshot, PhaseTimings) {
-        let mut waited = false;
-        loop {
-            let key = match self.lookup(digest, points) {
-                Lookup::Hit(r) => {
-                    self.stats.hits.fetch_add(1, Relaxed);
-                    self.obs_event(|o| o.hits.inc());
-                    if waited {
-                        self.stats.coalesced.fetch_add(1, Relaxed);
-                        self.obs_event(|o| o.coalesced.inc());
-                    }
-                    return (r, CacheOutcome::Hit, CounterSnapshot::default(), PhaseTimings::new());
-                }
-                Lookup::Vacant(key) => key,
-            };
-            match self.begin_flight(key) {
-                Err(flight) => {
-                    let parked = self.obs_now();
-                    flight.wait();
-                    if let (Some(obs), Some(parked)) = (&self.obs, parked) {
-                        let d = parked.elapsed();
-                        obs.lease_wait.record(d);
-                        spans.push(SpanRecord::new("lease.wait", d.as_secs_f64()));
-                    }
-                    waited = true;
-                }
-                Ok(_lease) => {
-                    // Double-check under the lease: between our lookup and
-                    // winning the flight, the previous leader may have
-                    // landed this very key and dropped its flight. Without
-                    // the re-check the late winner would rebuild and admit
-                    // a duplicate resident — or, under salted keys, admit
-                    // a *distinct* cloud at an already-taken salt.
-                    match self.lookup(digest, points) {
-                        Lookup::Hit(r) => {
-                            self.stats.hits.fetch_add(1, Relaxed);
-                            self.obs_event(|o| o.hits.inc());
-                            if waited {
-                                self.stats.coalesced.fetch_add(1, Relaxed);
-                                self.obs_event(|o| o.coalesced.inc());
-                            }
-                            return (
-                                r,
-                                CacheOutcome::Hit,
-                                CounterSnapshot::default(),
-                                PhaseTimings::new(),
-                            );
-                        }
-                        // A colliding resident landed meanwhile and moved
-                        // the free salt: drop this lease (releasing any
-                        // followers to re-check) and retry with fresh keys.
-                        Lookup::Vacant(fresh) if fresh != key => continue,
-                        Lookup::Vacant(_) => {}
-                    }
-                    let key = self.durable_salt(key, points);
-                    self.stats.misses.fetch_add(1, Relaxed);
-                    self.obs_event(|o| o.misses.inc());
-                    if key.salt != 0 {
-                        self.stats.digest_collisions.fetch_add(1, Relaxed);
-                        self.obs_event(|o| o.digest_collisions.inc());
-                        emst_obs::log::warn(
-                            "emst-serve",
-                            "verified digest collision, admitting under salted key",
-                            &[("key", &key.to_string()), ("salt", &key.salt.to_string())],
-                        );
-                    }
-                    let (r, work, timings) = self.build_and_admit(key, points.to_vec(), spans);
-                    return (r, CacheOutcome::Miss, work, timings);
-                }
-            }
-        }
+    ) -> Result<Resolved<D>, ServeError> {
+        let find = || self.lookup(digest, points);
+        self.single_flight(find, deadline, spans, |key, spans| {
+            let key = self.miss_key(key, points);
+            let (r, work, timings) = self.build_and_admit(key, points.to_vec(), spans);
+            Ok((r, CacheOutcome::Miss, work, timings))
+        })
     }
 
     /// Resolves a key to a resident, reloading its spill on demand.
     fn resolve_key(
         &self,
         key: CloudKey,
+        deadline: Option<Instant>,
         spans: &mut Vec<SpanRecord>,
-    ) -> Result<(Arc<Resident<D>>, CacheOutcome, CounterSnapshot, PhaseTimings), ServeError> {
+    ) -> Result<Resolved<D>, ServeError> {
         // This engine's artifacts are always built with its own shard
         // count, so a key carrying any other `K` (say, minted by an engine
         // with a different config against a shared spill directory) can
@@ -1542,138 +1495,179 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         if key.shards != self.num_shards() {
             return Err(ServeError::UnknownKey(key));
         }
-        let mut waited = false;
-        loop {
-            if let Some(r) = self.residents.read().iter().find(|r| r.key == key) {
-                self.stats.hits.fetch_add(1, Relaxed);
-                self.obs_event(|o| o.hits.inc());
-                if waited {
-                    self.stats.coalesced.fetch_add(1, Relaxed);
-                    self.obs_event(|o| o.coalesced.inc());
-                }
+        let find = || match self.residents.read().iter().find(|r| r.key == key) {
+            Some(r) => {
                 self.touch(r);
-                return Ok((
-                    Arc::clone(r),
-                    CacheOutcome::Hit,
-                    CounterSnapshot::default(),
-                    PhaseTimings::new(),
-                ));
+                Lookup::Hit(Arc::clone(r))
             }
+            None => Lookup::Vacant(key),
+        };
+        self.single_flight(find, deadline, spans, |key, spans| self.reload(key, spans))
+    }
+
+    /// The one single-flight resolver behind every cloud resolution —
+    /// points, keys and mutation children. `find` is one pass over the
+    /// residents: the landed cloud, or the vacant key to admit it under.
+    /// Concurrent resolutions of one vacant key coalesce on one flight:
+    /// the leader runs `fill` (outside all locks) while the rest park and
+    /// then re-run `find`. A follower parks at most until `deadline`, then
+    /// returns [`ServeError::DeadlineExceeded`] without waiting out the
+    /// leader. Hit and `coalesced` counting, lease-wait timing and the
+    /// `lease.wait` span live here and nowhere else.
+    fn single_flight(
+        &self,
+        find: impl Fn() -> Lookup<D>,
+        deadline: Option<Instant>,
+        spans: &mut Vec<SpanRecord>,
+        fill: impl FnOnce(CloudKey, &mut Vec<SpanRecord>) -> Result<Resolved<D>, ServeError>,
+    ) -> Result<Resolved<D>, ServeError> {
+        let mut waited = false;
+        let resident = loop {
+            let key = match find() {
+                Lookup::Hit(r) => break r,
+                Lookup::Vacant(key) => key,
+            };
             match self.begin_flight(key) {
                 Err(flight) => {
                     let parked = self.obs_now();
-                    flight.wait();
+                    let landed = flight.wait(deadline);
                     if let (Some(obs), Some(parked)) = (&self.obs, parked) {
                         let d = parked.elapsed();
                         obs.lease_wait.record(d);
                         spans.push(SpanRecord::new("lease.wait", d.as_secs_f64()));
                     }
+                    if !landed {
+                        return Err(self.deadline_exceeded(key));
+                    }
                     waited = true;
                 }
-                Ok(_lease) => {
-                    // Double-check under the lease (see `resolve_digest`):
-                    // the previous leader may have admitted this key
-                    // between our residency check and winning the flight —
-                    // reloading now would admit a duplicate resident.
-                    if let Some(r) = self.residents.read().iter().find(|r| r.key == key) {
-                        self.stats.hits.fetch_add(1, Relaxed);
-                        self.obs_event(|o| o.hits.inc());
-                        if waited {
-                            self.stats.coalesced.fetch_add(1, Relaxed);
-                            self.obs_event(|o| o.coalesced.inc());
-                        }
-                        self.touch(r);
-                        return Ok((
-                            Arc::clone(r),
-                            CacheOutcome::Hit,
-                            CounterSnapshot::default(),
-                            PhaseTimings::new(),
-                        ));
+                // Double-check under the lease: between our `find` and
+                // winning the flight, the previous leader may have landed
+                // this very key and dropped its flight. Without the
+                // re-check the late winner would fill and admit a
+                // duplicate resident — or, under salted keys, admit a
+                // *distinct* cloud at an already-taken salt.
+                Ok(_lease) => match find() {
+                    Lookup::Hit(r) => break r,
+                    // A colliding resident landed meanwhile and moved the
+                    // free salt: drop this lease (releasing any followers
+                    // to re-check) and retry with fresh keys.
+                    Lookup::Vacant(fresh) if fresh != key => {}
+                    // A failing fill drops the lease too, releasing any
+                    // followers to retry (and fail) for themselves.
+                    Lookup::Vacant(_) => return fill(key, spans),
+                },
+            }
+        };
+        self.stats.hits.inc();
+        if waited {
+            self.stats.coalesced.inc();
+        }
+        Ok((resident, CacheOutcome::Hit, CounterSnapshot::default(), PhaseTimings::new()))
+    }
+
+    /// The salt-and-count step of a fill that admits a new cloud: settles
+    /// `key`'s durable salt and counts the miss — and, when the cloud had
+    /// to be salted, the verified digest collision.
+    fn miss_key(&self, key: CloudKey, points: &[Point<D>]) -> CloudKey {
+        let key = self.durable_salt(key, points);
+        self.stats.misses.inc();
+        if key.salt != 0 {
+            self.stats.digest_collisions.inc();
+            emst_obs::log::warn(
+                "emst-serve",
+                "verified digest collision, admitting under salted key",
+                &[("key", &key.to_string()), ("salt", &key.salt.to_string())],
+            );
+        }
+        key
+    }
+
+    /// Reloads the evicted `key` down the degradation ladder: primary read
+    /// → fallback read → artifact restore → deterministic rebuild → typed
+    /// error. Corruption at any rung is *detected* (section checksums, key
+    /// digest), counted, and degrades to the next rung — never decoded
+    /// into wrong bits.
+    fn reload(
+        &self,
+        key: CloudKey,
+        spans: &mut Vec<SpanRecord>,
+    ) -> Result<Resolved<D>, ServeError> {
+        let reload_started = self.obs_now();
+        let mut corrupt = false;
+        let mut io_err: Option<std::io::Error> = None;
+        let mut found: Option<spill::SpillContents<D>> = None;
+        for dir in self.spill_dirs() {
+            match spill::read_spill::<D>(dir, key, self.fault_plan()) {
+                Ok(Some(c)) => {
+                    if digest_points(&c.points) == key.digest {
+                        found = Some(c);
+                        break;
                     }
-                    // Errors drop the lease, releasing any followers to
-                    // retry (and fail) for themselves. The reload
-                    // degradation ladder: primary read → fallback read →
-                    // artifact restore → deterministic rebuild → typed
-                    // error. Corruption at any rung is *detected*
-                    // (section checksums, key digest), counted, and
-                    // degrades to the next rung — never decoded into
-                    // wrong bits.
-                    let reload_started = self.obs_now();
-                    let mut corrupt = false;
-                    let mut io_err: Option<std::io::Error> = None;
-                    let mut found: Option<spill::SpillContents<D>> = None;
-                    for dir in self.spill_dirs() {
-                        match spill::read_spill::<D>(dir, key, self.fault_plan()) {
-                            Ok(Some(c)) => {
-                                if digest_points(&c.points) == key.digest {
-                                    found = Some(c);
-                                    break;
-                                }
-                                self.count_checksum_failure(key, "points digest mismatch");
-                                corrupt = true;
-                            }
-                            Ok(None) => {}
-                            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                                self.count_checksum_failure(key, "spill frame corrupt");
-                                corrupt = true;
-                            }
-                            Err(e) => io_err = Some(e),
-                        }
-                    }
-                    let contents = match found {
-                        Some(c) => c,
-                        None => {
-                            return Err(if corrupt {
-                                ServeError::DigestMismatch(key)
-                            } else if let Some(e) = io_err {
-                                ServeError::Spill(e)
-                            } else {
-                                ServeError::UnknownKey(key)
-                            });
-                        }
-                    };
-                    self.stats.reloads.fetch_add(1, Relaxed);
-                    self.obs_event(|o| o.reloads.inc());
-                    if contents.artifact_corrupt {
-                        self.count_checksum_failure(key, "artifact section corrupt");
-                    }
-                    // Artifact restore is best-effort: the blob decodes
-                    // with full structural validation, and its point count
-                    // must match the verified points. Anything short of
-                    // that rebuilds — same bits, more work.
-                    let restored = contents.artifacts.as_deref().and_then(|bytes| {
-                        match ShardArtifacts::<D>::deserialize(bytes) {
-                            Ok(a) if a.num_points() == contents.points.len() => Some(a),
-                            Ok(_) | Err(_) => {
-                                self.count_checksum_failure(key, "artifact blob invalid");
-                                None
-                            }
-                        }
-                    });
-                    let (r, work, timings) = match restored {
-                        Some(artifacts) => {
-                            self.stats.artifact_restores.fetch_add(1, Relaxed);
-                            self.obs_event(|o| o.artifact_restores.inc());
-                            let r = self.admit(key, contents.points, artifacts, spans);
-                            if let (Some(obs), Some(t)) = (&self.obs, reload_started) {
-                                obs.reload_restore.record(t.elapsed());
-                            }
-                            (r, CounterSnapshot::default(), PhaseTimings::new())
-                        }
-                        None => {
-                            self.stats.artifact_rebuilds.fetch_add(1, Relaxed);
-                            self.obs_event(|o| o.artifact_rebuilds.inc());
-                            let out = self.build_and_admit(key, contents.points, spans);
-                            if let (Some(obs), Some(t)) = (&self.obs, reload_started) {
-                                obs.reload_rebuild.record(t.elapsed());
-                            }
-                            out
-                        }
-                    };
-                    return Ok((r, CacheOutcome::Reloaded, work, timings));
+                    self.count_checksum_failure(key, "points digest mismatch");
+                    corrupt = true;
                 }
+                Ok(None) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                    self.count_checksum_failure(key, "spill frame corrupt");
+                    corrupt = true;
+                }
+                Err(e) => io_err = Some(e),
             }
         }
+        let contents = match found {
+            Some(c) => c,
+            None => {
+                return Err(if corrupt {
+                    ServeError::DigestMismatch(key)
+                } else if let Some(e) = io_err {
+                    ServeError::Spill(e)
+                } else {
+                    ServeError::UnknownKey(key)
+                });
+            }
+        };
+        self.stats.reloads.inc();
+        if contents.artifact_corrupt {
+            self.count_checksum_failure(key, "artifact section corrupt");
+        }
+        // Artifact restore is best-effort: the blob decodes with full
+        // structural validation, and its point count must match the
+        // verified points. Anything short of that rebuilds — same bits,
+        // more work.
+        let restored = match contents.artifacts.as_deref().map(ShardArtifacts::<D>::deserialize) {
+            Some(Ok(a)) if a.num_points() == contents.points.len() => Some(a),
+            Some(Ok(_) | Err(_)) => {
+                self.count_checksum_failure(key, "artifact blob invalid");
+                None
+            }
+            None => None,
+        };
+        let (r, work, timings) = match restored {
+            Some(artifacts) => {
+                self.stats.artifact_restores.inc();
+                let r = self.admit(key, contents.points, artifacts, spans);
+                if let (Some(obs), Some(t)) = (&self.obs, reload_started) {
+                    obs.reload_restore.record(t.elapsed());
+                }
+                (r, CounterSnapshot::default(), PhaseTimings::new())
+            }
+            None => {
+                self.stats.artifact_rebuilds.inc();
+                let out = self.build_and_admit(key, contents.points, spans);
+                if let (Some(obs), Some(t)) = (&self.obs, reload_started) {
+                    obs.reload_rebuild.record(t.elapsed());
+                }
+                out
+            }
+        };
+        Ok((r, CacheOutcome::Reloaded, work, timings))
+    }
+
+    /// Counts one over-budget query and names the error it returns.
+    fn deadline_exceeded(&self, key: CloudKey) -> ServeError {
+        self.stats.deadline_exceeded.inc();
+        ServeError::DeadlineExceeded(key)
     }
 
     fn answer_emst_deadline(
@@ -1699,24 +1693,20 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             }
             scratch.accel.copy_from(&accel);
         }
-        let merged = match r.artifacts.merge_accel_deadline(
-            &self.space,
-            self.config.emst.traversal,
-            &mut scratch.merge,
-            &mut scratch.accel,
-            deadline,
-        ) {
-            Ok(merged) => merged,
-            Err(_) => {
-                // Over budget at a round boundary. The accel copy may hold
-                // a partial round's learning; it is simply not absorbed —
-                // the shared accel stays exactly as it was, and the
-                // scratch guard returns the pools on drop.
-                self.stats.deadline_exceeded.fetch_add(1, Relaxed);
-                self.obs_event(|o| o.deadline_exceeded.inc());
-                return Err(ServeError::DeadlineExceeded(r.key));
-            }
-        };
+        // Over budget at a round boundary, the accel copy may hold a
+        // partial round's learning; it is simply not absorbed — the shared
+        // accel stays exactly as it was, and the scratch guard returns the
+        // pools on drop.
+        let merged = r
+            .artifacts
+            .merge(
+                &self.space,
+                self.config.emst.traversal,
+                &mut scratch.merge,
+                Some(&mut scratch.accel),
+                deadline,
+            )
+            .map_err(|_| self.deadline_exceeded(r.key))?;
         if self.obs.is_some() {
             for d in &merged.stats.round_details {
                 spans.push(SpanRecord {
@@ -1775,21 +1765,17 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         let mut scratch = self.checkout();
         let solved = self.obs_now();
         // The resident copy is the authoritative cloud (it digested equal).
-        let sub = match r.artifacts.merge_subset_deadline(
-            &self.space,
-            &r.points,
-            subset,
-            &self.config.emst,
-            &mut scratch.boruvka,
-            deadline,
-        ) {
-            Ok(sub) => sub,
-            Err(_) => {
-                self.stats.deadline_exceeded.fetch_add(1, Relaxed);
-                self.obs_event(|o| o.deadline_exceeded.inc());
-                return Err(ServeError::DeadlineExceeded(r.key));
-            }
-        };
+        let sub = r
+            .artifacts
+            .merge_subset(
+                &self.space,
+                &r.points,
+                subset,
+                &self.config.emst,
+                &mut scratch.boruvka,
+                deadline,
+            )
+            .map_err(|_| self.deadline_exceeded(r.key))?;
         if let Some(solved) = solved {
             spans.push(SpanRecord {
                 name: "subset.solve",
@@ -1847,7 +1833,8 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             ServeRequest::Load { points } => {
                 let started = self.obs_now();
                 let mut spans = Vec::new();
-                let (r, outcome, build_work, _) = self.resolve(points, &mut spans);
+                let (r, outcome, build_work, _) =
+                    self.resolve_cloud(CloudRef::Points(points), None, &mut spans)?;
                 self.record_work(&build_work);
                 self.finish_trace("ingest", r.key, outcome, started, spans);
                 Ok(ServeResponse::Loaded { key: r.key })
@@ -1876,7 +1863,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 let started = self.obs_now();
                 let mut spans = Vec::new();
                 let (r, outcome, build_work, build_timings) =
-                    self.resolve_cloud(cloud, &mut spans)?;
+                    self.resolve_cloud(cloud, deadline, &mut spans)?;
                 let resp = self.answer_emst_deadline(
                     &r,
                     outcome,
@@ -1893,7 +1880,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 let started = self.obs_now();
                 let mut spans = Vec::new();
                 let (r, outcome, build_work, build_timings) =
-                    self.resolve_cloud(cloud, &mut spans)?;
+                    self.resolve_cloud(cloud, deadline, &mut spans)?;
                 let resp = self.answer_subset(
                     &r,
                     subset,
@@ -1912,7 +1899,8 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             ServeRequest::KNearest { cloud, query, k } => {
                 let started = self.obs_now();
                 let mut spans = Vec::new();
-                let (r, outcome, build_work, _) = self.resolve_cloud(cloud, &mut spans)?;
+                let (r, outcome, build_work, _) =
+                    self.resolve_cloud(cloud, deadline, &mut spans)?;
                 let mut stats = TraversalStats::default();
                 let neighbors = r.artifacts.k_nearest(&query, k, &mut stats);
                 let resp = KnnResponse {
@@ -1937,7 +1925,8 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             ServeRequest::Hdbscan { cloud, params } => {
                 let started = self.obs_now();
                 let mut spans = Vec::new();
-                let (r, outcome, build_work, _) = self.resolve_cloud(cloud, &mut spans)?;
+                let (r, outcome, build_work, _) =
+                    self.resolve_cloud(cloud, deadline, &mut spans)?;
                 let mut scratch = self.checkout();
                 let result = params.fit_scratch(&self.space, &r.points, &mut scratch.boruvka);
                 self.record_work(&build_work);
@@ -1953,19 +1942,6 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             ServeRequest::Load { .. } | ServeRequest::Stats => {
                 unreachable!("handled unguarded in execute")
             }
-        }
-    }
-
-    /// Resolves either cloud naming to a resident: points by content
-    /// digest (admitting on a miss), a key via residency + spill reload.
-    fn resolve_cloud(
-        &self,
-        cloud: CloudRef<'_, D>,
-        spans: &mut Vec<SpanRecord>,
-    ) -> Result<(Arc<Resident<D>>, CacheOutcome, CounterSnapshot, PhaseTimings), ServeError> {
-        match cloud {
-            CloudRef::Points(points) => Ok(self.resolve(points, spans)),
-            CloudRef::Key(key) => self.resolve_key(key, spans),
         }
     }
 
@@ -1988,7 +1964,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         let started = self.obs_now();
         let verb = mutation.verb();
         let mut spans = Vec::new();
-        let (parent, _, _, _) = self.resolve_cloud(cloud, &mut spans)?;
+        let (parent, _, _, _) = self.resolve_cloud(cloud, deadline, &mut spans)?;
         let (new_points, parent_of) = match &mutation {
             Mutation::Insert(extra) => {
                 let mut pts = Vec::with_capacity(parent.points.len() + extra.len());
@@ -2031,124 +2007,62 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 new_points.len()
             )));
         }
-        // Child resolution mirrors `resolve_digest_traced`, with the
-        // build replaced by the incremental derivation.
+        // The child resolves like any cloud, with the build replaced by
+        // the incremental derivation; a hit derives nothing.
         let digest = digest_points(&new_points);
-        let mut waited = false;
-        let (child, outcome, build_work, build_timings, report) = loop {
-            let key = match self.lookup(digest, &new_points) {
-                Lookup::Hit(child) => {
-                    self.stats.hits.fetch_add(1, Relaxed);
-                    self.obs_event(|o| o.hits.inc());
-                    if waited {
-                        self.stats.coalesced.fetch_add(1, Relaxed);
-                        self.obs_event(|o| o.coalesced.inc());
+        let mut report = UpdateReport::default();
+        let find = || self.lookup(digest, &new_points);
+        let fill = |key, spans: &mut Vec<SpanRecord>| {
+            let key = self.miss_key(key, &new_points);
+            let derived = self.obs_now();
+            let (artifacts, derived_report) = {
+                let mut scratch = self.checkout();
+                let scratch = &mut *scratch;
+                // Copy the parent's accel out so its harvested floors seed
+                // the child's bounds without holding the parent's lock
+                // across the dirty solves.
+                {
+                    let wait = self.obs_now();
+                    let accel = parent.accel.read();
+                    if let (Some(obs), Some(wait)) = (&self.obs, wait) {
+                        obs.lock_accel_read.record(wait.elapsed());
                     }
-                    break (
-                        child,
-                        CacheOutcome::Hit,
-                        CounterSnapshot::default(),
-                        PhaseTimings::new(),
-                        UpdateReport::default(),
-                    );
+                    scratch.accel.copy_from(&accel);
                 }
-                Lookup::Vacant(key) => key,
+                parent
+                    .artifacts
+                    .apply_update(
+                        &self.space,
+                        &parent.points,
+                        &new_points,
+                        &parent_of,
+                        &self.shard_config(),
+                        &mut scratch.boruvka,
+                        Some(&scratch.accel),
+                        deadline,
+                    )
+                    .map_err(|_| self.deadline_exceeded(parent.key))?
             };
-            match self.begin_flight(key) {
-                Err(flight) => {
-                    let parked = self.obs_now();
-                    flight.wait();
-                    if let (Some(obs), Some(parked)) = (&self.obs, parked) {
-                        let d = parked.elapsed();
-                        obs.lease_wait.record(d);
-                        spans.push(SpanRecord::new("lease.wait", d.as_secs_f64()));
-                    }
-                    waited = true;
-                }
-                Ok(_lease) => {
-                    match self.lookup(digest, &new_points) {
-                        Lookup::Hit(child) => {
-                            self.stats.hits.fetch_add(1, Relaxed);
-                            self.obs_event(|o| o.hits.inc());
-                            if waited {
-                                self.stats.coalesced.fetch_add(1, Relaxed);
-                                self.obs_event(|o| o.coalesced.inc());
-                            }
-                            break (
-                                child,
-                                CacheOutcome::Hit,
-                                CounterSnapshot::default(),
-                                PhaseTimings::new(),
-                                UpdateReport::default(),
-                            );
-                        }
-                        Lookup::Vacant(fresh) if fresh != key => continue,
-                        Lookup::Vacant(_) => {}
-                    }
-                    let key = self.durable_salt(key, &new_points);
-                    self.stats.misses.fetch_add(1, Relaxed);
-                    self.obs_event(|o| o.misses.inc());
-                    if key.salt != 0 {
-                        self.stats.digest_collisions.fetch_add(1, Relaxed);
-                        self.obs_event(|o| o.digest_collisions.inc());
-                        emst_obs::log::warn(
-                            "emst-serve",
-                            "verified digest collision, admitting under salted key",
-                            &[("key", &key.to_string()), ("salt", &key.salt.to_string())],
-                        );
-                    }
-                    let derived = self.obs_now();
-                    let (artifacts, report) = {
-                        let mut scratch = self.checkout();
-                        let scratch = &mut *scratch;
-                        // Copy the parent's accel out so its harvested
-                        // floors seed the child's bounds without holding
-                        // the parent's lock across the dirty solves.
-                        {
-                            let wait = self.obs_now();
-                            let accel = parent.accel.read();
-                            if let (Some(obs), Some(wait)) = (&self.obs, wait) {
-                                obs.lock_accel_read.record(wait.elapsed());
-                            }
-                            scratch.accel.copy_from(&accel);
-                        }
-                        match parent.artifacts.apply_update(
-                            &self.space,
-                            &parent.points,
-                            &new_points,
-                            &parent_of,
-                            &self.shard_config(),
-                            &mut scratch.boruvka,
-                            Some(&scratch.accel),
-                            deadline,
-                        ) {
-                            Ok(out) => out,
-                            Err(_) => {
-                                self.stats.deadline_exceeded.fetch_add(1, Relaxed);
-                                self.obs_event(|o| o.deadline_exceeded.inc());
-                                return Err(ServeError::DeadlineExceeded(parent.key));
-                            }
-                        }
-                    };
-                    let build_work = artifacts.build_work();
-                    let build_timings = artifacts.build_timings().clone();
-                    if let Some(derived) = derived {
-                        spans.push(SpanRecord {
-                            name: "update",
-                            secs: derived.elapsed().as_secs_f64(),
-                            fields: vec![
-                                ("points", new_points.len() as u64),
-                                ("dirty", report.dirty_shards.len() as u64),
-                                ("reused", report.reused_shards as u64),
-                                ("rebuild", u64::from(report.full_rebuild)),
-                            ],
-                        });
-                    }
-                    let child = self.admit(key, new_points.clone(), artifacts, &mut spans);
-                    break (child, CacheOutcome::Miss, build_work, build_timings, report);
-                }
+            report = derived_report;
+            let build_work = artifacts.build_work();
+            let build_timings = artifacts.build_timings().clone();
+            if let Some(derived) = derived {
+                spans.push(SpanRecord {
+                    name: "update",
+                    secs: derived.elapsed().as_secs_f64(),
+                    fields: vec![
+                        ("points", new_points.len() as u64),
+                        ("dirty", report.dirty_shards.len() as u64),
+                        ("reused", report.reused_shards as u64),
+                        ("rebuild", u64::from(report.full_rebuild)),
+                    ],
+                });
             }
+            let child = self.admit(key, new_points.clone(), artifacts, spans);
+            Ok((child, CacheOutcome::Miss, build_work, build_timings))
         };
+        let (child, outcome, build_work, build_timings) =
+            self.single_flight(find, deadline, &mut spans, fill)?;
         let update = self.answer_emst_deadline(
             &child,
             outcome,
@@ -2159,14 +2073,8 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         )?;
         self.record_work(&(update.build_work + update.query_work));
         match &mutation {
-            Mutation::Insert(_) => {
-                self.stats.inserts.fetch_add(1, Relaxed);
-                self.obs_event(|o| o.inserts.inc());
-            }
-            Mutation::Delete(_) => {
-                self.stats.deletes.fetch_add(1, Relaxed);
-                self.obs_event(|o| o.deletes.inc());
-            }
+            Mutation::Insert(_) => self.stats.inserts.inc(),
+            Mutation::Delete(_) => self.stats.deletes.inc(),
         }
         self.finish_trace(verb, child.key, outcome, started, spans);
         Ok(ServeResponse::Mutated(MutateResponse {
@@ -2191,8 +2099,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             Ok(result) => result,
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
-                self.stats.query_panics.fetch_add(1, Relaxed);
-                self.obs_event(|o| o.query_panics.inc());
+                self.stats.query_panics.inc();
                 emst_obs::log::warn(
                     "emst-serve",
                     "query panicked; isolated to an error",
@@ -2216,8 +2123,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         let guard = InFlightGuard(&self.in_flight);
         if prev >= max as u64 {
             drop(guard);
-            self.stats.shed.fetch_add(1, Relaxed);
-            self.obs_event(|o| o.shed.inc());
+            self.stats.shed.inc();
             return Err(ServeError::Overloaded);
         }
         Ok(Some(guard))
@@ -2571,6 +2477,7 @@ mod tests {
         ));
         // …but re-presenting the points still re-ingests and answers.
         assert_eq!(engine.emst(&a).outcome, CacheOutcome::Miss);
+        assert_stats_match_metrics(&engine);
         std::fs::remove_file(&blocker).ok();
     }
 
@@ -2611,6 +2518,7 @@ mod tests {
         let ea = self::answer(&engine, &ra2);
         let eb = self::answer(&engine, &rb2);
         assert_ne!(ea, eb);
+        assert_stats_match_metrics(&engine);
     }
 
     /// A cloud holding a NaN is verified by its bits, like its digest: it
@@ -2639,6 +2547,43 @@ mod tests {
             )
             .expect("no deadline was set")
             .edges
+    }
+
+    /// Every [`ServeStats`] field equals its exported
+    /// `emst_serve_cache_events_total{event="…"}` sample: the stats and the
+    /// metric family are one set of cells, not two bookkeepings that agree.
+    fn assert_stats_match_metrics<S: ExecSpace>(engine: &ServeEngine<S, 2>) {
+        const EVENTS: [(&str, &str); 18] = [
+            ("hits", "hit"),
+            ("misses", "miss"),
+            ("reloads", "reload"),
+            ("evictions", "eviction"),
+            ("spill_failures", "spill_failure"),
+            ("digest_collisions", "digest_collision"),
+            ("coalesced", "coalesced"),
+            ("spill_retries", "spill_retry"),
+            ("spill_relocations", "spill_relocation"),
+            ("checksum_failures", "checksum_failure"),
+            ("artifact_restores", "artifact_restore"),
+            ("artifact_rebuilds", "artifact_rebuild"),
+            ("deadline_exceeded", "deadline_exceeded"),
+            ("shed", "shed"),
+            ("query_panics", "query_panic"),
+            ("query_coalesced", "query_coalesced"),
+            ("inserts", "insert"),
+            ("deletes", "delete"),
+        ];
+        let text = engine.metrics_prometheus();
+        for (field, value) in engine.stats().named_fields() {
+            let (_, event) =
+                EVENTS.iter().find(|(f, _)| *f == field).expect("every stat has an event");
+            let prefix = format!("emst_serve_cache_events_total{{event=\"{event}\"}} ");
+            let sample = text
+                .lines()
+                .find_map(|line| line.strip_prefix(prefix.as_str()))
+                .unwrap_or_else(|| panic!("no {prefix}sample in:\n{text}"));
+            assert_eq!(sample.parse::<u64>().unwrap(), value, "stat {field} vs event {event}");
+        }
     }
 
     /// Satellite: the recency clock hands out unique ticks under
@@ -2683,6 +2628,7 @@ mod tests {
         assert_eq!(stats.misses, 1, "exactly one thread may build");
         assert_eq!(stats.hits, 5, "everyone else must hit the landed build");
         assert_eq!(engine.num_resident(), 1);
+        assert_stats_match_metrics(&engine);
     }
 
     /// Regression stress for the lookup→begin_flight TOCTOU: a thread that
@@ -2830,6 +2776,7 @@ mod tests {
         assert!(round.field("distances").is_some());
         assert_eq!(traces[2].outcome, "miss");
         assert!(traces[2].spans.iter().any(|s| s.name == "build"));
+        assert_stats_match_metrics(&engine);
     }
 
     /// The observability switch really removes the probes: answers stay
@@ -2914,6 +2861,7 @@ mod tests {
         let text = engine.metrics_prometheus();
         assert!(text.contains("emst_serve_reload_seconds_count{path=\"restore\"} 1"), "{text}");
         assert!(text.contains("emst_serve_cache_events_total{event=\"artifact_restore\"} 1"));
+        assert_stats_match_metrics(&engine);
     }
 
     /// With artifact persistence off, reloads fall back to the
@@ -2933,6 +2881,7 @@ mod tests {
         let stats = engine.stats();
         assert_eq!((stats.artifact_restores, stats.artifact_rebuilds), (0, 1));
         assert_eq!(stats.artifact_restores + stats.artifact_rebuilds, stats.reloads);
+        assert_stats_match_metrics(&engine);
     }
 
     /// Satellite: a corrupted spill file is a typed error on every query
@@ -3009,6 +2958,7 @@ mod tests {
         // corrupted again.
         std::fs::write(&path, &corruptions[0].1).unwrap();
         assert_eq!(engine.emst(&a).edges, cold.edges);
+        assert_stats_match_metrics(&engine);
     }
 
     /// Corruption confined to the artifact section only *degrades*: the
@@ -3062,6 +3012,7 @@ mod tests {
         assert_eq!(back.outcome, CacheOutcome::Reloaded);
         assert_eq!(back.edges, cold.edges);
         assert_eq!(engine.stats().artifact_restores, 1);
+        assert_stats_match_metrics(&engine);
         std::fs::remove_file(&blocker).ok();
         std::fs::remove_dir_all(&fallback).ok();
     }
@@ -3093,6 +3044,7 @@ mod tests {
         // k-NN has no merge rounds: even guarded it answers.
         assert!(engine.k_nearest_by_key(key, &a[0], 3).is_ok());
         assert_eq!(engine.scratch_pool.lock().len(), 1, "no scratch leaked past the deadline");
+        assert_stats_match_metrics(&engine);
     }
 
     /// Tentpole: admission control sheds excess in-flight queries with
@@ -3113,6 +3065,7 @@ mod tests {
         assert!(engine.emst_by_key(key).is_ok());
         assert_eq!(engine.stats().shed, 2);
         assert_eq!(engine.in_flight.load(Relaxed), 0, "every token released");
+        assert_stats_match_metrics(&engine);
     }
 
     /// Tentpole: a panicking query is isolated to `QueryPanic` — the
@@ -3146,6 +3099,7 @@ mod tests {
             assert_eq!(ok.outcome, CacheOutcome::Hit);
             assert_eq!(ok.edges.len(), 199);
             assert_eq!(ok.edges, before.edges);
+            assert_stats_match_metrics(&engine);
         }
         check(Serial);
         check(Threads);
@@ -3262,6 +3216,7 @@ mod tests {
         let warm = engine.emst_by_key(resp.key).unwrap();
         assert_eq!(warm.outcome, CacheOutcome::Hit);
         assert_eq!(warm.edges, resp.update.edges);
+        assert_stats_match_metrics(&engine);
     }
 
     /// Tentpole: `delete` compacts survivors, delta-solves only the
@@ -3285,6 +3240,7 @@ mod tests {
         // Mutation ops populate their own latency histograms.
         let text = engine.metrics_prometheus();
         assert!(text.contains("emst_serve_op_seconds_count{op=\"delete\"} 1"), "{text}");
+        assert_stats_match_metrics(&engine);
     }
 
     /// Malformed mutations are typed `InvalidRequest` errors, rejected
@@ -3351,5 +3307,76 @@ mod tests {
             }
             other => panic!("expected Stats, got {other:?}"),
         }
+    }
+
+    /// A single-flight follower parks at most until its own deadline. The
+    /// leader of an evicted cloud's reload sits in a 1.5 s spill-read
+    /// stall; a second query for the same key on a 100 ms budget must err
+    /// promptly instead of waiting out the leader.
+    #[test]
+    fn single_flight_follower_honors_its_deadline() {
+        let mut cfg = ServeConfig::new(3, 1);
+        cfg.deadline = Some(Duration::from_millis(100));
+        cfg.fault_plan = Some(Arc::new(FaultPlan::parse("seed=1;read=stall:1500@1.0").unwrap()));
+        let engine = ServeEngine::<_, 2>::new(Serial, cfg);
+        let key = engine.ingest(&random_points_2d(2000, 95));
+        engine.ingest(&random_points_2d(2000, 96)); // budget 1: evicts the first cloud
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| engine.emst_by_key(key));
+            // Follow once the leader holds the reload's lease, not after a
+            // guessed sleep.
+            while !engine.builds.lock().contains_key(&key) {
+                assert!(!leader.is_finished(), "the leader returned before leasing the reload");
+                std::thread::yield_now();
+            }
+            let started = Instant::now();
+            let followed = engine.emst_by_key(key);
+            let waited = started.elapsed();
+            assert!(
+                matches!(followed, Err(ServeError::DeadlineExceeded(k)) if k == key),
+                "{followed:?}"
+            );
+            assert!(waited < Duration::from_millis(1000), "follower waited {waited:?}");
+            // The leader's own reload takes no deadline; whatever it
+            // answers, it must finish.
+            leader.join().unwrap().ok();
+        });
+        assert!(engine.stats().deadline_exceeded >= 1);
+        assert_stats_match_metrics(&engine);
+    }
+
+    /// Concurrent identical mutations of one parent coalesce on a single
+    /// child derivation: every reply names the same child with
+    /// bit-identical edges, and the child was derived exactly once.
+    #[test]
+    fn concurrent_identical_mutations_share_one_child_build() {
+        let pts = random_points_2d(600, 97);
+        let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(4, 4));
+        let key = engine.ingest(&pts);
+        let misses = engine.stats().misses;
+        let extra = [Point::new([0.25f32, -0.5]), Point::new([0.26f32, -0.51])];
+        // Released together, so the inserts overlap instead of queueing
+        // behind thread start-up.
+        let start = std::sync::Barrier::new(6);
+        let replies: Vec<MutateResponse<2>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..6)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        engine.insert(key, &extra).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for r in &replies[1..] {
+            assert_eq!(r.key, replies[0].key);
+            assert_eq!(r.update.edges, replies[0].update.edges);
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.misses, misses + 1, "exactly one thread may derive the child");
+        assert_eq!(engine.num_resident(), 2);
+        assert_eq!(stats.inserts, 6);
+        assert_stats_match_metrics(&engine);
     }
 }

@@ -12,21 +12,25 @@
 //! [`ShardArtifacts`] reifies the build phase as a value: the plan, every
 //! non-empty shard's BVH (with its 4-wide rope-linked collapse), its local
 //! MST edges, and the build-work accounting. The artifacts are immutable —
-//! [`ShardArtifacts::merge`] and [`ShardArtifacts::merge_subset`] only
-//! *borrow* them — so a long-lived service can keep them resident and
-//! answer repeated queries by re-running nothing but the merge. This is the
-//! object the `emst_serve` cache holds under its `(input digest, K)` key.
+//! the two merge calls, [`ShardArtifacts::merge`] (the full cloud) and
+//! [`ShardArtifacts::merge_subset`], only *borrow* them — so a long-lived
+//! service can keep them resident and answer repeated queries by
+//! re-running nothing but the merge. This is the object the `emst_serve`
+//! cache holds under its `(input digest, K)` key. Both calls take their
+//! scratch from the caller and an optional deadline; the full merge also
+//! takes an optional cross-query accelerator ([`MergeAccel`]).
 //!
 //! ```
 //! use emst_datasets::{generate_2d, DatasetSpec};
 //! use emst_exec::Threads;
-//! use emst_shard::{ShardArtifacts, ShardConfig};
+//! use emst_shard::{MergeScratch, ShardArtifacts, ShardConfig};
 //!
 //! let pts = generate_2d(&DatasetSpec::uniform(600, 9));
 //! let artifacts = ShardArtifacts::build(&Threads, &pts, &ShardConfig::new(4));
 //! // Merge-only queries: no plan, no local solves, no tree builds.
-//! let a = artifacts.merge(&Threads, Default::default());
-//! let b = artifacts.merge(&Threads, Default::default());
+//! let mut scratch = MergeScratch::new();
+//! let a = artifacts.merge(&Threads, Default::default(), &mut scratch, None, None).unwrap();
+//! let b = artifacts.merge(&Threads, Default::default(), &mut scratch, None, None).unwrap();
 //! assert_eq!(a.edges, b.edges); // deterministic, bit-identical
 //! assert_eq!(a.edges.len(), 599);
 //! ```
@@ -222,68 +226,34 @@ impl<const D: usize> ShardArtifacts<D> {
             + self.locals.iter().map(per_local).sum::<usize>()
     }
 
+    /// A pristine [`MergeAccel`] for this cloud: floors seeded from the
+    /// cached entry bounds, no candidates yet. Feed it to [`Self::merge`];
+    /// it is only valid for these exact artifacts.
+    pub fn new_accel(&self) -> MergeAccel {
+        MergeAccel::from_bounds(&self.bounds, self.n, self.locals.len())
+    }
+
     /// Runs the merge phase over the full cloud: the exact EMST, computed
     /// without re-planning, re-solving, or rebuilding anything.
+    ///
+    /// Every per-merge allocation is drawn from `scratch`, so a long-lived
+    /// server's warm repeat queries allocate nothing; the scratch carries
+    /// no semantic state between calls. `accel` (built by
+    /// [`Self::new_accel`]) is read for, and re-deposited with, the
+    /// durable cross-query floors/candidates: the selected edges are
+    /// bit-identical with or without it, only the traversal work shrinks.
+    /// `deadline` is checked at every merge-round boundary; on
+    /// [`MergeDeadlineExceeded`] no partial result escapes, and the
+    /// accelerator and scratch are exactly as reusable as before the call
+    /// (the round-1 harvest of an abandoned merge is discarded with it).
+    /// With no deadline the call cannot fail.
     ///
     /// The returned [`ShardStats`] covers **only this merge** (its `work`
     /// has `iterations == 0` since no Borůvka *solve* ran — the warm-query
     /// signature the serving tests assert); callers wanting the cold-solve
     /// view combine it with [`Self::build_work`]/[`Self::build_timings`] as
     /// [`crate::emst_sharded_with`] does.
-    pub fn merge<S: ExecSpace>(&self, space: &S, traversal: Traversal) -> ShardedResult {
-        self.merge_scratch(space, traversal, &mut MergeScratch::new())
-    }
-
-    /// [`Self::merge`] drawing every per-merge allocation from `scratch` —
-    /// the form a long-lived server uses so warm repeat queries allocate
-    /// nothing. The scratch carries no semantic state between calls.
-    pub fn merge_scratch<S: ExecSpace>(
-        &self,
-        space: &S,
-        traversal: Traversal,
-        scratch: &mut MergeScratch,
-    ) -> ShardedResult {
-        self.merge_with(space, traversal, scratch, None, None).expect("no deadline was set")
-    }
-
-    /// A pristine [`MergeAccel`] for this cloud: floors seeded from the
-    /// cached entry bounds, no candidates yet. Feed it to
-    /// [`Self::merge_accel`]; it is only valid for these exact artifacts.
-    pub fn new_accel(&self) -> MergeAccel {
-        MergeAccel::from_bounds(&self.bounds, self.n, self.locals.len())
-    }
-
-    /// [`Self::merge_scratch`] additionally reading and re-depositing the
-    /// durable cross-query floors/candidates in `accel` (built by
-    /// [`Self::new_accel`]). The selected edges are bit-identical with or
-    /// without the accelerator; only the traversal work shrinks.
-    pub fn merge_accel<S: ExecSpace>(
-        &self,
-        space: &S,
-        traversal: Traversal,
-        scratch: &mut MergeScratch,
-        accel: &mut MergeAccel,
-    ) -> ShardedResult {
-        self.merge_with(space, traversal, scratch, Some(accel), None).expect("no deadline was set")
-    }
-
-    /// [`Self::merge_accel`] under a wall-clock deadline, checked at every
-    /// merge-round boundary. On [`MergeDeadlineExceeded`] no partial result
-    /// escapes: the accelerator and scratch are exactly as reusable as
-    /// before the call (the round-1 harvest of an abandoned merge is
-    /// discarded with it).
-    pub fn merge_accel_deadline<S: ExecSpace>(
-        &self,
-        space: &S,
-        traversal: Traversal,
-        scratch: &mut MergeScratch,
-        accel: &mut MergeAccel,
-        deadline: Option<Instant>,
-    ) -> Result<ShardedResult, MergeDeadlineExceeded> {
-        self.merge_with(space, traversal, scratch, Some(accel), deadline)
-    }
-
-    fn merge_with<S: ExecSpace>(
+    pub fn merge<S: ExecSpace>(
         &self,
         space: &S,
         traversal: Traversal,
@@ -346,25 +316,14 @@ impl<const D: usize> ShardArtifacts<D> {
     /// and `stats.local_iterations` only the partially-covered shards that
     /// had to re-solve.
     ///
+    /// `deadline` is checked at every merge-round boundary (the local
+    /// re-solve phase of partially covered shards runs to completion first
+    /// — it is bounded by the build cost, which the caller already
+    /// accepted); with no deadline the call cannot fail.
+    ///
     /// # Panics
     /// On out-of-range or duplicate subset indices.
     pub fn merge_subset<S: ExecSpace>(
-        &self,
-        space: &S,
-        points: &[Point<D>],
-        subset: &[u32],
-        config: &EmstConfig,
-        scratch: &mut BoruvkaScratch,
-    ) -> ShardedResult {
-        self.merge_subset_deadline(space, points, subset, config, scratch, None)
-            .expect("no deadline was set")
-    }
-
-    /// [`Self::merge_subset`] under a wall-clock deadline, checked at every
-    /// merge-round boundary (the local re-solve phase of partially covered
-    /// shards runs to completion first — it is bounded by the build cost,
-    /// which the caller already accepted).
-    pub fn merge_subset_deadline<S: ExecSpace>(
         &self,
         space: &S,
         points: &[Point<D>],
@@ -1005,8 +964,12 @@ mod tests {
         assert!(artifacts.build_work().iterations > 0);
         assert!(artifacts.resident_bytes() > 0);
         let cold = emst_sharded(&pts, 5);
-        let a = artifacts.merge(&Threads, Traversal::default());
-        let b = artifacts.merge(&Threads, Traversal::default());
+        let a = artifacts
+            .merge(&Threads, Traversal::default(), &mut MergeScratch::new(), None, None)
+            .unwrap();
+        let b = artifacts
+            .merge(&Threads, Traversal::default(), &mut MergeScratch::new(), None, None)
+            .unwrap();
         assert_eq!(a.edges, b.edges);
         assert_eq!(a.edges, cold.edges);
         // Merge-only stats: traversal queries happened, but no Borůvka
@@ -1032,8 +995,9 @@ mod tests {
                 all.swap(i, j);
             }
             let subset = &all[..take];
-            let r =
-                artifacts.merge_subset(&Serial, &pts, subset, &EmstConfig::default(), &mut scratch);
+            let r = artifacts
+                .merge_subset(&Serial, &pts, subset, &EmstConfig::default(), &mut scratch, None)
+                .unwrap();
             assert_eq!(r.edges.len(), take - 1);
             // Edges use original ids; verify over the compacted numbering.
             let compact: std::collections::HashMap<u32, u32> =
@@ -1066,8 +1030,9 @@ mod tests {
             subset.extend(plan.shard_indices(s));
         }
         let mut scratch = BoruvkaScratch::new();
-        let r =
-            artifacts.merge_subset(&Serial, &pts, &subset, &EmstConfig::default(), &mut scratch);
+        let r = artifacts
+            .merge_subset(&Serial, &pts, &subset, &EmstConfig::default(), &mut scratch, None)
+            .unwrap();
         // Only shard 0 re-ran a local solve.
         assert_eq!(r.stats.local_iterations.len(), 1);
         let sub_pts: Vec<Point<2>> = subset.iter().map(|&i| pts[i as usize]).collect();
@@ -1081,9 +1046,18 @@ mod tests {
         let artifacts = ShardArtifacts::build(&Serial, &pts, &ShardConfig::new(4));
         let mut scratch = BoruvkaScratch::new();
         let cfg = EmstConfig::default();
-        assert!(artifacts.merge_subset(&Serial, &pts, &[], &cfg, &mut scratch).edges.is_empty());
-        assert!(artifacts.merge_subset(&Serial, &pts, &[7], &cfg, &mut scratch).edges.is_empty());
-        let two = artifacts.merge_subset(&Serial, &pts, &[3, 41], &cfg, &mut scratch);
+        assert!(artifacts
+            .merge_subset(&Serial, &pts, &[], &cfg, &mut scratch, None)
+            .unwrap()
+            .edges
+            .is_empty());
+        assert!(artifacts
+            .merge_subset(&Serial, &pts, &[7], &cfg, &mut scratch, None)
+            .unwrap()
+            .edges
+            .is_empty());
+        let two =
+            artifacts.merge_subset(&Serial, &pts, &[3, 41], &cfg, &mut scratch, None).unwrap();
         assert_eq!(two.edges.len(), 1);
         assert_eq!(two.edges[0], Edge::new(3, 41, pts[3].squared_distance(&pts[41])));
     }
@@ -1093,12 +1067,13 @@ mod tests {
     fn duplicate_subset_indices_panic() {
         let pts = random_points_2d(20, 2);
         let artifacts = ShardArtifacts::build(&Serial, &pts, &ShardConfig::new(2));
-        artifacts.merge_subset(
+        let _ = artifacts.merge_subset(
             &Serial,
             &pts,
             &[1, 2, 1],
             &EmstConfig::default(),
             &mut BoruvkaScratch::new(),
+            None,
         );
     }
 
@@ -1118,21 +1093,29 @@ mod tests {
         assert_eq!(restored.build_work().iterations, 0);
 
         // Full-cloud merge, subset merge, and knn are all bit-identical.
-        let a = built.merge(&Serial, Traversal::default());
-        let b = restored.merge(&Serial, Traversal::default());
+        let a = built
+            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
+            .unwrap();
+        let b = restored
+            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
+            .unwrap();
         assert_eq!(a.edges, b.edges);
         let subset: Vec<u32> = (0..700).step_by(3).collect();
         let mut scratch = BoruvkaScratch::new();
-        let sa = built.merge_subset(&Serial, &pts, &subset, &EmstConfig::default(), &mut scratch);
-        let sb =
-            restored.merge_subset(&Serial, &pts, &subset, &EmstConfig::default(), &mut scratch);
+        let sa = built
+            .merge_subset(&Serial, &pts, &subset, &EmstConfig::default(), &mut scratch, None)
+            .unwrap();
+        let sb = restored
+            .merge_subset(&Serial, &pts, &subset, &EmstConfig::default(), &mut scratch, None)
+            .unwrap();
         assert_eq!(sa.edges, sb.edges);
         let mut st = TraversalStats::default();
         assert_eq!(built.k_nearest(&pts[17], 5, &mut st), restored.k_nearest(&pts[17], 5, &mut st));
         // Accelerated merges over the restored bounds stay bit-identical.
         let mut accel = restored.new_accel();
         let mut ms = MergeScratch::new();
-        let c = restored.merge_accel(&Serial, Traversal::default(), &mut ms, &mut accel);
+        let c =
+            restored.merge(&Serial, Traversal::default(), &mut ms, Some(&mut accel), None).unwrap();
         assert_eq!(a.edges, c.edges);
 
         // Re-serializing the restored artifacts reproduces the same bytes.
@@ -1172,17 +1155,17 @@ mod tests {
         let mut scratch = MergeScratch::new();
         let mut accel = artifacts.new_accel();
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let err = artifacts.merge_accel_deadline(
+        let err = artifacts.merge(
             &Serial,
             Traversal::default(),
             &mut scratch,
-            &mut accel,
+            Some(&mut accel),
             Some(past),
         );
         assert_eq!(err.unwrap_err(), MergeDeadlineExceeded);
         let mut bs = BoruvkaScratch::new();
         let sub: Vec<u32> = (0..100).collect();
-        let err = artifacts.merge_subset_deadline(
+        let err = artifacts.merge_subset(
             &Serial,
             &pts,
             &sub,
@@ -1195,15 +1178,15 @@ mod tests {
         // scratch and accelerator the failed attempts touched.
         let far = Instant::now() + std::time::Duration::from_secs(3600);
         let ok = artifacts
-            .merge_accel_deadline(
-                &Serial,
-                Traversal::default(),
-                &mut scratch,
-                &mut accel,
-                Some(far),
-            )
+            .merge(&Serial, Traversal::default(), &mut scratch, Some(&mut accel), Some(far))
             .unwrap();
-        assert_eq!(ok.edges, artifacts.merge(&Serial, Traversal::default()).edges);
+        assert_eq!(
+            ok.edges,
+            artifacts
+                .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
+                .unwrap()
+                .edges
+        );
     }
 
     /// Appends `extra` fresh points to `pts`, returning the child cloud and
@@ -1255,14 +1238,22 @@ mod tests {
         assert!(!report.full_rebuild);
         assert!(report.reused_shards >= 4, "cluster inserts must keep most shards clean");
         assert_eq!(report.dirty_shards.len() + report.reused_shards, 6);
-        let r = child.merge(&Serial, Traversal::default());
+        let r = child
+            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
+            .unwrap();
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
         // The child is a first-class artifact: it serializes and restores
         // to bit-identical merges like any built one.
         let mut blob = vec![];
         child.serialize_into(&mut blob);
         let restored = ShardArtifacts::<2>::deserialize(&blob).unwrap();
-        assert_eq!(restored.merge(&Serial, Traversal::default()).edges, r.edges);
+        assert_eq!(
+            restored
+                .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
+                .unwrap()
+                .edges,
+            r.edges
+        );
     }
 
     #[test]
@@ -1291,7 +1282,9 @@ mod tests {
             .unwrap();
         assert!(!report.full_rebuild);
         assert!(!report.dirty_shards.is_empty() && report.reused_shards > 0);
-        let r = child.merge(&Serial, Traversal::default());
+        let r = child
+            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
+            .unwrap();
         assert_eq!(r.edges.len(), np.len() - 1);
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
     }
@@ -1304,7 +1297,7 @@ mod tests {
         // inherit.
         let mut accel = parent.new_accel();
         let mut ms = MergeScratch::new();
-        parent.merge_accel(&Serial, Traversal::default(), &mut ms, &mut accel);
+        parent.merge(&Serial, Traversal::default(), &mut ms, Some(&mut accel), None).unwrap();
         assert!(accel.num_candidates() > 0, "round 1 must have harvested candidates");
 
         let extra = vec![Point::new([0.05f32, -0.4]), Point::new([-0.6f32, 0.33])];
@@ -1319,12 +1312,18 @@ mod tests {
         // Inherited floors only prune provably-dead work: the merge result
         // is bit-identical, and repeated merges through the child's own
         // accelerator stay so.
-        let a = plain.merge(&Serial, Traversal::default());
-        let b = floored.merge(&Serial, Traversal::default());
+        let a = plain
+            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
+            .unwrap();
+        let b = floored
+            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
+            .unwrap();
         assert_eq!(a.edges, b.edges);
         let mut child_accel = floored.new_accel();
         for _ in 0..2 {
-            let c = floored.merge_accel(&Serial, Traversal::default(), &mut ms, &mut child_accel);
+            let c = floored
+                .merge(&Serial, Traversal::default(), &mut ms, Some(&mut child_accel), None)
+                .unwrap();
             assert_eq!(c.edges, b.edges);
         }
         assert_eq!(weight_multiset(&a.edges), weight_multiset(&brute_force_emst(&np)));
@@ -1352,7 +1351,9 @@ mod tests {
             .unwrap();
         assert!(report.full_rebuild);
         assert_eq!(report.reused_shards, 0);
-        let r = child.merge(&Serial, Traversal::default());
+        let r = child
+            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
+            .unwrap();
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
     }
 
@@ -1388,9 +1389,18 @@ mod tests {
                 Some(far),
             )
             .unwrap();
-        let r = child.merge(&Serial, Traversal::default());
+        let r = child
+            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
+            .unwrap();
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
-        assert_eq!(parent.merge(&Serial, Traversal::default()).edges.len(), pts.len() - 1);
+        assert_eq!(
+            parent
+                .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
+                .unwrap()
+                .edges
+                .len(),
+            pts.len() - 1
+        );
     }
 
     #[test]

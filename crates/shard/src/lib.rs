@@ -145,7 +145,9 @@ pub fn emst_sharded_with<S: ExecSpace, const D: usize>(
         return ShardedResult::empty();
     }
     let artifacts = ShardArtifacts::build(space, points, config);
-    let mut result = artifacts.merge(space, config.emst.traversal);
+    let mut result = artifacts
+        .merge(space, config.emst.traversal, &mut MergeScratch::new(), None, None)
+        .expect("no deadline was set");
     let mut timings = artifacts.build_timings().clone();
     timings.absorb(&result.stats.timings);
     result.stats.timings = timings;
