@@ -11,10 +11,12 @@
 //! ≥ 1.3× median speedup of the `mst.find_edges` phase.
 //!
 //! Pass `--json <path>` (after `--`) to also write the measured grid as an
-//! `emst-bench-snapshot/1` JSON (see `emst_bench::snapshot`); `perf_snapshot`
-//! is the richer entry point for committed `BENCH_*.json` files.
+//! `emst-bench-snapshot/1` JSON (see `docs/bench-snapshot.md`). `cargo
+//! bench` runs this binary in `crates/bench`, so a relative path lands
+//! there. `perf_snapshot` is the richer entry point for committed
+//! `BENCH_*.json` files.
 
-use emst_bench::snapshot::{measure_traversal_grid, Snapshot};
+use emst_bench::snapshot::{grid, measure_traversal_cell, Snapshot, TRAVERSAL_GENERATORS};
 use emst_bench::{bench_n_override, bench_scale};
 
 fn main() {
@@ -28,27 +30,14 @@ fn main() {
     };
     let repeats = 3;
 
-    println!("# Traversal ablation: stack vs stackless/SoA (Threads backend, {repeats} repeats)");
-    println!();
-    println!(
-        "{:<12} {:>10} {:>14} {:>14} {:>14} {:>14} {:>9}",
-        "generator", "n", "stack find", "stackless", "stack mst", "stackless", "speedup"
-    );
-    let cells = measure_traversal_grid(&sizes, repeats);
-    let mut speedups: Vec<f64> = vec![];
-    for cell in &cells {
-        speedups.push(cell.speedup_find_edges());
-        println!(
-            "{:<12} {:>10} {:>12.4} s {:>12.4} s {:>12.4} s {:>12.4} s {:>8.2}x",
-            cell.generator,
-            cell.n,
-            cell.stack.find_edges_s,
-            cell.stackless.find_edges_s,
-            cell.stack.mst_s,
-            cell.stackless.mst_s,
-            cell.speedup_find_edges()
-        );
-    }
+    let cells = grid(&TRAVERSAL_GENERATORS, &sizes, |g, kind, n| {
+        [measure_traversal_cell(g, kind, n, repeats)]
+    });
+    let mut speedups: Vec<f64> = cells.iter().map(|c| c.num("speedup_find_edges")).collect();
+    let mut snap = Snapshot { repeats, sections: vec![] };
+    let title =
+        format!("Traversal ablation: stack vs stackless/SoA (Threads backend, {repeats} repeats)");
+    snap.section("traversal", &title, cells);
     speedups.sort_by(f64::total_cmp);
     let median = speedups[speedups.len() / 2];
     println!();
@@ -56,17 +45,6 @@ fn main() {
 
     if let Some(pos) = std::env::args().position(|a| a == "--json") {
         if let Some(path) = std::env::args().nth(pos + 1) {
-            let snap = Snapshot {
-                repeats,
-                summary: vec![],
-                traversal: cells,
-                serving: vec![],
-                serving_concurrent: vec![],
-                observability: vec![],
-                fault_tolerance: vec![],
-                serving_network: vec![],
-                incremental: vec![],
-            };
             snap.write(std::path::Path::new(&path)).expect("write JSON");
             eprintln!("wrote {path}");
         }

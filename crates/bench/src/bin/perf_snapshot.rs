@@ -1,9 +1,9 @@
 //! `perf_snapshot` — the machine-readable perf harness.
 //!
-//! Runs the fig1-style summary plus the stack-vs-stackless traversal
-//! ablation and writes the result as `emst-bench-snapshot/1` JSON (schema
-//! documented in `emst_bench::snapshot`), so every PR can commit a
-//! `BENCH_*.json` for future PRs to regress against.
+//! Runs the fig1-style summary plus every ablation grid and writes the
+//! result as `emst-bench-snapshot/1` JSON (schema in
+//! `docs/bench-snapshot.md`), so every PR can commit a `BENCH_*.json` for
+//! future PRs to regress against.
 //!
 //! ```text
 //! perf_snapshot [--json BENCH_PR6.json] [--sizes 10000,100000,1000000]
@@ -42,9 +42,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use emst_bench::snapshot::{
-    measure_fault_tolerance, measure_incremental, measure_observability,
-    measure_serving_concurrent, measure_serving_grid, measure_serving_network, measure_summary,
-    measure_traversal_grid, Snapshot,
+    grid, measure_fault_tolerance, measure_incremental, measure_observability,
+    measure_serving_cell, measure_serving_concurrent, measure_serving_network, measure_summary,
+    measure_traversal_cell, Snapshot, SERVING_GENERATORS, TRAVERSAL_GENERATORS,
 };
 
 struct Args {
@@ -62,6 +62,9 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
+    let list = |v: String, what: &str| -> Result<Vec<usize>, String> {
+        v.split(',').map(|s| s.trim().parse().map_err(|_| format!("bad {what} {s:?}"))).collect()
+    };
     let mut args = Args {
         json: None,
         sizes: vec![10_000, 100_000],
@@ -78,53 +81,19 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     while let Some(key) = it.next() {
         let mut value = || it.next().ok_or(format!("{key} needs a value"));
+        let count = |v: String| v.parse::<usize>().map_err(|_| format!("bad {key}"));
         match key.as_str() {
             "--json" => args.json = Some(PathBuf::from(value()?)),
-            "--sizes" => {
-                args.sizes = value()?
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|_| format!("bad size {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--serving-sizes" => {
-                args.serving_sizes = value()?
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|_| format!("bad size {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--serving-shards" => {
-                args.serving_shards = value()?
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|_| format!("bad shard count {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--concurrent-workers" => {
-                args.concurrent_workers = value()?
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|_| format!("bad worker count {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--concurrent-queries" => {
-                args.concurrent_queries =
-                    value()?.parse().map_err(|_| "bad --concurrent-queries".to_string())?;
-            }
-            "--net-clients" => {
-                args.net_clients = value()?.parse().map_err(|_| "bad --net-clients".to_string())?;
-            }
-            "--net-requests" => {
-                args.net_requests =
-                    value()?.parse().map_err(|_| "bad --net-requests".to_string())?;
-            }
-            "--incremental-shards" => {
-                args.incremental_shards =
-                    value()?.parse().map_err(|_| "bad --incremental-shards".to_string())?;
-            }
-            "--summary-n" => {
-                args.summary_n = value()?.parse().map_err(|_| "bad --summary-n".to_string())?;
-            }
-            "--repeats" => {
-                args.repeats = value()?.parse().map_err(|_| "bad --repeats".to_string())?;
-            }
+            "--sizes" => args.sizes = list(value()?, "size")?,
+            "--serving-sizes" => args.serving_sizes = list(value()?, "size")?,
+            "--serving-shards" => args.serving_shards = list(value()?, "shard count")?,
+            "--concurrent-workers" => args.concurrent_workers = list(value()?, "worker count")?,
+            "--concurrent-queries" => args.concurrent_queries = count(value()?)?,
+            "--net-clients" => args.net_clients = count(value()?)?,
+            "--net-requests" => args.net_requests = count(value()?)?,
+            "--incremental-shards" => args.incremental_shards = count(value()?)?,
+            "--summary-n" => args.summary_n = count(value()?)?,
+            "--repeats" => args.repeats = count(value()?)?,
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -163,244 +132,82 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let repeats = args.repeats;
+    let sizes = &args.serving_sizes;
+    // The serving grids past the cold/warm sweep run at its last count.
+    let shards = *args.serving_shards.last().expect("checked non-empty");
+    let mut snap = Snapshot { repeats, sections: vec![] };
 
-    println!("# perf_snapshot: summary n = {}, repeats = {}", args.summary_n, args.repeats);
-    let summary = measure_summary(args.summary_n, args.repeats);
-    println!();
-    println!("{:<28} {:>10} {:>12}", "configuration", "n", "MFeat/s");
-    for row in &summary {
-        println!("{:<28} {:>10} {:>12.3}", row.configuration, row.n, row.mfeatures_per_s);
-        for (phase, secs) in &row.phases {
-            println!("    {phase:<24} {secs:>10.4} s");
-        }
-    }
-
-    println!();
-    println!("# traversal ablation (stack vs stackless, Threads backend)");
-    println!(
-        "{:<12} {:>10} {:>14} {:>14} {:>9}",
-        "generator", "n", "stack find", "stackless", "speedup"
+    println!("# perf_snapshot: summary n = {}, repeats = {repeats}", args.summary_n);
+    snap.section("summary", "fig1-style summary", measure_summary(args.summary_n, repeats));
+    snap.section(
+        "traversal",
+        "traversal ablation (stack vs stackless, Threads backend)",
+        grid(&TRAVERSAL_GENERATORS, &args.sizes, |g, kind, n| {
+            [measure_traversal_cell(g, kind, n, repeats)]
+        }),
     );
-    let traversal = measure_traversal_grid(&args.sizes, args.repeats);
-    for cell in &traversal {
-        println!(
-            "{:<12} {:>10} {:>12.4} s {:>12.4} s {:>8.2}x",
-            cell.generator,
-            cell.n,
-            cell.stack.find_edges_s,
-            cell.stackless.find_edges_s,
-            cell.speedup_find_edges()
-        );
-    }
-
-    println!();
-    println!(
-        "# serving ablation (cold vs warm full-EMST query, K in {:?}, Threads backend)",
+    snap.section(
+        "serving",
+        &format!(
+            "serving ablation (cold vs warm full-EMST query, K in {:?}, Threads backend)",
+            args.serving_shards
+        ),
         args.serving_shards
+            .iter()
+            .flat_map(|&k| {
+                grid(&SERVING_GENERATORS, sizes, |g, kind, n| {
+                    [measure_serving_cell(g, kind, n, k, repeats)]
+                })
+            })
+            .collect(),
     );
-    println!(
-        "{:<12} {:>10} {:>4} {:>12} {:>12} {:>9}",
-        "generator", "n", "K", "cold", "warm", "speedup"
+    snap.section(
+        "serving_concurrent",
+        &format!(
+            "concurrent serving (warm throughput, shared engine, Serial per query, workers {:?})",
+            args.concurrent_workers
+        ),
+        grid(&SERVING_GENERATORS, sizes, |g, kind, n| {
+            let workers = &args.concurrent_workers;
+            measure_serving_concurrent(g, kind, n, shards, workers, args.concurrent_queries)
+        }),
     );
-    let mut serving = vec![];
-    for &shards in &args.serving_shards {
-        serving.extend(measure_serving_grid(&args.serving_sizes, shards, args.repeats));
-    }
-    for cell in &serving {
-        println!(
-            "{:<12} {:>10} {:>4} {:>10.4} s {:>10.4} s {:>8.2}x",
-            cell.generator,
-            cell.n,
-            cell.shards,
-            cell.cold_s,
-            cell.warm_s,
-            cell.speedup_warm()
-        );
-    }
+    snap.section(
+        "observability",
+        "observability overhead (warm query, instrumentation on vs off, budget <= 5%)",
+        grid(&SERVING_GENERATORS, sizes, |g, kind, n| {
+            [measure_observability(g, kind, n, shards, repeats)]
+        }),
+    );
+    snap.section(
+        "fault_tolerance",
+        "fault tolerance (reload of an evicted cloud: artifact restore vs rebuild)",
+        grid(&SERVING_GENERATORS, sizes, |g, kind, n| {
+            [measure_fault_tolerance(g, kind, n, shards, repeats)]
+        }),
+    );
+    snap.section(
+        "serving_network",
+        &format!(
+            "network serving (warm wire latency vs in-process, {} clients storm)",
+            args.net_clients
+        ),
+        grid(&SERVING_GENERATORS, sizes, |g, kind, n| {
+            [measure_serving_network(g, kind, n, shards, args.net_clients, args.net_requests)]
+        }),
+    );
+    snap.section(
+        "incremental",
+        &format!(
+            "incremental updates (1% clustered insert delta-solve vs cold rebuild, K = {})",
+            args.incremental_shards
+        ),
+        grid(&SERVING_GENERATORS, sizes, |g, kind, n| {
+            [measure_incremental(g, kind, n, args.incremental_shards, repeats)]
+        }),
+    );
 
-    println!();
-    println!(
-        "# concurrent serving (warm throughput, shared engine, Serial per query, workers {:?})",
-        args.concurrent_workers
-    );
-    println!(
-        "{:<12} {:>10} {:>4} {:>8} {:>12} {:>9} {:>9}",
-        "generator", "n", "K", "workers", "queries/s", "speedup", "cpus"
-    );
-    let mut serving_concurrent = vec![];
-    {
-        use emst_datasets::Kind;
-        let shards = *args.serving_shards.last().unwrap();
-        for (name, kind) in [("uniform", Kind::Uniform), ("dense", Kind::GeoLifeLike)] {
-            for &n in &args.serving_sizes {
-                serving_concurrent.extend(measure_serving_concurrent(
-                    name,
-                    kind,
-                    n,
-                    shards,
-                    &args.concurrent_workers,
-                    args.concurrent_queries,
-                ));
-            }
-        }
-    }
-    for cell in &serving_concurrent {
-        println!(
-            "{:<12} {:>10} {:>4} {:>8} {:>12.2} {:>8.2}x {:>9}",
-            cell.generator,
-            cell.n,
-            cell.shards,
-            cell.workers,
-            cell.queries_per_s,
-            cell.speedup_vs_1,
-            cell.host_cpus,
-        );
-    }
-
-    println!();
-    println!("# observability overhead (warm query, instrumentation on vs off, budget <= 5%)");
-    println!(
-        "{:<12} {:>10} {:>4} {:>12} {:>12} {:>9}",
-        "generator", "n", "K", "observed", "raw", "overhead"
-    );
-    let mut observability = vec![];
-    {
-        use emst_datasets::Kind;
-        let shards = *args.serving_shards.last().unwrap();
-        for (name, kind) in [("uniform", Kind::Uniform), ("dense", Kind::GeoLifeLike)] {
-            for &n in &args.serving_sizes {
-                observability.push(measure_observability(name, kind, n, shards, args.repeats));
-            }
-        }
-    }
-    for cell in &observability {
-        println!(
-            "{:<12} {:>10} {:>4} {:>10.4} s {:>10.4} s {:>7.2}%",
-            cell.generator,
-            cell.n,
-            cell.shards,
-            cell.warm_observed_s,
-            cell.warm_raw_s,
-            cell.overhead_pct(),
-        );
-    }
-
-    println!();
-    println!("# fault tolerance (reload of an evicted cloud: artifact restore vs rebuild)");
-    println!(
-        "{:<12} {:>10} {:>4} {:>12} {:>12} {:>9}",
-        "generator", "n", "K", "restore", "rebuild", "speedup"
-    );
-    let mut fault_tolerance = vec![];
-    {
-        use emst_datasets::Kind;
-        let shards = *args.serving_shards.last().unwrap();
-        for (name, kind) in [("uniform", Kind::Uniform), ("dense", Kind::GeoLifeLike)] {
-            for &n in &args.serving_sizes {
-                fault_tolerance.push(measure_fault_tolerance(name, kind, n, shards, args.repeats));
-            }
-        }
-    }
-    for cell in &fault_tolerance {
-        println!(
-            "{:<12} {:>10} {:>4} {:>10.4} s {:>10.4} s {:>8.2}x",
-            cell.generator,
-            cell.n,
-            cell.shards,
-            cell.restore_reload_s,
-            cell.rebuild_reload_s,
-            cell.restore_speedup(),
-        );
-    }
-
-    println!();
-    println!(
-        "# network serving (warm wire latency vs in-process, {} clients storm)",
-        args.net_clients
-    );
-    println!(
-        "{:<12} {:>10} {:>4} {:>12} {:>12} {:>9} {:>10}",
-        "generator", "n", "K", "wire", "in-proc", "overhead", "coalesced"
-    );
-    let mut serving_network = vec![];
-    {
-        use emst_datasets::Kind;
-        let shards = *args.serving_shards.last().unwrap();
-        for (name, kind) in [("uniform", Kind::Uniform), ("dense", Kind::GeoLifeLike)] {
-            for &n in &args.serving_sizes {
-                serving_network.push(measure_serving_network(
-                    name,
-                    kind,
-                    n,
-                    shards,
-                    args.net_clients,
-                    args.net_requests,
-                ));
-            }
-        }
-    }
-    for cell in &serving_network {
-        println!(
-            "{:<12} {:>10} {:>4} {:>10.6} s {:>10.6} s {:>8.2}x {:>10}",
-            cell.generator,
-            cell.n,
-            cell.shards,
-            cell.warm_net_s,
-            cell.warm_inproc_s,
-            cell.wire_overhead(),
-            cell.coalesced,
-        );
-    }
-
-    println!();
-    println!(
-        "# incremental updates (1% clustered insert delta-solve vs cold rebuild, K = {})",
-        args.incremental_shards
-    );
-    println!(
-        "{:<12} {:>10} {:>4} {:>8} {:>6} {:>12} {:>12} {:>9}",
-        "generator", "n", "K", "mutated", "dirty", "update", "rebuild", "speedup"
-    );
-    let mut incremental = vec![];
-    {
-        use emst_datasets::Kind;
-        for (name, kind) in [("uniform", Kind::Uniform), ("dense", Kind::GeoLifeLike)] {
-            for &n in &args.serving_sizes {
-                incremental.push(measure_incremental(
-                    name,
-                    kind,
-                    n,
-                    args.incremental_shards,
-                    args.repeats,
-                ));
-            }
-        }
-    }
-    for cell in &incremental {
-        println!(
-            "{:<12} {:>10} {:>4} {:>8} {:>6} {:>10.4} s {:>10.4} s {:>8.2}x",
-            cell.generator,
-            cell.n,
-            cell.shards,
-            cell.mutated,
-            cell.dirty_shards,
-            cell.update_s,
-            cell.rebuild_s,
-            cell.speedup_update(),
-        );
-    }
-
-    let snap = Snapshot {
-        repeats: args.repeats,
-        summary,
-        traversal,
-        serving,
-        serving_concurrent,
-        observability,
-        fault_tolerance,
-        serving_network,
-        incremental,
-    };
     if let Some(path) = &args.json {
         if let Err(e) = snap.write(path) {
             eprintln!("error: cannot write {}: {e}", path.display());

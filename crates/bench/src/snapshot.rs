@@ -1,191 +1,23 @@
 //! Machine-readable performance snapshots (`BENCH_*.json`).
 //!
 //! Wall-clock numbers printed to a terminal rot; committed JSON gives every
-//! future PR a trajectory to regress against. This module measures two
-//! things and serializes them with a tiny hand-rolled writer (the workspace
-//! has no serde):
+//! future PR a trajectory to regress against. Each `measure_*` function
+//! runs one ablation cell (or one summary row) and returns it as a
+//! [`Cell`], an ordered list of keys and values with its ratio already
+//! taken. A [`Snapshot`] files the cells under the sections of
+//! [`SECTIONS`] and writes them as `emst-bench-snapshot/1` JSON with one
+//! small writer (the workspace has no serde).
 //!
-//! - a **fig1-style summary**: MFeatures/s of the competing EMST
-//!   implementations at one fixed size, plus per-phase medians of the
-//!   single-tree solve;
-//! - the **traversal ablation grid**: stack vs stackless medians of the
-//!   `mst.find_edges` phase (and the whole `mst` phase) per
-//!   `(generator, n)` cell on the `Threads` backend, with the speedup.
-//!
-//! - the **serving ablation**: cold (fresh engine: digest + plan + local
-//!   solves + merge) vs warm (resident artifacts: digest + merge only)
-//!   medians of a full-EMST query against `emst_serve::ServeEngine`, per
-//!   `(generator, n, shards)` cell.
-//!
-//! - the **concurrent serving ablation**: warm full-EMST throughput of
-//!   one shared engine under 1/2/4 worker threads (queries run on the
-//!   `Serial` backend so the workers themselves are the parallelism),
-//!   with every concurrent answer asserted bit-identical to the
-//!   single-threaded one. Cells carry `host_cpus` because throughput
-//!   scaling is physically bounded by the cores of the measuring host —
-//!   on a 1-CPU container `speedup_vs_1 ≈ 1.0` is the *correct* reading,
-//!   not a harness failure.
-//!
-//! - the **observability overhead**: median warm full-EMST query time on
-//!   two otherwise-identical resident engines, one with the `emst_obs`
-//!   instrumentation enabled (the default) and one with
-//!   `ServeConfig::observability = false` (every probe compiled to a
-//!   skipped `Option` check). The budget is ≤5% overhead on warm queries;
-//!   both engines' answers are asserted bit-identical.
-//!
-//! - the **fault-tolerance reload ablation**: median reload time of an
-//!   evicted cloud on two otherwise-identical engines, one spilling
-//!   durable artifacts next to the points (`spill_artifacts = true`, the
-//!   default — reload is a checksum-verified read plus deserialize) and
-//!   one spilling points only (`spill_artifacts = false` — reload re-runs
-//!   the deterministic plan + local solves). Both answers are asserted
-//!   bit-identical to the resident reference, the restoring engine's
-//!   reload must report zero build work, and the rebuilding engine's must
-//!   not — the harness refuses to report a speedup for a mislabeled path.
-//!   No faults are injected (`fault_plan` stays `None`), so this grid
-//!   also pins the happy-path cost of the robustness layer.
-//!
-//! - the **network serving overhead**: median warm full-EMST request
-//!   latency through `emst_serve::ServeServer`'s TCP front-end vs the
-//!   same request executed by the in-process protocol function
-//!   (`emst_serve::net::respond`) on the same engine — the wire reply is
-//!   asserted byte-identical to the in-process bytes before any latency
-//!   is reported. Each cell also fires a same-key storm of `clients`
-//!   identical cold queries and records how many coalesced onto one
-//!   in-flight execution (`coalesced`; `0` is an honest reading on a
-//!   host too fast or too serial for the storm to overlap).
-//!
-//! - the **incremental-update ablation**: median 1%-mutation `insert`
-//!   against a resident engine (changed points routed to their Morton
-//!   shards, dirty shards re-solved, clean shards' harvested facts
-//!   reused, exact cross-shard re-merge) vs a cold from-scratch build of
-//!   the same mutated cloud on a fresh engine. The incremental answer's
-//!   edge-weight multiset is asserted bit-identical to the from-scratch
-//!   one before any number is reported, the update must not have fallen
-//!   back to a full rebuild, and at least one clean shard must have been
-//!   reused — the harness refuses to report a speedup for a mislabeled
-//!   path or wrong bits.
-//!
-//! # JSON schema (`emst-bench-snapshot/1`)
-//!
-//! ```json
-//! {
-//!   "schema": "emst-bench-snapshot/1",
-//!   "repeats": 3,
-//!   "backend": "Threads",
-//!   "summary": [
-//!     { "configuration": "single-tree (Threads)", "n": 100000, "dim": 3,
-//!       "mfeatures_per_s": 1.8,
-//!       "phases": { "tree": 0.01, "mst": 0.2, "mst.find_edges": 0.15 } }
-//!   ],
-//!   "traversal": [
-//!     { "generator": "uniform", "n": 100000,
-//!       "stack":     { "find_edges_s": 0.21, "mst_s": 0.26, "total_s": 0.30 },
-//!       "stackless": { "find_edges_s": 0.16, "mst_s": 0.21, "total_s": 0.25 },
-//!       "speedup_find_edges": 1.36 }
-//!   ],
-//!   "serving": [
-//!     { "generator": "uniform", "n": 100000, "shards": 2,
-//!       "cold_s": 0.33, "warm_s": 0.06, "speedup_warm": 5.3 }
-//!   ],
-//!   "serving_concurrent": [
-//!     { "generator": "uniform", "n": 100000, "shards": 4, "workers": 2,
-//!       "queries": 32, "queries_per_s": 31.0, "speedup_vs_1": 1.9,
-//!       "host_cpus": 8 }
-//!   ],
-//!   "observability": [
-//!     { "generator": "uniform", "n": 100000, "shards": 4,
-//!       "warm_observed_s": 0.061, "warm_raw_s": 0.060, "overhead_pct": 1.7 }
-//!   ],
-//!   "fault_tolerance": [
-//!     { "generator": "uniform", "n": 100000, "shards": 4,
-//!       "restore_reload_s": 0.02, "rebuild_reload_s": 0.31,
-//!       "restore_speedup": 15.5 }
-//!   ],
-//!   "serving_network": [
-//!     { "generator": "uniform", "n": 100000, "shards": 4, "clients": 8,
-//!       "requests": 32, "warm_net_s": 0.061, "warm_inproc_s": 0.060,
-//!       "wire_overhead": 1.02, "coalesced": 7 }
-//!   ],
-//!   "incremental": [
-//!     { "generator": "uniform", "n": 100000, "shards": 16, "mutated": 1000,
-//!       "dirty_shards": 1, "update_s": 0.14, "rebuild_s": 0.46,
-//!       "speedup_update": 3.3 }
-//!   ]
-//! }
-//! ```
-//!
-//! Field by field (see also `docs/bench-snapshot.md`):
-//!
-//! - `schema` — the literal `"emst-bench-snapshot/1"`. Consumers **must
-//!   ignore unknown fields** (new sections are additive — `serving` was
-//!   added by PR 4 without a version bump); producers bump the suffix only
-//!   on breaking changes to *existing* fields.
-//! - `repeats` — interleaved repetitions behind every median in the file
-//!   (interleaved so machine drift hits every configuration equally).
-//! - `backend` — execution space of every measured row (`"Threads"`).
-//! - `summary[]` — fig1-style rows: `configuration` (human-readable solver
-//!   name), `n` (point count), `dim` (dimensionality), `mfeatures_per_s`
-//!   (the paper's rate metric, `n·dim / seconds / 10⁶`), and `phases`
-//!   (median seconds per recorded phase name; empty object for solvers
-//!   that only report totals).
-//! - `traversal[]` — stack-vs-stackless ablation cells: `generator`
-//!   (`uniform` | `clustered` | `dense`, see [`TRAVERSAL_GENERATORS`]),
-//!   `n`, then per walker (`stack`, `stackless`) the median seconds of the
-//!   `mst.find_edges` phase (`find_edges_s`), the whole `mst` phase
-//!   (`mst_s`) and construction + solve (`total_s`).
-//!   `speedup_find_edges` = `stack.find_edges_s / stackless.find_edges_s`.
-//! - `serving[]` — cold-vs-warm serving cells: `generator`, `n`, `shards`
-//!   (the cache key's `K`), `cold_s` (median full query on a *fresh*
-//!   engine — digest, plan, local solves, shard BVHs, merge), `warm_s`
-//!   (median repeat query on the *resident* engine — digest + cross-shard
-//!   merge only; the local phase is skipped entirely).
-//!   `speedup_warm` = `cold_s / warm_s`.
-//! - `serving_concurrent[]` — warm-throughput scaling cells (added by
-//!   PR 6, additive): `generator`, `n`, `shards`, `workers` (threads
-//!   querying one shared engine), `queries` (total answered),
-//!   `queries_per_s` (aggregate throughput), `speedup_vs_1` (throughput
-//!   over the same grid's `workers = 1` cell), `host_cpus` (cores of the
-//!   measuring host — the upper bound on honest scaling).
-//! - `observability[]` — instrumentation overhead cells (added by PR 7,
-//!   additive): `generator`, `n`, `shards`, `warm_observed_s` (median
-//!   warm query with metrics + traces enabled), `warm_raw_s` (same engine
-//!   configuration with `observability = false`), `overhead_pct` =
-//!   `(warm_observed_s / warm_raw_s − 1) × 100` — the acceptance budget
-//!   is ≤5 on warm queries.
-//! - `fault_tolerance[]` — artifact-restore-vs-rebuild reload cells
-//!   (added by PR 8, additive): `generator`, `n`, `shards`,
-//!   `restore_reload_s` (median reload of an evicted cloud from a spill
-//!   carrying durable artifacts — verified read + deserialize),
-//!   `rebuild_reload_s` (same reload with points-only spills —
-//!   deterministic plan + local solves re-run), `restore_speedup` =
-//!   `rebuild_reload_s / restore_reload_s`.
-//! - `serving_network[]` — TCP front-end cells (added by PR 9, additive):
-//!   `generator`, `n`, `shards`, `clients` (concurrent connections in the
-//!   coalescing storm, also the server's worker count), `requests`
-//!   (sequential warm round-trips behind each latency median),
-//!   `warm_net_s` (median warm full-EMST request over a real socket),
-//!   `warm_inproc_s` (the same request through `respond` directly),
-//!   `wire_overhead` = `warm_net_s / warm_inproc_s`, `coalesced`
-//!   (same-key storm queries that shared one execution; may honestly be
-//!   `0` on a host where the storm never overlapped).
-//! - `incremental[]` — incremental-update cells (added by PR 10,
-//!   additive): `generator`, `n`, `shards`, `mutated` (points inserted by
-//!   the 1% clustered mutation), `dirty_shards` (shards the update
-//!   re-solved; the clustered insert keeps this small by design),
-//!   `update_s` (median `ServeEngine::insert` — digest + route + dirty
-//!   re-solves + exact re-merge), `rebuild_s` (median cold from-scratch
-//!   build of the identical mutated cloud on a fresh engine),
-//!   `speedup_update` = `rebuild_s / update_s`.
-//!
-//! All durations are seconds. `null` replaces non-finite numbers.
+//! The schema — every section and every field — is documented in
+//! `docs/bench-snapshot.md`; a unit test checks that file's Field columns
+//! against [`SECTIONS`].
 
-use std::io::Write as _;
+use std::fmt;
 use std::path::Path;
 
 use emst_core::{EmstConfig, SingleTreeBoruvka, Traversal};
 use emst_datasets::Kind;
-use emst_exec::Threads;
+use emst_exec::{PhaseTimings, Serial, Threads};
 use emst_geometry::Point;
 
 /// The generators of the traversal ablation: uniform, clustered
@@ -193,223 +25,214 @@ use emst_geometry::Point;
 pub const TRAVERSAL_GENERATORS: [(&str, Kind); 3] =
     [("uniform", Kind::Uniform), ("clustered", Kind::VisualVar), ("dense", Kind::GeoLifeLike)];
 
-/// Median timings of one `(generator, n, traversal)` cell.
-#[derive(Clone, Copy, Debug)]
-pub struct TraversalTimings {
-    /// Median seconds of the `mst.find_edges` phase.
-    pub find_edges_s: f64,
-    /// Median seconds of the whole `mst` phase.
-    pub mst_s: f64,
-    /// Median seconds of tree construction + `mst`.
-    pub total_s: f64,
-}
+/// The generators of every serving section: uniform and dense.
+pub const SERVING_GENERATORS: [(&str, Kind); 2] =
+    [("uniform", Kind::Uniform), ("dense", Kind::GeoLifeLike)];
 
-/// One `(generator, n)` cell of the ablation: both walkers plus the ratio.
+/// The snapshot's sections in file order, each with the keys of its cells
+/// in order. `docs/bench-snapshot.md` documents every key.
+#[rustfmt::skip]
+pub const SECTIONS: [(&str, &[&str]); 8] = [
+    ("summary", &["configuration", "n", "dim", "mfeatures_per_s", "phases"]),
+    ("traversal", &["generator", "n", "stack", "stackless", "speedup_find_edges"]),
+    ("serving", &["generator", "n", "shards", "cold_s", "warm_s", "speedup_warm"]),
+    ("serving_concurrent", &["generator", "n", "shards", "workers", "queries", "queries_per_s",
+        "speedup_vs_1", "host_cpus"]),
+    ("observability", &["generator", "n", "shards", "warm_observed_s", "warm_raw_s",
+        "overhead_pct"]),
+    ("fault_tolerance", &["generator", "n", "shards", "restore_reload_s", "rebuild_reload_s",
+        "restore_speedup"]),
+    ("serving_network", &["generator", "n", "shards", "clients", "requests", "warm_net_s",
+        "warm_inproc_s", "wire_overhead", "coalesced"]),
+    ("incremental", &["generator", "n", "shards", "mutated", "dirty_shards", "update_s",
+        "rebuild_s", "speedup_update"]),
+];
+
+/// One value of a [`Cell`].
 #[derive(Clone, Debug)]
-pub struct TraversalCell {
-    /// Generator name (see [`TRAVERSAL_GENERATORS`]).
-    pub generator: String,
-    /// Point count.
-    pub n: usize,
-    /// Seed stack walker medians.
-    pub stack: TraversalTimings,
-    /// Stackless rope walker medians.
-    pub stackless: TraversalTimings,
+pub enum Value {
+    /// A count, written as a JSON integer.
+    Int(u64),
+    /// A measurement or ratio, written with six decimals (`null` when not
+    /// finite).
+    Num(f64),
+    /// A label, written as an escaped JSON string.
+    Str(String),
+    /// A nested object.
+    Cell(Cell),
 }
 
-impl TraversalCell {
-    /// `stack / stackless` on the `mst.find_edges` phase.
-    pub fn speedup_find_edges(&self) -> f64 {
-        self.stack.find_edges_s / self.stackless.find_edges_s
+impl From<usize> for Value {
+    fn from(v: usize) -> Self {
+        Value::Int(v as u64)
     }
 }
 
-/// One row of the fig1-style summary.
-#[derive(Clone, Debug)]
-pub struct SummaryRow {
-    /// Human-readable configuration name.
-    pub configuration: String,
-    /// Point count.
-    pub n: usize,
-    /// Dimensionality.
-    pub dim: usize,
-    /// The paper's rate metric.
-    pub mfeatures_per_s: f64,
-    /// Median seconds per recorded phase (may be empty for non-single-tree
-    /// rows, whose solvers report only totals).
-    pub phases: Vec<(String, f64)>,
-}
-
-/// One `(generator, n, shards)` cell of the serving ablation: median
-/// cold-vs-warm full-EMST query times against `emst_serve::ServeEngine`.
-#[derive(Clone, Debug)]
-pub struct ServingCell {
-    /// Generator name (see [`TRAVERSAL_GENERATORS`]).
-    pub generator: String,
-    /// Point count.
-    pub n: usize,
-    /// Shard count (the cache key's `K`).
-    pub shards: usize,
-    /// Median seconds of a cold query (fresh engine: digest + plan +
-    /// local solves + shard BVH builds + merge).
-    pub cold_s: f64,
-    /// Median seconds of a warm repeat query (resident artifacts: digest
-    /// + cross-shard merge only).
-    pub warm_s: f64,
-}
-
-impl ServingCell {
-    /// `cold / warm` — how much the resident cache buys a repeat query.
-    pub fn speedup_warm(&self) -> f64 {
-        self.cold_s / self.warm_s
+impl From<u64> for Value {
+    fn from(v: u64) -> Self {
+        Value::Int(v)
     }
 }
 
-/// One `(generator, n, shards, workers)` cell of the concurrent serving
-/// ablation: aggregate warm-query throughput of one shared engine.
-#[derive(Clone, Debug)]
-pub struct ServingConcurrentCell {
-    /// Generator name.
-    pub generator: String,
-    /// Point count.
-    pub n: usize,
-    /// Shard count (the cache key's `K`).
-    pub shards: usize,
-    /// Threads querying the shared engine concurrently.
-    pub workers: usize,
-    /// Total warm queries answered in the timed window.
-    pub queries: usize,
-    /// Aggregate throughput (queries / wall-clock seconds).
-    pub queries_per_s: f64,
-    /// Throughput over the same grid's `workers = 1` cell.
-    pub speedup_vs_1: f64,
-    /// CPU cores of the measuring host — the physical ceiling on
-    /// `speedup_vs_1` (on a 1-CPU container ≈1.0 is the expected value).
-    pub host_cpus: usize,
-}
-
-/// One `(generator, n, shards)` cell of the observability-overhead
-/// measurement: median warm full-EMST query with instrumentation on vs
-/// off on otherwise-identical resident engines.
-#[derive(Clone, Debug)]
-pub struct ObservabilityCell {
-    /// Generator name.
-    pub generator: String,
-    /// Point count.
-    pub n: usize,
-    /// Shard count (the cache key's `K`).
-    pub shards: usize,
-    /// Median warm query seconds with metrics, spans and traces enabled
-    /// (`ServeConfig::observability = true`, the default).
-    pub warm_observed_s: f64,
-    /// Median warm query seconds with every probe disabled
-    /// (`ServeConfig::observability = false`).
-    pub warm_raw_s: f64,
-}
-
-impl ObservabilityCell {
-    /// Instrumentation overhead in percent: `(observed / raw − 1) × 100`.
-    /// The acceptance budget is ≤5 on warm queries.
-    pub fn overhead_pct(&self) -> f64 {
-        (self.warm_observed_s / self.warm_raw_s - 1.0) * 100.0
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::Num(v)
     }
 }
 
-/// One `(generator, n, shards)` cell of the fault-tolerance reload
-/// ablation: median reload of an evicted cloud from an artifact-bearing
-/// spill (verified read + deserialize) vs a points-only spill
-/// (deterministic rebuild), on otherwise-identical engines with no
-/// faults injected.
-#[derive(Clone, Debug)]
-pub struct FaultToleranceCell {
-    /// Generator name.
-    pub generator: String,
-    /// Point count.
-    pub n: usize,
-    /// Shard count (the cache key's `K`).
-    pub shards: usize,
-    /// Median reload seconds when the spill carries durable artifacts
-    /// (`ServeConfig::spill_artifacts = true`, the default).
-    pub restore_reload_s: f64,
-    /// Median reload seconds when the spill carries points only and the
-    /// engine re-runs plan + local solves (`spill_artifacts = false`).
-    pub rebuild_reload_s: f64,
-}
-
-impl FaultToleranceCell {
-    /// `rebuild / restore` — how much durable artifacts buy a reload.
-    pub fn restore_speedup(&self) -> f64 {
-        self.rebuild_reload_s / self.restore_reload_s
+impl From<&str> for Value {
+    fn from(v: &str) -> Self {
+        Value::Str(v.to_string())
     }
 }
 
-/// One `(generator, n, shards)` cell of the network serving measurement:
-/// median warm full-EMST request latency over a real TCP socket vs the
-/// same request through the in-process protocol function, plus the
-/// coalesced count of a same-key query storm.
-#[derive(Clone, Debug)]
-pub struct ServingNetworkCell {
-    /// Generator name.
-    pub generator: String,
-    /// Point count.
-    pub n: usize,
-    /// Shard count (the cache key's `K`).
-    pub shards: usize,
-    /// Concurrent connections in the coalescing storm (also the server's
-    /// worker-thread count).
-    pub clients: usize,
-    /// Sequential warm round-trips behind each latency median.
-    pub requests: usize,
-    /// Median seconds of a warm full-EMST request over the socket
-    /// (write line → read reply, one connection, byte-verified).
-    pub warm_net_s: f64,
-    /// Median seconds of the identical request through
-    /// `emst_serve::net::respond` on the same engine.
-    pub warm_inproc_s: f64,
-    /// Same-key storm queries that shared one in-flight execution
-    /// (`ServeStats::query_coalesced` delta). `0` is an honest reading on
-    /// a host where the storm never overlapped.
-    pub coalesced: u64,
-}
-
-impl ServingNetworkCell {
-    /// `net / inproc` — what the socket round-trip costs on top of the
-    /// query itself.
-    pub fn wire_overhead(&self) -> f64 {
-        self.warm_net_s / self.warm_inproc_s
+impl From<Cell> for Value {
+    fn from(v: Cell) -> Self {
+        Value::Cell(v)
     }
 }
 
-/// One `(generator, n, shards)` cell of the incremental-update ablation:
-/// median 1%-clustered-insert against a resident engine (dirty shards
-/// re-solved, clean shards reused, exact re-merge) vs a cold
-/// from-scratch build of the identical mutated cloud on a fresh engine.
-#[derive(Clone, Debug)]
-pub struct IncrementalCell {
-    /// Generator name.
-    pub generator: String,
-    /// Point count of the parent cloud.
-    pub n: usize,
-    /// Shard count (the cache key's `K`).
-    pub shards: usize,
-    /// Points inserted by the mutation (≈1% of `n`, clustered around one
-    /// resident member so the Morton router dirties few shards).
-    pub mutated: usize,
-    /// Shards the update actually re-solved (`UpdateReport` dirty set).
-    pub dirty_shards: usize,
-    /// Median seconds of the incremental `insert`: child digest + shard
-    /// routing + dirty-shard local re-solves + exact cross-shard re-merge.
-    pub update_s: f64,
-    /// Median seconds of a cold from-scratch build of the same mutated
-    /// cloud on a fresh engine (plan + all local solves + merge).
-    pub rebuild_s: f64,
+/// The JSON writer: `Value`'s and [`Cell`]'s `Display` output is their
+/// JSON text.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Int(v) => write!(f, "{v}"),
+            Value::Num(v) if v.is_finite() => write!(f, "{v:.6}"),
+            Value::Num(_) => f.write_str("null"),
+            Value::Str(s) => write_json_str(f, s),
+            Value::Cell(c) => write!(f, "{c}"),
+        }
+    }
 }
 
-impl IncrementalCell {
-    /// `rebuild / update` — what delta-solving dirty shards buys a
-    /// mutation over rebuilding the whole cloud.
-    pub fn speedup_update(&self) -> f64 {
-        self.rebuild_s / self.update_s
+fn write_json_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if c < ' ' => write!(f, "\\u{:04x}", c as u32)?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
+}
+
+/// One measured cell: ordered `(key, value)` pairs, written as one JSON
+/// object on one line.
+#[derive(Clone, Debug, Default)]
+pub struct Cell(pub Vec<(&'static str, Value)>);
+
+impl Cell {
+    /// This cell with `key = value` appended.
+    pub fn with(mut self, key: &'static str, value: impl Into<Value>) -> Self {
+        self.0.push((key, value.into()));
+        self
+    }
+
+    /// The keys, in order.
+    fn keys(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.0.iter().map(|(k, _)| *k)
+    }
+
+    /// The value under `key`, if any.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.0.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// The number under `key` (an integer reads as its `f64`). Panics if
+    /// `key` holds anything else.
+    pub fn num(&self, key: &str) -> f64 {
+        match self.get(key) {
+            Some(Value::Num(v)) => *v,
+            Some(Value::Int(v)) => *v as f64,
+            other => panic!("{key}: expected a number, found {other:?}"),
+        }
+    }
+
+    /// The integer under `key`. Panics if `key` holds anything else.
+    pub fn int(&self, key: &str) -> u64 {
+        match self.get(key) {
+            Some(Value::Int(v)) => *v,
+            other => panic!("{key}: expected an integer, found {other:?}"),
+        }
+    }
+
+    /// The nested cell under `key`. Panics if `key` holds anything else.
+    pub fn cell(&self, key: &str) -> &Cell {
+        match self.get(key) {
+            Some(Value::Cell(c)) => c,
+            other => panic!("{key}: expected a cell, found {other:?}"),
+        }
+    }
+
+    /// Flattened `(key, text)` columns for the stdout tables: nested keys
+    /// joined with `.`, strings unquoted.
+    fn columns(&self, prefix: &str, out: &mut Vec<(String, String)>) {
+        for (key, value) in &self.0 {
+            let key = format!("{prefix}{key}");
+            match value {
+                Value::Cell(c) => c.columns(&format!("{key}."), out),
+                Value::Str(s) => out.push((key, s.clone())),
+                v => out.push((key, v.to_string())),
+            }
+        }
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("{ ")?;
+        for (i, (key, value)) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            write_json_str(f, key)?;
+            write!(f, ": {value}")?;
+        }
+        f.write_str(" }")
+    }
+}
+
+/// Prints `cells` under `# title` as one table with a column per
+/// (flattened) key; a cell without a column's key shows `-`.
+fn print_table(title: &str, cells: &[Cell]) {
+    let rows: Vec<Vec<(String, String)>> = cells
+        .iter()
+        .map(|c| {
+            let mut row = vec![];
+            c.columns("", &mut row);
+            row
+        })
+        .collect();
+    let mut keys: Vec<&str> = vec![];
+    for (key, _) in rows.iter().flatten() {
+        if !keys.contains(&key.as_str()) {
+            keys.push(key);
+        }
+    }
+    fn lookup<'a>(row: &'a [(String, String)], key: &str) -> &'a str {
+        row.iter().find(|(k, _)| k == key).map_or("-", |(_, text)| text.as_str())
+    }
+    let mut table = vec![keys.clone()];
+    table.extend(rows.iter().map(|row| keys.iter().map(|key| lookup(row, key)).collect()));
+    let widths: Vec<usize> =
+        (0..keys.len()).map(|j| table.iter().map(|r| r[j].len()).max().unwrap_or(0)).collect();
+    println!();
+    println!("# {title}");
+    for row in &table {
+        // The first column (the row's label) reads best left-aligned.
+        let padded: Vec<String> = row
+            .iter()
+            .zip(&widths)
+            .enumerate()
+            .map(|(j, (t, &w))| if j == 0 { format!("{t:<w$}") } else { format!("{t:>w$}") })
+            .collect();
+        println!("{}", padded.join("  "));
     }
 }
 
@@ -418,22 +241,56 @@ impl IncrementalCell {
 pub struct Snapshot {
     /// Interleaved repetitions behind each median.
     pub repeats: usize,
-    /// Fig1-style rows.
-    pub summary: Vec<SummaryRow>,
-    /// Traversal ablation cells.
-    pub traversal: Vec<TraversalCell>,
-    /// Serving (cold vs warm) ablation cells.
-    pub serving: Vec<ServingCell>,
-    /// Concurrent serving (warm throughput vs worker count) cells.
-    pub serving_concurrent: Vec<ServingConcurrentCell>,
-    /// Observability-overhead cells (instrumentation on vs off).
-    pub observability: Vec<ObservabilityCell>,
-    /// Fault-tolerance reload cells (artifact restore vs rebuild).
-    pub fault_tolerance: Vec<FaultToleranceCell>,
-    /// Network serving cells (wire latency vs in-process + coalescing).
-    pub serving_network: Vec<ServingNetworkCell>,
-    /// Incremental-update cells (1% clustered insert vs cold rebuild).
-    pub incremental: Vec<IncrementalCell>,
+    /// Measured cells by section name (see [`SECTIONS`]); a section with
+    /// no cells here is written as `[]`.
+    pub sections: Vec<(&'static str, Vec<Cell>)>,
+}
+
+impl Snapshot {
+    /// Prints `cells` as a table under `# title` and files them under
+    /// section `name`.
+    pub fn section(&mut self, name: &'static str, title: &str, cells: Vec<Cell>) {
+        print_table(title, &cells);
+        self.sections.push((name, cells));
+    }
+
+    /// Serializes to the documented `emst-bench-snapshot/1` JSON. Panics
+    /// if a section is not in [`SECTIONS`] or a cell's keys differ from
+    /// its section's.
+    pub fn to_json(&self) -> String {
+        for (name, _) in &self.sections {
+            assert!(SECTIONS.iter().any(|(s, _)| s == name), "unknown section {name:?}");
+        }
+        let header = Cell::default()
+            .with("schema", "emst-bench-snapshot/1")
+            .with("repeats", self.repeats)
+            .with("backend", "Threads");
+        let mut out = String::from("{\n");
+        for (key, value) in &header.0 {
+            out += &format!("  {}: {value},\n", Value::from(*key));
+        }
+        for (i, (name, keys)) in SECTIONS.iter().enumerate() {
+            let cells: Vec<&Cell> = self
+                .sections
+                .iter()
+                .filter(|(s, _)| s == name)
+                .flat_map(|(_, cells)| cells)
+                .collect();
+            out += &format!("  {}: [\n", Value::from(*name));
+            for (j, cell) in cells.iter().enumerate() {
+                assert!(cell.keys().eq(keys.iter().copied()), "{name} cell keys: {cell}");
+                out += &format!("    {cell}{}\n", if j + 1 < cells.len() { "," } else { "" });
+            }
+            out += if i + 1 < SECTIONS.len() { "  ],\n" } else { "  ]\n" };
+        }
+        out.push_str("}\n");
+        out
+    }
+
+    /// Writes the JSON to `path`.
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::write(path, self.to_json())
+    }
 }
 
 fn median(samples: &mut [f64]) -> f64 {
@@ -449,14 +306,30 @@ fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
+/// The cells of `measure(generator, kind, n)` over every
+/// `generators × sizes` pair, generators outermost.
+pub fn grid<I: IntoIterator<Item = Cell>>(
+    generators: &[(&str, Kind)],
+    sizes: &[usize],
+    mut measure: impl FnMut(&str, Kind, usize) -> I,
+) -> Vec<Cell> {
+    let mut cells = vec![];
+    for &(generator, kind) in generators {
+        for &n in sizes {
+            cells.extend(measure(generator, kind, n));
+        }
+    }
+    cells
+}
+
+/// A cell opening with its grid coordinates.
+fn at(generator: &str, n: usize) -> Cell {
+    Cell::default().with("generator", generator).with("n", n)
+}
+
 /// Measures one ablation cell: `repeats` interleaved runs of both walkers
 /// on the `Threads` backend, reporting per-phase medians.
-pub fn measure_traversal_cell(
-    generator: &str,
-    kind: Kind,
-    n: usize,
-    repeats: usize,
-) -> TraversalCell {
+pub fn measure_traversal_cell(generator: &str, kind: Kind, n: usize, repeats: usize) -> Cell {
     let points: Vec<Point<2>> = kind.generate(n, 0x7A3);
     let mut samples: [[Vec<f64>; 3]; 2] = Default::default();
     for _ in 0..repeats {
@@ -468,29 +341,17 @@ pub fn measure_traversal_cell(
             samples[which][2].push(r.timings.get("tree") + r.timings.get("mst"));
         }
     }
-    let timings = |s: &mut [Vec<f64>; 3]| TraversalTimings {
-        find_edges_s: median(&mut s[0]),
-        mst_s: median(&mut s[1]),
-        total_s: median(&mut s[2]),
-    };
-    let [mut stack, mut stackless] = samples;
-    TraversalCell {
-        generator: generator.to_string(),
-        n,
-        stack: timings(&mut stack),
-        stackless: timings(&mut stackless),
-    }
-}
-
-/// Measures the full `generators × sizes` ablation grid.
-pub fn measure_traversal_grid(sizes: &[usize], repeats: usize) -> Vec<TraversalCell> {
-    let mut cells = vec![];
-    for (name, kind) in TRAVERSAL_GENERATORS {
-        for &n in sizes {
-            cells.push(measure_traversal_cell(name, kind, n, repeats));
-        }
-    }
-    cells
+    let [stack, stackless] = samples.map(|[mut find_edges, mut mst, mut total]| {
+        Cell::default()
+            .with("find_edges_s", median(&mut find_edges))
+            .with("mst_s", median(&mut mst))
+            .with("total_s", median(&mut total))
+    });
+    let speedup = stack.num("find_edges_s") / stackless.num("find_edges_s");
+    at(generator, n)
+        .with("stack", stack)
+        .with("stackless", stackless)
+        .with("speedup_find_edges", speedup)
 }
 
 /// Measures one serving cell: `repeats` interleaved cold (fresh engine)
@@ -503,7 +364,7 @@ pub fn measure_serving_cell(
     n: usize,
     shards: usize,
     repeats: usize,
-) -> ServingCell {
+) -> Cell {
     use emst_serve::{CacheOutcome, ServeConfig, ServeEngine};
     let points: Vec<Point<2>> = kind.generate(n, 0x5E21);
     let resident = ServeEngine::<_, 2>::new(Threads, ServeConfig::new(shards, 1));
@@ -524,26 +385,12 @@ pub fn measure_serving_cell(
         assert!(w.build_work.is_zero());
         assert_eq!(w.edges, c.edges, "warm answer must be bit-identical");
     }
-    ServingCell {
-        generator: generator.to_string(),
-        n,
-        shards,
-        cold_s: median(&mut cold),
-        warm_s: median(&mut warm),
-    }
-}
-
-/// Measures the serving ablation over `sizes` (uniform and dense
-/// generators) at one shard count; callers sweep `K` by calling this per
-/// count (cells carry their `shards`).
-pub fn measure_serving_grid(sizes: &[usize], shards: usize, repeats: usize) -> Vec<ServingCell> {
-    let mut cells = vec![];
-    for (name, kind) in [("uniform", Kind::Uniform), ("dense", Kind::GeoLifeLike)] {
-        for &n in sizes {
-            cells.push(measure_serving_cell(name, kind, n, shards, repeats));
-        }
-    }
-    cells
+    let (cold_s, warm_s) = (median(&mut cold), median(&mut warm));
+    at(generator, n)
+        .with("shards", shards)
+        .with("cold_s", cold_s)
+        .with("warm_s", warm_s)
+        .with("speedup_warm", cold_s / warm_s)
 }
 
 /// Measures warm-query throughput of one *shared* engine at each worker
@@ -559,8 +406,7 @@ pub fn measure_serving_concurrent(
     shards: usize,
     workers_list: &[usize],
     queries_per_worker: usize,
-) -> Vec<ServingConcurrentCell> {
-    use emst_exec::Serial;
+) -> Vec<Cell> {
     use emst_serve::{ServeConfig, ServeEngine};
     let points: Vec<Point<2>> = kind.generate(n, 0xC0C);
     let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(shards, 2));
@@ -569,7 +415,7 @@ pub fn measure_serving_concurrent(
     let reference = engine.emst(&points).edges;
     assert_eq!(engine.emst(&points).edges, reference);
     let host_cpus = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let mut cells: Vec<ServingConcurrentCell> = vec![];
+    let mut cells = vec![];
     let mut base_rate = f64::NAN;
     for &workers in workers_list {
         let start = std::time::Instant::now();
@@ -593,16 +439,15 @@ pub fn measure_serving_concurrent(
         if cells.is_empty() {
             base_rate = rate;
         }
-        cells.push(ServingConcurrentCell {
-            generator: generator.to_string(),
-            n,
-            shards,
-            workers,
-            queries,
-            queries_per_s: rate,
-            speedup_vs_1: rate / base_rate,
-            host_cpus,
-        });
+        cells.push(
+            at(generator, n)
+                .with("shards", shards)
+                .with("workers", workers)
+                .with("queries", queries)
+                .with("queries_per_s", rate)
+                .with("speedup_vs_1", rate / base_rate)
+                .with("host_cpus", host_cpus),
+        );
     }
     cells
 }
@@ -620,7 +465,7 @@ pub fn measure_observability(
     n: usize,
     shards: usize,
     repeats: usize,
-) -> ObservabilityCell {
+) -> Cell {
     use emst_serve::{ServeConfig, ServeEngine};
     let points: Vec<Point<2>> = kind.generate(n, 0x0B5);
     let observed = ServeEngine::<_, 2>::new(Threads, ServeConfig::new(shards, 1));
@@ -649,13 +494,12 @@ pub fn measure_observability(
         observed.metrics_prometheus().contains("emst_serve_op_seconds_count"),
         "instrumented engine recorded no metrics"
     );
-    ObservabilityCell {
-        generator: generator.to_string(),
-        n,
-        shards,
-        warm_observed_s: median(&mut observed_s),
-        warm_raw_s: median(&mut raw_s),
-    }
+    let (observed_s, raw_s) = (median(&mut observed_s), median(&mut raw_s));
+    at(generator, n)
+        .with("shards", shards)
+        .with("warm_observed_s", observed_s)
+        .with("warm_raw_s", raw_s)
+        .with("overhead_pct", (observed_s / raw_s - 1.0) * 100.0)
 }
 
 /// Measures one fault-tolerance reload cell: `repeats` interleaved
@@ -672,7 +516,7 @@ pub fn measure_fault_tolerance(
     n: usize,
     shards: usize,
     repeats: usize,
-) -> FaultToleranceCell {
+) -> Cell {
     use emst_serve::{CacheOutcome, ServeConfig, ServeEngine};
     let points: Vec<Point<2>> = kind.generate(n, 0xFA17);
     // The decoy only exists to push the measured cloud out of the single
@@ -715,13 +559,12 @@ pub fn measure_fault_tolerance(
     assert_eq!(rs.checksum_failures + bs.checksum_failures, 0, "no faults were injected");
     assert_eq!(rs.spill_failures + bs.spill_failures, 0, "no faults were injected");
 
-    FaultToleranceCell {
-        generator: generator.to_string(),
-        n,
-        shards,
-        restore_reload_s: median(&mut restore_s),
-        rebuild_reload_s: median(&mut rebuild_s),
-    }
+    let (restore_s, rebuild_s) = (median(&mut restore_s), median(&mut rebuild_s));
+    at(generator, n)
+        .with("shards", shards)
+        .with("restore_reload_s", restore_s)
+        .with("rebuild_reload_s", rebuild_s)
+        .with("restore_speedup", rebuild_s / restore_s)
 }
 
 /// Measures one network serving cell: warm full-EMST request latency
@@ -737,8 +580,7 @@ pub fn measure_serving_network(
     shards: usize,
     clients: usize,
     requests: usize,
-) -> ServingNetworkCell {
-    use emst_exec::Serial;
+) -> Cell {
     use emst_serve::net::respond;
     use emst_serve::{NetConfig, NetSession, ServeConfig, ServeEngine, ServeServer};
     use std::io::{BufRead as _, BufReader, Read as _, Write as _};
@@ -807,16 +649,15 @@ pub fn measure_serving_network(
     let coalesced = engine.stats().query_coalesced - before;
     server.shutdown();
 
-    ServingNetworkCell {
-        generator: generator.to_string(),
-        n,
-        shards,
-        clients,
-        requests,
-        warm_net_s: median(&mut net),
-        warm_inproc_s: median(&mut inproc),
-        coalesced,
-    }
+    let (net_s, inproc_s) = (median(&mut net), median(&mut inproc));
+    at(generator, n)
+        .with("shards", shards)
+        .with("clients", clients)
+        .with("requests", requests)
+        .with("warm_net_s", net_s)
+        .with("warm_inproc_s", inproc_s)
+        .with("wire_overhead", net_s / inproc_s)
+        .with("coalesced", coalesced)
 }
 
 /// Measures one incremental-update cell: `repeats` interleaved runs of a
@@ -834,7 +675,7 @@ pub fn measure_incremental(
     n: usize,
     shards: usize,
     repeats: usize,
-) -> IncrementalCell {
+) -> Cell {
     use emst_core::edge::weight_multiset;
     use emst_serve::{CacheOutcome, ServeConfig, ServeEngine};
     let points: Vec<Point<2>> = kind.generate(n, 0x1CA);
@@ -874,68 +715,58 @@ pub fn measure_incremental(
             "incremental weight multiset must match the from-scratch build"
         );
     }
-    IncrementalCell {
-        generator: generator.to_string(),
-        n,
-        shards,
-        mutated,
-        dirty_shards,
-        update_s: median(&mut update),
-        rebuild_s: median(&mut rebuild),
-    }
+    let (update_s, rebuild_s) = (median(&mut update), median(&mut rebuild));
+    at(generator, n)
+        .with("shards", shards)
+        .with("mutated", mutated)
+        .with("dirty_shards", dirty_shards)
+        .with("update_s", update_s)
+        .with("rebuild_s", rebuild_s)
+        .with("speedup_update", rebuild_s / update_s)
 }
 
 /// Measures the fig1-style summary rows at one size: every solver's rate,
 /// plus phase medians for the single-tree runs.
-pub fn measure_summary(n: usize, repeats: usize) -> Vec<SummaryRow> {
+pub fn measure_summary(n: usize, repeats: usize) -> Vec<Cell> {
+    fn solve<const D: usize>(points: &[Point<D>], threads: bool) -> PhaseTimings {
+        let solver = SingleTreeBoruvka::new(points);
+        let cfg = EmstConfig::default();
+        if threads {
+            solver.run(&Threads, &cfg).timings
+        } else {
+            solver.run(&Serial, &cfg).timings
+        }
+    }
     let cloud = emst_datasets::PaperDataset::Hacc37M.generate(n, 37);
     let features = cloud.features();
-    let dim = cloud.dim();
+    let row = |configuration: &str, rate: f64, phases: Cell| {
+        Cell::default()
+            .with("configuration", configuration)
+            .with("n", n)
+            .with("dim", cloud.dim())
+            .with("mfeatures_per_s", rate)
+            .with("phases", phases)
+    };
     let mut rows = vec![];
 
     // Single-tree rows carry per-phase medians.
     for (name, threads) in [("single-tree (Serial)", false), ("single-tree (Threads)", true)] {
         let mut totals = vec![];
-        let mut phases: Vec<(String, Vec<f64>)> = vec![];
+        let mut phases: Vec<(&'static str, Vec<f64>)> = vec![];
         for _ in 0..repeats {
-            let r = crate::with_cloud(
-                &cloud,
-                |p| {
-                    let solver = SingleTreeBoruvka::new(p);
-                    if threads {
-                        solver.run(&Threads, &EmstConfig::default())
-                    } else {
-                        solver.run(&emst_exec::Serial, &EmstConfig::default())
-                    }
-                },
-                |p| {
-                    let solver = SingleTreeBoruvka::new(p);
-                    if threads {
-                        solver.run(&Threads, &EmstConfig::default())
-                    } else {
-                        solver.run(&emst_exec::Serial, &EmstConfig::default())
-                    }
-                },
-            );
-            totals.push(r.timings.get("tree") + r.timings.get("mst"));
-            for (phase, secs) in r.timings.iter() {
-                match phases.iter_mut().find(|(p, _)| p == phase) {
+            let timings = crate::with_cloud(&cloud, |p| solve(p, threads), |p| solve(p, threads));
+            totals.push(timings.get("tree") + timings.get("mst"));
+            for (phase, secs) in timings.iter() {
+                match phases.iter_mut().find(|(p, _)| *p == phase) {
                     Some((_, v)) => v.push(secs),
-                    None => phases.push((phase.to_string(), vec![secs])),
+                    None => phases.push((phase, vec![secs])),
                 }
             }
         }
-        let total = median(&mut totals);
-        let mut phase_medians: Vec<(String, f64)> =
-            phases.into_iter().map(|(p, mut v)| (p, median(&mut v))).collect();
-        phase_medians.sort_by(|a, b| a.0.cmp(&b.0));
-        rows.push(SummaryRow {
-            configuration: name.to_string(),
-            n,
-            dim,
-            mfeatures_per_s: crate::mfeatures_per_sec(features, total),
-            phases: phase_medians,
-        });
+        phases.sort_by_key(|(p, _)| *p);
+        let phases =
+            phases.into_iter().fold(Cell::default(), |c, (p, mut v)| c.with(p, median(&mut v)));
+        rows.push(row(name, crate::mfeatures_per_sec(features, median(&mut totals)), phases));
     }
 
     // Competing implementations: totals only.
@@ -943,176 +774,9 @@ pub fn measure_summary(n: usize, repeats: usize) -> Vec<SummaryRow> {
         ("dual-tree (Serial)", crate::dual_tree_rate(&cloud)),
         ("wspd (Serial)", crate::wspd_rate(&cloud, false)),
     ] {
-        rows.push(SummaryRow {
-            configuration: name.to_string(),
-            n,
-            dim,
-            mfeatures_per_s: rate,
-            phases: vec![],
-        });
+        rows.push(row(name, rate, Cell::default()));
     }
     rows
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-impl Snapshot {
-    /// Serializes to the documented `emst-bench-snapshot/1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"emst-bench-snapshot/1\",\n");
-        out.push_str(&format!("  \"repeats\": {},\n", self.repeats));
-        out.push_str("  \"backend\": \"Threads\",\n");
-        out.push_str("  \"summary\": [\n");
-        for (i, row) in self.summary.iter().enumerate() {
-            let phases = row
-                .phases
-                .iter()
-                .map(|(p, s)| format!("\"{p}\": {}", json_f64(*s)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "    {{ \"configuration\": \"{}\", \"n\": {}, \"dim\": {}, \
-                 \"mfeatures_per_s\": {}, \"phases\": {{ {} }} }}{}\n",
-                row.configuration,
-                row.n,
-                row.dim,
-                json_f64(row.mfeatures_per_s),
-                phases,
-                if i + 1 == self.summary.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ],\n  \"traversal\": [\n");
-        for (i, cell) in self.traversal.iter().enumerate() {
-            let t = |t: &TraversalTimings| {
-                format!(
-                    "{{ \"find_edges_s\": {}, \"mst_s\": {}, \"total_s\": {} }}",
-                    json_f64(t.find_edges_s),
-                    json_f64(t.mst_s),
-                    json_f64(t.total_s)
-                )
-            };
-            out.push_str(&format!(
-                "    {{ \"generator\": \"{}\", \"n\": {}, \"stack\": {}, \"stackless\": {}, \
-                 \"speedup_find_edges\": {} }}{}\n",
-                cell.generator,
-                cell.n,
-                t(&cell.stack),
-                t(&cell.stackless),
-                json_f64(cell.speedup_find_edges()),
-                if i + 1 == self.traversal.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ],\n  \"serving\": [\n");
-        for (i, cell) in self.serving.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"generator\": \"{}\", \"n\": {}, \"shards\": {}, \"cold_s\": {}, \
-                 \"warm_s\": {}, \"speedup_warm\": {} }}{}\n",
-                cell.generator,
-                cell.n,
-                cell.shards,
-                json_f64(cell.cold_s),
-                json_f64(cell.warm_s),
-                json_f64(cell.speedup_warm()),
-                if i + 1 == self.serving.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ],\n  \"serving_concurrent\": [\n");
-        for (i, cell) in self.serving_concurrent.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"generator\": \"{}\", \"n\": {}, \"shards\": {}, \"workers\": {}, \
-                 \"queries\": {}, \"queries_per_s\": {}, \"speedup_vs_1\": {}, \
-                 \"host_cpus\": {} }}{}\n",
-                cell.generator,
-                cell.n,
-                cell.shards,
-                cell.workers,
-                cell.queries,
-                json_f64(cell.queries_per_s),
-                json_f64(cell.speedup_vs_1),
-                cell.host_cpus,
-                if i + 1 == self.serving_concurrent.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ],\n  \"observability\": [\n");
-        for (i, cell) in self.observability.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"generator\": \"{}\", \"n\": {}, \"shards\": {}, \
-                 \"warm_observed_s\": {}, \"warm_raw_s\": {}, \"overhead_pct\": {} }}{}\n",
-                cell.generator,
-                cell.n,
-                cell.shards,
-                json_f64(cell.warm_observed_s),
-                json_f64(cell.warm_raw_s),
-                json_f64(cell.overhead_pct()),
-                if i + 1 == self.observability.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ],\n  \"fault_tolerance\": [\n");
-        for (i, cell) in self.fault_tolerance.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"generator\": \"{}\", \"n\": {}, \"shards\": {}, \
-                 \"restore_reload_s\": {}, \"rebuild_reload_s\": {}, \
-                 \"restore_speedup\": {} }}{}\n",
-                cell.generator,
-                cell.n,
-                cell.shards,
-                json_f64(cell.restore_reload_s),
-                json_f64(cell.rebuild_reload_s),
-                json_f64(cell.restore_speedup()),
-                if i + 1 == self.fault_tolerance.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ],\n  \"serving_network\": [\n");
-        for (i, cell) in self.serving_network.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"generator\": \"{}\", \"n\": {}, \"shards\": {}, \"clients\": {}, \
-                 \"requests\": {}, \"warm_net_s\": {}, \"warm_inproc_s\": {}, \
-                 \"wire_overhead\": {}, \"coalesced\": {} }}{}\n",
-                cell.generator,
-                cell.n,
-                cell.shards,
-                cell.clients,
-                cell.requests,
-                json_f64(cell.warm_net_s),
-                json_f64(cell.warm_inproc_s),
-                json_f64(cell.wire_overhead()),
-                cell.coalesced,
-                if i + 1 == self.serving_network.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ],\n  \"incremental\": [\n");
-        for (i, cell) in self.incremental.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"generator\": \"{}\", \"n\": {}, \"shards\": {}, \"mutated\": {}, \
-                 \"dirty_shards\": {}, \"update_s\": {}, \"rebuild_s\": {}, \
-                 \"speedup_update\": {} }}{}\n",
-                cell.generator,
-                cell.n,
-                cell.shards,
-                cell.mutated,
-                cell.dirty_shards,
-                json_f64(cell.update_s),
-                json_f64(cell.rebuild_s),
-                json_f64(cell.speedup_update()),
-                if i + 1 == self.incremental.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON to `path`.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -1127,25 +791,67 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_serializes_valid_shape() {
-        let cell = measure_traversal_cell("uniform", Kind::Uniform, 500, 1);
-        let serving = measure_serving_cell("uniform", Kind::Uniform, 600, 3, 1);
-        let concurrent = measure_serving_concurrent("uniform", Kind::Uniform, 600, 3, &[1, 2], 2);
-        let obs = measure_observability("uniform", Kind::Uniform, 600, 3, 1);
-        let ft = measure_fault_tolerance("uniform", Kind::Uniform, 600, 3, 1);
-        let net = measure_serving_network("uniform", Kind::Uniform, 600, 3, 2, 2);
-        let inc = measure_incremental("uniform", Kind::Uniform, 600, 3, 1);
-        let snap = Snapshot {
-            repeats: 1,
-            summary: measure_summary(400, 1),
-            traversal: vec![cell],
-            serving: vec![serving],
-            serving_concurrent: concurrent,
-            observability: vec![obs],
-            fault_tolerance: vec![ft],
-            serving_network: vec![net],
-            incremental: vec![inc],
+    fn writer_escapes_strings_and_writes_null_for_non_finite_numbers() {
+        let inner = Cell::default().with("nan", f64::NAN).with("inf", f64::INFINITY);
+        let cell = Cell::default()
+            .with("label", "say \"hi\"\\\n\t\u{1}é")
+            .with("count", 7usize)
+            .with("x", 0.5)
+            .with("inner", inner)
+            .with("empty", Cell::default());
+        assert_eq!(
+            cell.to_string(),
+            r#"{ "label": "say \"hi\"\\\n\t\u0001é", "count": 7, "x": 0.500000, "inner": { "nan": null, "inf": null }, "empty": {  } }"#
+        );
+    }
+
+    /// Every `` ## `name[]` `` table of the schema doc lists exactly its
+    /// section's keys, in order, and the top-level table lists the header
+    /// fields and then every section.
+    #[test]
+    fn schema_doc_tables_match_sections() {
+        let doc = include_str!("../../../docs/bench-snapshot.md");
+        // The Field column of the table that follows each `## ` heading.
+        let mut tables: Vec<(&str, Vec<&str>)> = vec![];
+        for line in doc.lines() {
+            if let Some(heading) = line.strip_prefix("## ") {
+                tables.push((heading, vec![]));
+            } else if let (Some((_, fields)), Some(row)) =
+                (tables.last_mut(), line.strip_prefix("| `"))
+            {
+                fields.push(row.split('`').next().unwrap());
+            }
+        }
+        let fields_of = |heading: &str| {
+            let found = tables.iter().find(|(h, _)| h.starts_with(heading));
+            found.unwrap_or_else(|| panic!("no `## {heading}` table")).1.clone()
         };
+        let mut top = vec!["schema", "repeats", "backend"];
+        top.extend(SECTIONS.iter().map(|(name, _)| *name));
+        assert_eq!(fields_of("Top level"), top);
+        for (name, keys) in SECTIONS {
+            assert_eq!(fields_of(&format!("`{name}[]`")), keys, "section {name}");
+        }
+    }
+
+    #[test]
+    fn snapshot_serializes_valid_shape() {
+        let mut snap = Snapshot { repeats: 1, sections: vec![] };
+        snap.section("summary", "summary", measure_summary(400, 1));
+        let traversal = measure_traversal_cell("uniform", Kind::Uniform, 500, 1);
+        snap.section("traversal", "traversal", vec![traversal]);
+        let serving = measure_serving_cell("uniform", Kind::Uniform, 600, 3, 1);
+        snap.section("serving", "serving", vec![serving]);
+        let concurrent = measure_serving_concurrent("uniform", Kind::Uniform, 600, 3, &[1, 2], 2);
+        snap.section("serving_concurrent", "concurrent", concurrent);
+        let obs = measure_observability("uniform", Kind::Uniform, 600, 3, 1);
+        snap.section("observability", "observability", vec![obs]);
+        let ft = measure_fault_tolerance("uniform", Kind::Uniform, 600, 3, 1);
+        snap.section("fault_tolerance", "fault tolerance", vec![ft]);
+        let net = measure_serving_network("uniform", Kind::Uniform, 600, 3, 2, 2);
+        snap.section("serving_network", "network", vec![net]);
+        let inc = measure_incremental("uniform", Kind::Uniform, 600, 3, 1);
+        snap.section("incremental", "incremental", vec![inc]);
         let json = snap.to_json();
         assert!(json.contains("\"schema\": \"emst-bench-snapshot/1\""));
         assert!(json.contains("\"speedup_find_edges\""));
@@ -1168,9 +874,9 @@ mod tests {
     #[test]
     fn traversal_cell_speedup_is_finite_and_positive() {
         let cell = measure_traversal_cell("dense", Kind::GeoLifeLike, 800, 1);
-        assert!(cell.speedup_find_edges().is_finite());
-        assert!(cell.stack.find_edges_s > 0.0);
-        assert!(cell.stackless.find_edges_s > 0.0);
+        assert!(cell.num("speedup_find_edges").is_finite());
+        assert!(cell.cell("stack").num("find_edges_s") > 0.0);
+        assert!(cell.cell("stackless").num("find_edges_s") > 0.0);
     }
 
     #[test]
@@ -1178,9 +884,9 @@ mod tests {
         // Bit-identity of warm answers is asserted inside the harness; at
         // tiny n the speedup itself is noise, so only shape is checked.
         let cell = measure_serving_cell("dense", Kind::GeoLifeLike, 700, 4, 2);
-        assert!(cell.cold_s > 0.0);
-        assert!(cell.warm_s > 0.0);
-        assert!(cell.speedup_warm().is_finite());
+        assert!(cell.num("cold_s") > 0.0);
+        assert!(cell.num("warm_s") > 0.0);
+        assert!(cell.num("speedup_warm").is_finite());
     }
 
     #[test]
@@ -1190,11 +896,11 @@ mod tests {
         // every cell answered its full query budget.
         let cells = measure_serving_concurrent("dense", Kind::GeoLifeLike, 600, 3, &[1, 2], 2);
         assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].workers, 1);
-        assert_eq!(cells[0].speedup_vs_1, 1.0);
-        assert_eq!(cells[1].queries, 4);
-        assert!(cells.iter().all(|c| c.queries_per_s > 0.0 && c.host_cpus >= 1));
-        assert!(cells[1].speedup_vs_1.is_finite());
+        assert_eq!(cells[0].int("workers"), 1);
+        assert_eq!(cells[0].num("speedup_vs_1"), 1.0);
+        assert_eq!(cells[1].int("queries"), 4);
+        assert!(cells.iter().all(|c| c.num("queries_per_s") > 0.0 && c.int("host_cpus") >= 1));
+        assert!(cells[1].num("speedup_vs_1").is_finite());
     }
 
     #[test]
@@ -1203,9 +909,9 @@ mod tests {
         // rebuild-reports-nonzero are all asserted inside the harness; at
         // tiny n the speedup itself is noise, so only shape is checked.
         let cell = measure_fault_tolerance("dense", Kind::GeoLifeLike, 700, 4, 2);
-        assert!(cell.restore_reload_s > 0.0);
-        assert!(cell.rebuild_reload_s > 0.0);
-        assert!(cell.restore_speedup().is_finite());
+        assert!(cell.num("restore_reload_s") > 0.0);
+        assert!(cell.num("rebuild_reload_s") > 0.0);
+        assert!(cell.num("restore_speedup").is_finite());
     }
 
     #[test]
@@ -1215,10 +921,10 @@ mod tests {
         // ratio is noise (and `coalesced` may honestly be 0), so only
         // shape is checked here.
         let cell = measure_serving_network("dense", Kind::GeoLifeLike, 600, 3, 2, 3);
-        assert!(cell.warm_net_s > 0.0);
-        assert!(cell.warm_inproc_s > 0.0);
-        assert!(cell.wire_overhead().is_finite());
-        assert_eq!((cell.clients, cell.requests), (2, 3));
+        assert!(cell.num("warm_net_s") > 0.0);
+        assert!(cell.num("warm_inproc_s") > 0.0);
+        assert!(cell.num("wire_overhead").is_finite());
+        assert_eq!((cell.int("clients"), cell.int("requests")), (2, 3));
     }
 
     #[test]
@@ -1228,11 +934,12 @@ mod tests {
         // asserted inside the harness; at tiny n the speedup itself is
         // noise, so only shape is checked here.
         let cell = measure_incremental("dense", Kind::GeoLifeLike, 700, 4, 2);
-        assert!(cell.update_s > 0.0);
-        assert!(cell.rebuild_s > 0.0);
-        assert!(cell.speedup_update().is_finite());
-        assert_eq!(cell.mutated, 7);
-        assert!(cell.dirty_shards >= 1 && cell.dirty_shards < 4, "{}", cell.dirty_shards);
+        assert!(cell.num("update_s") > 0.0);
+        assert!(cell.num("rebuild_s") > 0.0);
+        assert!(cell.num("speedup_update").is_finite());
+        assert_eq!(cell.int("mutated"), 7);
+        let dirty = cell.int("dirty_shards");
+        assert!((1..4).contains(&dirty), "{dirty}");
     }
 
     #[test]
@@ -1241,8 +948,8 @@ mod tests {
         // inside the harness; at tiny n the overhead itself is pure noise,
         // so only shape is checked here.
         let cell = measure_observability("dense", Kind::GeoLifeLike, 700, 4, 2);
-        assert!(cell.warm_observed_s > 0.0);
-        assert!(cell.warm_raw_s > 0.0);
-        assert!(cell.overhead_pct().is_finite());
+        assert!(cell.num("warm_observed_s") > 0.0);
+        assert!(cell.num("warm_raw_s") > 0.0);
+        assert!(cell.num("overhead_pct").is_finite());
     }
 }

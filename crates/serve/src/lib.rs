@@ -141,7 +141,7 @@ use emst_geometry::{Point, Scalar};
 use emst_hdbscan::{Hdbscan, HdbscanResult};
 use emst_obs::{Counter, Gauge, Histogram, QueryTrace, Registry, SpanRecord, TraceRing};
 use emst_shard::{MergeAccel, MergeScratch, ShardArtifacts, ShardConfig, UpdateReport};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
 
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use net::{NetConfig, NetReply, NetSession, ServeServer};
@@ -158,8 +158,6 @@ pub struct ServeConfig {
     pub max_resident: usize,
     /// Configuration forwarded to every local solve.
     pub emst: EmstConfig,
-    /// Solve a cloud's shards concurrently during ingest.
-    pub parallel_shards: bool,
     /// Directory for eviction spill files. `None` (the default) derives a
     /// process-unique directory under the system temp dir, removed when
     /// the engine is dropped; a caller-provided directory is left alone.
@@ -186,9 +184,11 @@ pub struct ServeConfig {
     /// attempt and no retry.
     pub spill_retries: u32,
     /// Per-query wall-clock budget for the fallible (`execute` /
-    /// `*_by_key`) EMST paths. Checked at merge-round boundaries: an
-    /// over-budget query returns [`ServeError::DeadlineExceeded`] instead
-    /// of a late answer. `None` (the default) disables deadlines.
+    /// `*_by_key`) EMST paths. Checked at merge-round boundaries, before
+    /// each dirty-shard re-solve and while parked behind another query's
+    /// fill of the same key: an over-budget query returns
+    /// [`ServeError::DeadlineExceeded`] instead of a late answer. `None`
+    /// (the default) disables deadlines.
     pub deadline: Option<Duration>,
     /// Admission control for the fallible query paths: more than this many
     /// in-flight guarded queries sheds the excess with
@@ -209,7 +209,6 @@ impl ServeConfig {
             shards,
             max_resident,
             emst: EmstConfig::default(),
-            parallel_shards: true,
             spill_dir: None,
             observability: true,
             fallback_spill_dir: None,
@@ -286,7 +285,7 @@ pub struct ServeStats {
     /// `artifact_restores + artifact_rebuilds == reloads` always.
     pub artifact_rebuilds: u64,
     /// Guarded queries that ran over their deadline budget and returned
-    /// [`ServeError::DeadlineExceeded`] at a merge-round boundary.
+    /// [`ServeError::DeadlineExceeded`].
     pub deadline_exceeded: u64,
     /// Guarded queries shed by admission control
     /// ([`ServeError::Overloaded`]).
@@ -370,8 +369,10 @@ pub enum ServeError {
     /// The spill file's contents no longer digest to the key — on-disk
     /// corruption; the engine refuses to serve wrong bits.
     DigestMismatch(CloudKey),
-    /// The query ran past its [`ServeConfig::deadline`] budget; detected
-    /// at a merge-round boundary and returned instead of a late answer.
+    /// The query ran past its [`ServeConfig::deadline`] budget and
+    /// returned instead of a late answer. Detected at a merge-round
+    /// boundary, before a dirty-shard re-solve, or while parked behind
+    /// another query's fill of the same key.
     DeadlineExceeded(CloudKey),
     /// Shed by admission control: [`ServeConfig::max_in_flight`] guarded
     /// queries were already running. Graceful degradation — retry later.
@@ -392,9 +393,7 @@ impl std::fmt::Display for ServeError {
             ServeError::UnknownKey(k) => write!(f, "unknown cloud {k}"),
             ServeError::Spill(e) => write!(f, "spill file unreadable: {e}"),
             ServeError::DigestMismatch(k) => write!(f, "spill file for {k} fails its digest"),
-            ServeError::DeadlineExceeded(k) => {
-                write!(f, "query deadline exceeded merging cloud {k}")
-            }
+            ServeError::DeadlineExceeded(k) => write!(f, "query deadline exceeded on cloud {k}"),
             ServeError::Overloaded => write!(f, "shed by admission control: too many in-flight"),
             ServeError::QueryPanic(msg) => write!(f, "query panicked: {msg}"),
             ServeError::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
@@ -1148,11 +1147,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     }
 
     fn shard_config(&self) -> ShardConfig {
-        ShardConfig {
-            shards: self.num_shards(),
-            emst: self.config.emst,
-            parallel_shards: self.config.parallel_shards,
-        }
+        ShardConfig { shards: self.num_shards(), emst: self.config.emst }
     }
 
     fn checkout(&self) -> ScratchGuard<'_> {
@@ -1168,18 +1163,24 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         ScratchGuard { pool: &self.scratch_pool, scratch: Some(scratch) }
     }
 
-    /// One verified scan of the resident list for `(digest, K)`: a content
-    /// match is a hit; otherwise the vacant key's salt skips past every
-    /// colliding resident so two distinct clouds never alias.
-    fn lookup(&self, digest: u64, points: &[Point<D>]) -> Lookup<D> {
-        let shards = self.num_shards();
+    /// Read-locks the resident list for a query's resolution, recording
+    /// the wait as `emst_serve_lock_wait_seconds{lock="residents.read"}`.
+    fn read_residents(&self) -> RwLockReadGuard<'_, Vec<Arc<Resident<D>>>> {
         let wait = self.obs_now();
         let residents = self.residents.read();
         if let (Some(obs), Some(wait)) = (&self.obs, wait) {
             obs.lock_residents_read.record(wait.elapsed());
         }
+        residents
+    }
+
+    /// One verified scan of the resident list for `(digest, K)`: a content
+    /// match is a hit; otherwise the vacant key's salt skips past every
+    /// colliding resident so two distinct clouds never alias.
+    fn lookup(&self, digest: u64, points: &[Point<D>]) -> Lookup<D> {
+        let shards = self.num_shards();
         let mut salt = 0u32;
-        for r in residents.iter() {
+        for r in self.read_residents().iter() {
             if r.key.digest != digest || r.key.shards != shards {
                 continue;
             }
@@ -1495,7 +1496,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         if key.shards != self.num_shards() {
             return Err(ServeError::UnknownKey(key));
         }
-        let find = || match self.residents.read().iter().find(|r| r.key == key) {
+        let find = || match self.read_residents().iter().find(|r| r.key == key) {
             Some(r) => {
                 self.touch(r);
                 Lookup::Hit(Arc::clone(r))
@@ -3332,10 +3333,10 @@ mod tests {
             let started = Instant::now();
             let followed = engine.emst_by_key(key);
             let waited = started.elapsed();
-            assert!(
-                matches!(followed, Err(ServeError::DeadlineExceeded(k)) if k == key),
-                "{followed:?}"
-            );
+            let err = followed.expect_err("the follower must give up");
+            assert!(matches!(err, ServeError::DeadlineExceeded(k) if k == key), "{err:?}");
+            // No merge ran: the message names the expiry, not a phase.
+            assert_eq!(err.to_string(), format!("query deadline exceeded on cloud {key}"));
             assert!(waited < Duration::from_millis(1000), "follower waited {waited:?}");
             // The leader's own reload takes no deadline; whatever it
             // answers, it must finish.
@@ -3343,6 +3344,24 @@ mod tests {
         });
         assert!(engine.stats().deadline_exceeded >= 1);
         assert_stats_match_metrics(&engine);
+    }
+
+    /// A by-key hit times its resident-list read lock like a by-points
+    /// lookup does.
+    #[test]
+    fn by_key_hits_record_the_residents_read_lock_wait() {
+        let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(3, 2));
+        let key = engine.ingest(&random_points_2d(300, 98));
+        let count = || {
+            let text = engine.metrics_prometheus();
+            let prefix = "emst_serve_lock_wait_seconds_count{lock=\"residents.read\"} ";
+            text.lines()
+                .find_map(|line| line.strip_prefix(prefix))
+                .map_or(0, |v| v.parse::<u64>().unwrap())
+        };
+        let before = count();
+        assert_eq!(engine.emst_by_key(key).unwrap().outcome, CacheOutcome::Hit);
+        assert!(count() > before, "a by-key hit recorded no residents.read wait");
     }
 
     /// Concurrent identical mutations of one parent coalesce on a single

@@ -104,7 +104,7 @@ pub struct ShardArtifacts<const D: usize> {
 impl<const D: usize> ShardArtifacts<D> {
     /// Runs the build phase: plan the Morton ranges, solve every non-empty
     /// shard's local EMST, and build the merge-resident BVHs. Shards run
-    /// concurrently when `config.parallel_shards` is set.
+    /// concurrently on the rayon pool.
     pub fn build<S: ExecSpace>(space: &S, points: &[Point<D>], config: &ShardConfig) -> Self {
         let n = points.len();
         let mut timings = PhaseTimings::new();
@@ -138,18 +138,12 @@ impl<const D: usize> ShardArtifacts<D> {
             let merge = MergeShard::build(space, &pts, &ids);
             (LocalArtifact { shard: s, merge, seeds }, iterations, work)
         };
+        // Concurrent shards cannot share scratch; each brings its own.
         let locals: Vec<(LocalArtifact<D>, u32, CounterSnapshot)> = timings.time("local", || {
-            if config.parallel_shards && inputs.len() > 1 {
-                // Concurrent shards cannot share a pool; each worker brings
-                // its own (the sequential path reuses one across shards).
-                inputs
-                    .into_par_iter()
-                    .map(|input| solve_one(input, &mut BoruvkaScratch::new()))
-                    .collect()
-            } else {
-                let mut scratch = BoruvkaScratch::new();
-                inputs.into_iter().map(|input| solve_one(input, &mut scratch)).collect()
-            }
+            inputs
+                .into_par_iter()
+                .map(|input| solve_one(input, &mut BoruvkaScratch::new()))
+                .collect()
         });
 
         let local_iterations: Vec<u32> = locals.iter().map(|(_, it, _)| *it).collect();

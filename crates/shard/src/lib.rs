@@ -64,15 +64,12 @@ pub struct ShardConfig {
     pub shards: usize,
     /// Configuration forwarded to every per-shard single-tree solve.
     pub emst: EmstConfig,
-    /// Solve shards concurrently on the rayon pool. When false, shards are
-    /// solved one after another (useful to attribute time per shard).
-    pub parallel_shards: bool,
 }
 
 impl ShardConfig {
     /// Default configuration with `shards` shards.
     pub fn new(shards: usize) -> Self {
-        Self { shards, emst: EmstConfig::default(), parallel_shards: true }
+        Self { shards, emst: EmstConfig::default() }
     }
 }
 
@@ -234,16 +231,14 @@ mod tests {
     }
 
     #[test]
-    fn backends_and_sequential_shards_agree() {
+    fn backends_agree() {
         let pts = random_points_2d(600, 29);
         let reference = emst_sharded(&pts, 5);
-        for parallel in [false, true] {
-            let cfg = ShardConfig { parallel_shards: parallel, ..ShardConfig::new(5) };
-            let a = emst_sharded_with(&Serial, &pts, &cfg);
-            let b = emst_sharded_with(&GpuSim::new(), &pts, &cfg);
-            assert_eq!(weight_multiset(&a.edges), weight_multiset(&reference.edges));
-            assert_eq!(weight_multiset(&b.edges), weight_multiset(&reference.edges));
-        }
+        let cfg = ShardConfig::new(5);
+        let a = emst_sharded_with(&Serial, &pts, &cfg);
+        let b = emst_sharded_with(&GpuSim::new(), &pts, &cfg);
+        assert_eq!(weight_multiset(&a.edges), weight_multiset(&reference.edges));
+        assert_eq!(weight_multiset(&b.edges), weight_multiset(&reference.edges));
     }
 
     #[test]

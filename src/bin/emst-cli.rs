@@ -34,9 +34,9 @@
 //! evicted clouds are persisted (both are probed for writability at
 //! startup, so a dead disk fails the launch, not the first eviction),
 //! `--spill-retries` bounds the write retry-with-backoff, `--deadline-ms`
-//! gives every query a wall-clock budget (late queries return an error at
-//! a merge-round boundary instead of a late answer), `--max-in-flight`
-//! sheds excess concurrent queries instead of queueing them, and
+//! gives every query a wall-clock budget (late queries return an error
+//! instead of a late answer), `--max-in-flight` sheds excess concurrent
+//! queries instead of queueing them, and
 //! `--fault-plan "seed=42;write=eio@0.5;read=bitflip@0.25"` injects
 //! deterministic storage faults for chaos drills.
 
