@@ -1,13 +1,12 @@
 //! `perf_snapshot` — the machine-readable perf harness.
 //!
 //! Runs the fig1-style summary plus every ablation grid and writes the
-//! result as `emst-bench-snapshot/1` JSON (schema in
+//! result as `emst-bench-snapshot/2` JSON (schema in
 //! `docs/bench-snapshot.md`), so every PR can commit a `BENCH_*.json` for
 //! future PRs to regress against.
 //!
 //! ```text
-//! perf_snapshot [--json BENCH_PR6.json] [--sizes 10000,100000,1000000]
-//!               [--summary-n 100000] [--repeats 3]
+//! perf_snapshot [--json BENCH_PR6.json] [--summary-n 100000] [--repeats 3]
 //!               [--serving-sizes 10000,100000] [--serving-shards 2,4]
 //!               [--concurrent-workers 1,2,4] [--concurrent-queries 8]
 //!               [--net-clients 8] [--net-requests 32]
@@ -44,12 +43,11 @@ use std::process::ExitCode;
 use emst_bench::snapshot::{
     grid, measure_fault_tolerance, measure_incremental, measure_observability,
     measure_serving_cell, measure_serving_concurrent, measure_serving_network, measure_summary,
-    measure_traversal_cell, Snapshot, SERVING_GENERATORS, TRAVERSAL_GENERATORS,
+    Snapshot, SERVING_GENERATORS,
 };
 
 struct Args {
     json: Option<PathBuf>,
-    sizes: Vec<usize>,
     serving_sizes: Vec<usize>,
     serving_shards: Vec<usize>,
     concurrent_workers: Vec<usize>,
@@ -67,7 +65,6 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut args = Args {
         json: None,
-        sizes: vec![10_000, 100_000],
         serving_sizes: vec![10_000, 100_000],
         serving_shards: vec![2, 4],
         concurrent_workers: vec![1, 2, 4],
@@ -84,7 +81,6 @@ fn parse_args() -> Result<Args, String> {
         let count = |v: String| v.parse::<usize>().map_err(|_| format!("bad {key}"));
         match key.as_str() {
             "--json" => args.json = Some(PathBuf::from(value()?)),
-            "--sizes" => args.sizes = list(value()?, "size")?,
             "--serving-sizes" => args.serving_sizes = list(value()?, "size")?,
             "--serving-shards" => args.serving_shards = list(value()?, "shard count")?,
             "--concurrent-workers" => args.concurrent_workers = list(value()?, "worker count")?,
@@ -97,8 +93,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    if args.sizes.is_empty() || args.repeats == 0 {
-        return Err("--sizes and --repeats must be non-empty/non-zero".into());
+    if args.repeats == 0 {
+        return Err("--repeats must be non-zero".into());
     }
     if args.serving_shards.is_empty() || args.serving_shards.contains(&0) {
         return Err("--serving-shards must be non-empty positive counts".into());
@@ -124,7 +120,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: perf_snapshot [--json out.json] [--sizes n1,n2,...] [--summary-n n] \
+                "usage: perf_snapshot [--json out.json] [--summary-n n] \
                  [--repeats r] [--serving-sizes n1,n2,...] [--serving-shards k] \
                  [--concurrent-workers w1,w2,...] [--concurrent-queries q] \
                  [--net-clients c] [--net-requests q] [--incremental-shards k]"
@@ -140,13 +136,6 @@ fn main() -> ExitCode {
 
     println!("# perf_snapshot: summary n = {}, repeats = {repeats}", args.summary_n);
     snap.section("summary", "fig1-style summary", measure_summary(args.summary_n, repeats));
-    snap.section(
-        "traversal",
-        "traversal ablation (stack vs stackless, Threads backend)",
-        grid(&TRAVERSAL_GENERATORS, &args.sizes, |g, kind, n| {
-            [measure_traversal_cell(g, kind, n, repeats)]
-        }),
-    );
     snap.section(
         "serving",
         &format!(

@@ -5,7 +5,7 @@
 //! runs one ablation cell (or one summary row) and returns it as a
 //! [`Cell`], an ordered list of keys and values with its ratio already
 //! taken. A [`Snapshot`] files the cells under the sections of
-//! [`SECTIONS`] and writes them as `emst-bench-snapshot/1` JSON with one
+//! [`SECTIONS`] and writes them as `emst-bench-snapshot/2` JSON with one
 //! small writer (the workspace has no serde).
 //!
 //! The schema — every section and every field — is documented in
@@ -15,15 +15,10 @@
 use std::fmt;
 use std::path::Path;
 
-use emst_core::{EmstConfig, SingleTreeBoruvka, Traversal};
+use emst_core::{EmstConfig, SingleTreeBoruvka};
 use emst_datasets::Kind;
 use emst_exec::{PhaseTimings, Serial, Threads};
 use emst_geometry::Point;
-
-/// The generators of the traversal ablation: uniform, clustered
-/// (variable-density), and GeoLife-style dense hot spots.
-pub const TRAVERSAL_GENERATORS: [(&str, Kind); 3] =
-    [("uniform", Kind::Uniform), ("clustered", Kind::VisualVar), ("dense", Kind::GeoLifeLike)];
 
 /// The generators of every serving section: uniform and dense.
 pub const SERVING_GENERATORS: [(&str, Kind); 2] =
@@ -32,9 +27,8 @@ pub const SERVING_GENERATORS: [(&str, Kind); 2] =
 /// The snapshot's sections in file order, each with the keys of its cells
 /// in order. `docs/bench-snapshot.md` documents every key.
 #[rustfmt::skip]
-pub const SECTIONS: [(&str, &[&str]); 8] = [
+pub const SECTIONS: [(&str, &[&str]); 7] = [
     ("summary", &["configuration", "n", "dim", "mfeatures_per_s", "phases"]),
-    ("traversal", &["generator", "n", "stack", "stackless", "speedup_find_edges"]),
     ("serving", &["generator", "n", "shards", "cold_s", "warm_s", "speedup_warm"]),
     ("serving_concurrent", &["generator", "n", "shards", "workers", "queries", "queries_per_s",
         "speedup_vs_1", "host_cpus"]),
@@ -162,14 +156,6 @@ impl Cell {
         }
     }
 
-    /// The nested cell under `key`. Panics if `key` holds anything else.
-    pub fn cell(&self, key: &str) -> &Cell {
-        match self.get(key) {
-            Some(Value::Cell(c)) => c,
-            other => panic!("{key}: expected a cell, found {other:?}"),
-        }
-    }
-
     /// Flattened `(key, text)` columns for the stdout tables: nested keys
     /// joined with `.`, strings unquoted.
     fn columns(&self, prefix: &str, out: &mut Vec<(String, String)>) {
@@ -254,7 +240,7 @@ impl Snapshot {
         self.sections.push((name, cells));
     }
 
-    /// Serializes to the documented `emst-bench-snapshot/1` JSON. Panics
+    /// Serializes to the documented `emst-bench-snapshot/2` JSON. Panics
     /// if a section is not in [`SECTIONS`] or a cell's keys differ from
     /// its section's.
     pub fn to_json(&self) -> String {
@@ -262,7 +248,7 @@ impl Snapshot {
             assert!(SECTIONS.iter().any(|(s, _)| s == name), "unknown section {name:?}");
         }
         let header = Cell::default()
-            .with("schema", "emst-bench-snapshot/1")
+            .with("schema", "emst-bench-snapshot/2")
             .with("repeats", self.repeats)
             .with("backend", "Threads");
         let mut out = String::from("{\n");
@@ -325,33 +311,6 @@ pub fn grid<I: IntoIterator<Item = Cell>>(
 /// A cell opening with its grid coordinates.
 fn at(generator: &str, n: usize) -> Cell {
     Cell::default().with("generator", generator).with("n", n)
-}
-
-/// Measures one ablation cell: `repeats` interleaved runs of both walkers
-/// on the `Threads` backend, reporting per-phase medians.
-pub fn measure_traversal_cell(generator: &str, kind: Kind, n: usize, repeats: usize) -> Cell {
-    let points: Vec<Point<2>> = kind.generate(n, 0x7A3);
-    let mut samples: [[Vec<f64>; 3]; 2] = Default::default();
-    for _ in 0..repeats {
-        for (which, traversal) in [Traversal::Stack, Traversal::Stackless].into_iter().enumerate() {
-            let cfg = EmstConfig { traversal, ..Default::default() };
-            let r = SingleTreeBoruvka::new(&points).run(&Threads, &cfg);
-            samples[which][0].push(r.timings.get("mst.find_edges"));
-            samples[which][1].push(r.timings.get("mst"));
-            samples[which][2].push(r.timings.get("tree") + r.timings.get("mst"));
-        }
-    }
-    let [stack, stackless] = samples.map(|[mut find_edges, mut mst, mut total]| {
-        Cell::default()
-            .with("find_edges_s", median(&mut find_edges))
-            .with("mst_s", median(&mut mst))
-            .with("total_s", median(&mut total))
-    });
-    let speedup = stack.num("find_edges_s") / stackless.num("find_edges_s");
-    at(generator, n)
-        .with("stack", stack)
-        .with("stackless", stackless)
-        .with("speedup_find_edges", speedup)
 }
 
 /// Measures one serving cell: `repeats` interleaved cold (fresh engine)
@@ -838,8 +797,6 @@ mod tests {
     fn snapshot_serializes_valid_shape() {
         let mut snap = Snapshot { repeats: 1, sections: vec![] };
         snap.section("summary", "summary", measure_summary(400, 1));
-        let traversal = measure_traversal_cell("uniform", Kind::Uniform, 500, 1);
-        snap.section("traversal", "traversal", vec![traversal]);
         let serving = measure_serving_cell("uniform", Kind::Uniform, 600, 3, 1);
         snap.section("serving", "serving", vec![serving]);
         let concurrent = measure_serving_concurrent("uniform", Kind::Uniform, 600, 3, &[1, 2], 2);
@@ -853,8 +810,7 @@ mod tests {
         let inc = measure_incremental("uniform", Kind::Uniform, 600, 3, 1);
         snap.section("incremental", "incremental", vec![inc]);
         let json = snap.to_json();
-        assert!(json.contains("\"schema\": \"emst-bench-snapshot/1\""));
-        assert!(json.contains("\"speedup_find_edges\""));
+        assert!(json.contains("\"schema\": \"emst-bench-snapshot/2\""));
         assert!(json.contains("\"speedup_warm\""));
         assert!(json.contains("\"speedup_vs_1\""));
         assert!(json.contains("\"host_cpus\""));
@@ -869,14 +825,6 @@ mod tests {
         // JSON parser in the workspace).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn traversal_cell_speedup_is_finite_and_positive() {
-        let cell = measure_traversal_cell("dense", Kind::GeoLifeLike, 800, 1);
-        assert!(cell.num("speedup_find_edges").is_finite());
-        assert!(cell.cell("stack").num("find_edges_s") > 0.0);
-        assert!(cell.cell("stackless").num("find_edges_s") > 0.0);
     }
 
     #[test]

@@ -40,8 +40,8 @@ use crate::wide::WideBvh;
 /// child ids of a node share a slot, so a traversal step is one load), one
 /// contiguous `bounds` array, and one `parent` array — no per-node
 /// allocations. Construction also collapses the binary hierarchy into the
-/// 4-wide rope-linked [`WideBvh`] that backs the default stackless
-/// traversal ([`Bvh::nearest_stackless`]).
+/// 4-wide rope-linked [`WideBvh`] that backs the stackless traversal
+/// ([`Bvh::nearest`]).
 #[derive(Clone, Debug)]
 pub struct Bvh<const D: usize> {
     pub(crate) layout: Layout,
@@ -388,7 +388,7 @@ impl<const D: usize> Bvh<D> {
     }
 
     /// The 4-wide rope-linked collapse of the hierarchy, built once at
-    /// construction time — the storage behind [`Bvh::nearest_stackless`].
+    /// construction time — the storage behind [`Bvh::nearest`].
     #[inline]
     pub fn wide(&self) -> &WideBvh<D> {
         &self.wide

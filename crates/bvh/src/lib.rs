@@ -14,11 +14,9 @@
 //!    `bounds` and `parent` arrays) and additionally **collapsed into a
 //!    4-wide rope-linked tree** ([`WideBvh`]) whose child-box tests
 //!    auto-vectorize;
-//! 4. queries run one traversal per thread (Algorithm 2 of the paper):
-//!    either the seed **stack-based top-down walk** with distance-ordered
-//!    descent ([`Bvh::nearest_with`], kept for ablation) or the default
-//!    **stackless rope traversal** ([`Bvh::nearest_stackless`]) — pure
-//!    index chasing with no per-thread stack, the GPU-faithful form.
+//! 4. queries run one traversal per thread (Algorithm 2 of the paper): a
+//!    **stackless rope traversal** of the wide tree ([`Bvh::nearest`]) —
+//!    pure index chasing with no per-thread stack, the GPU-faithful form.
 //!
 //! Given `n` points the tree has `n` leaves and `n − 1` internal nodes
 //! (2n−1 total), and leaves appear in Morton order — the property the
@@ -26,11 +24,9 @@
 //!
 //! The traversal entry points are deliberately generic: the single-tree
 //! Borůvka algorithm of `emst-core` injects its component-skip predicate
-//! (Optimization 1) and its metric through [`Bvh::nearest`], selecting the
-//! walker with [`Traversal`].
+//! (Optimization 1) and its metric through [`Bvh::nearest`].
 
 pub mod build;
-pub mod bulk;
 pub mod node;
 pub mod quality;
 pub mod serial;
@@ -41,5 +37,5 @@ pub use build::{Bvh, MortonResolution};
 pub use node::{NodeId, INVALID_NODE};
 pub use quality::TreeQuality;
 pub use serial::DecodeError;
-pub use traverse::{NearestHit, Traversal, TraversalStats};
+pub use traverse::{NearestHit, TraversalStats};
 pub use wide::{WideBvh, WideNode};

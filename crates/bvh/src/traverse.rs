@@ -1,38 +1,29 @@
-//! Per-query nearest-neighbour traversals (Algorithm 2 of the paper).
+//! Per-query nearest-neighbour traversal (Algorithm 2 of the paper).
 //!
 //! Each query is executed by a single thread, in the bulk-synchronous style
 //! of ArborX: the caller launches one `parallel_for` over queries and each
-//! work item calls into these routines. Two walkers share one contract:
+//! work item calls [`Bvh::nearest`] (or [`Bvh::nearest_floor`]) — a
+//! stackless rope/escape-pointer walk over the 4-wide collapsed
+//! [`crate::WideBvh`] whose per-thread state is a single node index, the
+//! GPU-faithful form ArborX itself moved to.
 //!
-//! - [`Bvh::nearest_with`] — the explicit-stack top-down walk over the
-//!   binary radix tree, kept as the ablation baseline (the seed form);
-//! - [`Bvh::nearest_stackless`] — the default: rope/escape-pointer chasing
-//!   over the 4-wide collapsed [`crate::WideBvh`], no per-thread stack —
-//!   the GPU-faithful form, selected by [`Traversal::Stackless`].
-//!
-//! Both take the same hooks the single-tree Borůvka algorithm uses: a
+//! The walker takes the hooks the single-tree Borůvka algorithm uses: a
 //! `skip` predicate implementing the paper's Optimization 1 (bypassing
 //! subtrees whose leaves all share the query's component, keyed by *binary*
-//! node id in both walkers) and a `leaf` callback applying the metric
-//! (Euclidean or mutual-reachability). They return **bit-identical**
-//! [`NearestHit`]s: the result is the minimum over the same candidate set
-//! under the same `(distance, rank)` order, pruning is strictly-greater in
-//! both, and the wide tree's vectorized leaf-lane distances reproduce
-//! [`Point::squared_distance`] exactly (see `wide.rs`).
+//! node id) and a `leaf` callback applying the metric (Euclidean or
+//! mutual-reachability). Its result is the minimum over the accepted
+//! candidates under the `(distance, rank)` order; the wide tree's
+//! vectorized leaf-lane distances reproduce [`Point::squared_distance`]
+//! exactly (see `wide.rs`), so that minimum is bit-identical to a brute
+//! force over the same candidates.
 
 use emst_geometry::{Point, Scalar};
 
 use crate::build::Bvh;
 use crate::node::{NodeId, INVALID_NODE};
 
-/// Maximum traversal stack depth.
-///
-/// The radix hierarchy's depth is bounded by the key length (64 Morton bits
-/// plus 32 tie-break bits), so 128 slots never overflow.
-const STACK_CAPACITY: usize = 128;
-
-/// Hints the cache to pull `p` in: the stackless walker issues this for the
-/// rope target while lane arithmetic is still in flight, hiding the latency
+/// Hints the cache to pull `p` in: the walker issues this for the rope
+/// target while lane arithmetic is still in flight, hiding the latency
 /// of the dependent index chase. Prefetches never fault, so a sentinel
 /// (out-of-range) address is fine.
 #[inline(always)]
@@ -48,37 +39,6 @@ fn prefetch<T>(p: *const T) {
     unsafe {
         core::arch::asm!("prfm pldl1keep, [{0}]", in(reg) p, options(nostack, preserves_flags))
     };
-}
-
-/// Which nearest-neighbour walker the hot path uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Traversal {
-    /// Explicit 128-entry per-query stack over the binary radix tree — the
-    /// seed implementation, kept for the ablation study.
-    Stack,
-    /// Stackless rope traversal over the 4-wide SoA collapse: pure index
-    /// chasing, no per-thread stack (the GPU-faithful default).
-    #[default]
-    Stackless,
-}
-
-impl Traversal {
-    /// Parses the CLI/bench spelling (`"stack"` / `"stackless"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "stack" => Some(Self::Stack),
-            "stackless" => Some(Self::Stackless),
-            _ => None,
-        }
-    }
-
-    /// The CLI/bench spelling.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Stack => "stack",
-            Self::Stackless => "stackless",
-        }
-    }
 }
 
 /// Per-query work statistics, accumulated locally (no atomics on the hot
@@ -97,7 +57,7 @@ pub struct TraversalStats {
     pub distances: u64,
     /// Subtrees skipped by the caller's predicate (Optimization 1).
     pub skipped: u64,
-    /// Escape-pointer follows (stackless walker only).
+    /// Escape-pointer follows.
     pub rope_hops: u64,
     /// Minimum squared distance among subtrees/leaves pruned **by the
     /// radius**: boxes and leaves beyond it, and leaves the `leaf` callback
@@ -150,14 +110,15 @@ pub struct NearestHit {
 }
 
 impl<const D: usize> Bvh<D> {
-    /// Generic single-threaded nearest-neighbour traversal.
+    /// Single-threaded nearest-neighbour traversal: a stackless rope walk
+    /// over the 4-wide collapse ([`crate::WideBvh`]).
     ///
     /// - `query`: the query point;
-    /// - `radius_sq`: initial squared cutoff radius (candidates at or beyond
-    ///   it are ignored) — the component upper bound of Optimization 2, or
+    /// - `radius_sq`: initial squared cutoff radius (candidates beyond it are
+    ///   ignored) — the component upper bound of Optimization 2, or
     ///   `f32::INFINITY` for an unconstrained search;
-    /// - `skip`: called with a node id before it is examined; returning
-    ///   `true` prunes the whole subtree (Optimization 1);
+    /// - `skip`: called with a *binary* node id before its subtree is
+    ///   entered; returning `true` prunes the whole subtree (Optimization 1);
     /// - `leaf`: called with `(morton rank, squared Euclidean distance)` of
     ///   a candidate leaf; returns the squared *metric* distance, or `None`
     ///   to reject the candidate (e.g. "same point" or "same component").
@@ -171,165 +132,28 @@ impl<const D: usize> Bvh<D> {
     /// an equidistant smaller-rank candidate nor miss a candidate that
     /// exactly attains the component upper bound. Node pruning is therefore
     /// strictly-greater-than.
-    pub fn nearest_with<FSkip, FLeaf>(
-        &self,
-        query: &Point<D>,
-        radius_sq: Scalar,
-        skip: FSkip,
-        leaf: FLeaf,
-        stats: &mut TraversalStats,
-    ) -> Option<NearestHit>
-    where
-        FSkip: FnMut(NodeId) -> bool,
-        FLeaf: FnMut(u32, Scalar) -> Option<Scalar>,
-    {
-        self.nearest_with_impl::<false, FSkip, FLeaf>(query, radius_sq, skip, leaf, stats)
-    }
-
-    /// [`Bvh::nearest_with`] with `TRACK` compiled in or out: tracking the
-    /// radius-pruned frontier minimum costs a `min` on the pruning paths,
-    /// which only callers that keep the floor (the Borůvka kernel and the
-    /// sharded merge, via [`Bvh::nearest_floor`]) pay.
-    fn nearest_with_impl<const TRACK: bool, FSkip, FLeaf>(
-        &self,
-        query: &Point<D>,
-        mut radius_sq: Scalar,
-        mut skip: FSkip,
-        mut leaf: FLeaf,
-        stats: &mut TraversalStats,
-    ) -> Option<NearestHit>
-    where
-        FSkip: FnMut(NodeId) -> bool,
-        FLeaf: FnMut(u32, Scalar) -> Option<Scalar>,
-    {
-        let mut best: Option<NearestHit> = None;
-        let root = self.root();
-        if self.is_leaf(root) {
-            // Single-point tree: test the one leaf directly.
-            if !skip(root) {
-                let rank = self.leaf_rank(root);
-                stats.leaves += 1;
-                stats.distances += 1;
-                let e = query.squared_distance(self.leaf_point(rank));
-                if e <= radius_sq {
-                    if let Some(m) = leaf(rank, e) {
-                        if m <= radius_sq {
-                            best = Some(NearestHit { rank, dist_sq: m });
-                        } else if TRACK {
-                            stats.pruned_min_sq = stats.pruned_min_sq.min(m);
-                        }
-                    }
-                } else if TRACK {
-                    stats.pruned_min_sq = stats.pruned_min_sq.min(e);
-                }
-            }
-            return best;
-        }
-
-        // Stack entries carry the distance computed at push time, so a
-        // popped node whose subtree got pruned by a shrunken radius skips
-        // the AABB arithmetic entirely.
-        let mut stack = [(0.0 as Scalar, 0 as NodeId); STACK_CAPACITY];
-        let mut sp = 0usize;
-        stack[sp] = (0.0, root);
-        sp += 1;
-        if skip(root) {
-            stats.skipped += 1;
-            return None;
-        }
-
-        while sp > 0 {
-            sp -= 1;
-            let (node_dist, node) = stack[sp];
-            stats.nodes += 1;
-            // The node was within the radius when pushed, but the radius may
-            // have shrunk since. Strict inequality: a node exactly at the
-            // radius can still hold an equidistant smaller-rank tie
-            // candidate.
-            if node_dist > radius_sq {
-                if TRACK {
-                    stats.pruned_min_sq = stats.pruned_min_sq.min(node_dist);
-                }
-                continue;
-            }
-            // Examine both children; descend nearer-first for pruning.
-            let children = [self.left_child(node), self.right_child(node)];
-            let mut push: [(Scalar, NodeId); 2] = [(Scalar::INFINITY, 0); 2];
-            let mut pushes = 0usize;
-            for child in children {
-                if skip(child) {
-                    stats.skipped += 1;
-                    continue;
-                }
-                if self.is_leaf(child) {
-                    let rank = self.leaf_rank(child);
-                    stats.leaves += 1;
-                    stats.distances += 1;
-                    let e = query.squared_distance(self.leaf_point(rank));
-                    // Cheap Euclidean reject first: metric >= Euclidean.
-                    if e > radius_sq {
-                        if TRACK {
-                            stats.pruned_min_sq = stats.pruned_min_sq.min(e);
-                        }
-                        continue;
-                    }
-                    if let Some(m) = leaf(rank, e) {
-                        if m < radius_sq {
-                            radius_sq = m;
-                            best = Some(NearestHit { rank, dist_sq: m });
-                        } else if m == radius_sq {
-                            // Tie: keep the smallest rank for determinism.
-                            match best {
-                                Some(b) if rank >= b.rank => {}
-                                _ => best = Some(NearestHit { rank, dist_sq: m }),
-                            }
-                        } else if TRACK {
-                            // Within the Euclidean radius but beyond it in
-                            // the metric: as much a pruned candidate as a
-                            // box beyond the radius.
-                            stats.pruned_min_sq = stats.pruned_min_sq.min(m);
-                        }
-                    }
-                } else {
-                    let d = self.node_distance_sq(child, query);
-                    if d <= radius_sq {
-                        push[pushes] = (d, child);
-                        pushes += 1;
-                    } else if TRACK {
-                        stats.pruned_min_sq = stats.pruned_min_sq.min(d);
-                    }
-                }
-            }
-            match pushes {
-                0 => {}
-                1 => {
-                    stack[sp] = push[0];
-                    sp += 1;
-                }
-                _ => {
-                    // Push the farther child first so the nearer pops first.
-                    let (near, far) = if push[0].0 <= push[1].0 {
-                        (push[0], push[1])
-                    } else {
-                        (push[1], push[0])
-                    };
-                    stack[sp] = far;
-                    stack[sp + 1] = near;
-                    sp += 2;
-                }
-            }
-            debug_assert!(sp <= STACK_CAPACITY);
-        }
-        best
-    }
-
-    /// Dispatches to the walker selected by `traversal` — same contract and
-    /// same result as both [`Bvh::nearest_with`] and
-    /// [`Bvh::nearest_stackless`].
+    ///
+    /// The per-thread state is a single node index:
+    ///
+    /// - on arrival at a node, the four child-lane boxes are tested by one
+    ///   fixed-width (auto-vectorized) loop; a leaf lane's box is its point,
+    ///   so the lane distance doubles as the candidate distance;
+    /// - the walker then descends to its first live internal lane, or
+    ///   follows the rope (`escape`) out of the subtree.
+    ///
+    /// Two contract points follow from the collapse (both hold for
+    /// component labels, where predicate and callback derive from the same
+    /// per-rank label array):
+    ///
+    /// - `skip` must be downward-closed — skipping a node implies its
+    ///   descendants would be skipped too — because the collapse only
+    ///   consults it at even binary depths;
+    /// - leaf candidates are *not* passed to `skip`; the `leaf` callback
+    ///   must itself reject any leaf the predicate would exclude (as the
+    ///   Borůvka same-component check does).
     #[inline]
     pub fn nearest<FSkip, FLeaf>(
         &self,
-        traversal: Traversal,
         query: &Point<D>,
         radius_sq: Scalar,
         skip: FSkip,
@@ -340,10 +164,7 @@ impl<const D: usize> Bvh<D> {
         FSkip: FnMut(NodeId) -> bool,
         FLeaf: FnMut(u32, Scalar) -> Option<Scalar>,
     {
-        match traversal {
-            Traversal::Stack => self.nearest_with(query, radius_sq, skip, leaf, stats),
-            Traversal::Stackless => self.nearest_stackless(query, radius_sq, skip, leaf, stats),
-        }
+        self.nearest_impl::<false, FSkip, FLeaf>(query, radius_sq, skip, leaf, stats)
     }
 
     /// [`Bvh::nearest`] that additionally reports the radius-pruned
@@ -354,7 +175,6 @@ impl<const D: usize> Bvh<D> {
     #[inline]
     pub fn nearest_floor<FSkip, FLeaf>(
         &self,
-        traversal: Traversal,
         query: &Point<D>,
         radius_sq: Scalar,
         skip: FSkip,
@@ -365,56 +185,12 @@ impl<const D: usize> Bvh<D> {
         FSkip: FnMut(NodeId) -> bool,
         FLeaf: FnMut(u32, Scalar) -> Option<Scalar>,
     {
-        match traversal {
-            Traversal::Stack => {
-                self.nearest_with_impl::<true, FSkip, FLeaf>(query, radius_sq, skip, leaf, stats)
-            }
-            Traversal::Stackless => self
-                .nearest_stackless_impl::<true, FSkip, FLeaf>(query, radius_sq, skip, leaf, stats),
-        }
+        self.nearest_impl::<true, FSkip, FLeaf>(query, radius_sq, skip, leaf, stats)
     }
 
-    /// Stackless nearest-neighbour traversal over the 4-wide rope-linked
-    /// collapse ([`crate::WideBvh`]). Same parameters, same guarantees and
-    /// bit-identical results as [`Bvh::nearest_with`] — see the module docs
-    /// for why — but the per-thread state is a single node index:
-    ///
-    /// - on arrival at a node, the four child-lane boxes are tested by one
-    ///   fixed-width (auto-vectorized) loop; a leaf lane's box is its point,
-    ///   so the lane distance doubles as the candidate distance;
-    /// - the walker then descends to its first live internal lane, or
-    ///   follows the rope (`escape`) out of the subtree.
-    ///
-    /// The `skip` predicate receives *binary* node ids (each lane carries
-    /// the id of the binary subtree it collapsed from), so the same
-    /// component-label closure drives both walkers. Two contract points the
-    /// stack walker does not need (both hold for component labels, where
-    /// predicate and callback derive from the same per-rank label array):
-    ///
-    /// - `skip` must be downward-closed — skipping a node implies its
-    ///   descendants would be skipped too — because the collapse only
-    ///   consults it at even binary depths;
-    /// - leaf candidates are *not* passed to `skip` here; the `leaf`
-    ///   callback must itself reject any leaf the predicate would exclude
-    ///   (as the Borůvka same-component check does).
-    pub fn nearest_stackless<FSkip, FLeaf>(
-        &self,
-        query: &Point<D>,
-        radius_sq: Scalar,
-        skip: FSkip,
-        leaf: FLeaf,
-        stats: &mut TraversalStats,
-    ) -> Option<NearestHit>
-    where
-        FSkip: FnMut(NodeId) -> bool,
-        FLeaf: FnMut(u32, Scalar) -> Option<Scalar>,
-    {
-        self.nearest_stackless_impl::<false, FSkip, FLeaf>(query, radius_sq, skip, leaf, stats)
-    }
-
-    /// [`Bvh::nearest_stackless`] with the pruning-floor tracking compiled
-    /// in (`TRACK = true`, via [`Bvh::nearest_floor`]) or out (`false`).
-    fn nearest_stackless_impl<const TRACK: bool, FSkip, FLeaf>(
+    /// The walk behind [`Bvh::nearest`] and [`Bvh::nearest_floor`], with the
+    /// pruning-floor tracking compiled in (`TRACK = true`) or out.
+    fn nearest_impl<const TRACK: bool, FSkip, FLeaf>(
         &self,
         query: &Point<D>,
         mut radius_sq: Scalar,
@@ -505,8 +281,9 @@ impl<const D: usize> Bvh<D> {
                                 _ => best = Some(NearestHit { rank, dist_sq: m }),
                             }
                         } else if TRACK {
-                            // Metric-rejected: feeds the floor (see the
-                            // stack walker).
+                            // Within the Euclidean radius but beyond it in
+                            // the metric: as much a pruned candidate as a
+                            // box beyond the radius.
                             stats.pruned_min_sq = stats.pruned_min_sq.min(m);
                         }
                     }
@@ -532,12 +309,10 @@ impl<const D: usize> Bvh<D> {
     }
 
     /// Nearest neighbour of `query` among all points except `exclude_rank`
-    /// (pass `u32::MAX` to exclude nothing). Euclidean metric. Runs on the
-    /// default (stackless) walker.
+    /// (pass `u32::MAX` to exclude nothing). Euclidean metric.
     pub fn nearest_neighbor(&self, query: &Point<D>, exclude_rank: u32) -> Option<NearestHit> {
         let mut stats = TraversalStats::default();
         self.nearest(
-            Traversal::default(),
             query,
             Scalar::INFINITY,
             |_| false,
@@ -570,11 +345,10 @@ impl<const D: usize> Bvh<D> {
             return vec![];
         }
         let mut heap = KnnHeap::new(k);
-        // The default (stackless) walker; the kept k-set is identical for
-        // any traversal order, because a candidate pruned at some radius is
-        // strictly farther than the final k-th distance.
+        // The kept k-set is independent of the traversal order, because a
+        // candidate pruned at some radius is strictly farther than the final
+        // k-th distance.
         self.nearest(
-            Traversal::default(),
             query,
             Scalar::INFINITY,
             |_| false,
@@ -586,39 +360,6 @@ impl<const D: usize> Bvh<D> {
             stats,
         );
         heap.into_sorted()
-    }
-
-    /// All leaves within squared distance `radius_sq` of `query`
-    /// (boundary exclusive), unordered.
-    pub fn within_radius(&self, query: &Point<D>, radius_sq: Scalar) -> Vec<u32> {
-        let mut out = vec![];
-        let root = self.root();
-        if self.is_leaf(root) {
-            if query.squared_distance(self.leaf_point(0)) < radius_sq {
-                out.push(0);
-            }
-            return out;
-        }
-        let mut stack = [0 as NodeId; STACK_CAPACITY];
-        let mut sp = 0usize;
-        stack[sp] = root;
-        sp += 1;
-        while sp > 0 {
-            sp -= 1;
-            let node = stack[sp];
-            for child in [self.left_child(node), self.right_child(node)] {
-                if self.is_leaf(child) {
-                    let rank = self.leaf_rank(child);
-                    if query.squared_distance(self.leaf_point(rank)) < radius_sq {
-                        out.push(rank);
-                    }
-                } else if self.node_distance_sq(child, query) < radius_sq {
-                    stack[sp] = child;
-                    sp += 1;
-                }
-            }
-        }
-        out
     }
 }
 
@@ -771,31 +512,11 @@ mod tests {
     }
 
     #[test]
-    fn within_radius_matches_brute_force() {
-        let pts = random_points_2d(400, 9);
-        let bvh = Bvh::build(&Serial, &pts);
-        let q = Point::new([0.3, 0.3]);
-        for &r2 in &[0.001f32, 0.05, 0.5, 10.0] {
-            let mut got: Vec<u32> =
-                bvh.within_radius(&q, r2).into_iter().map(|rank| bvh.point_index(rank)).collect();
-            got.sort_unstable();
-            let mut expect: Vec<u32> = pts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| q.squared_distance(p) < r2)
-                .map(|(i, _)| i as u32)
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "r2={r2}");
-        }
-    }
-
-    #[test]
     fn skip_predicate_prunes_everything() {
         let pts = random_points_2d(50, 2);
         let bvh = Bvh::build(&Serial, &pts);
         let mut stats = TraversalStats::default();
-        let hit = bvh.nearest_with(
+        let hit = bvh.nearest(
             &Point::new([0.0, 0.0]),
             f32::INFINITY,
             |_| true,
@@ -812,8 +533,7 @@ mod tests {
         let bvh = Bvh::build(&Serial, &pts);
         let mut stats = TraversalStats::default();
         // radius² = 1: nothing within
-        let hit =
-            bvh.nearest_with(&Point::new([5.0, 0.0]), 1.0, |_| false, |_, e| Some(e), &mut stats);
+        let hit = bvh.nearest(&Point::new([5.0, 0.0]), 1.0, |_| false, |_, e| Some(e), &mut stats);
         assert!(hit.is_none());
     }
 
@@ -825,8 +545,6 @@ mod tests {
         assert_eq!(hit.dist_sq, 2.0);
         assert!(bvh.nearest_neighbor(&Point::new([0.0, 0.0]), 0).is_none());
         assert_eq!(bvh.k_nearest(&Point::new([0.0, 0.0]), 3).len(), 1);
-        assert_eq!(bvh.within_radius(&Point::new([0.0, 0.0]), 3.0), vec![0]);
-        assert!(bvh.within_radius(&Point::new([0.0, 0.0]), 1.0).is_empty());
     }
 
     #[test]
@@ -834,13 +552,7 @@ mod tests {
         let pts = random_points_2d(1000, 33);
         let bvh = Bvh::build(&Serial, &pts);
         let mut stats = TraversalStats::default();
-        bvh.nearest_with(
-            &Point::new([0.0, 0.0]),
-            f32::INFINITY,
-            |_| false,
-            |_, e| Some(e),
-            &mut stats,
-        );
+        bvh.nearest(&Point::new([0.0, 0.0]), f32::INFINITY, |_| false, |_, e| Some(e), &mut stats);
         assert!(stats.nodes > 0);
         assert!(stats.leaves > 0);
         assert!(stats.distances >= stats.leaves);
@@ -874,7 +586,7 @@ mod tests {
     }
 
     /// Reference subtree labels for a synthetic component assignment —
-    /// the downward-closed predicate family the walkers must agree under.
+    /// the downward-closed predicate family the walker must honour.
     fn subtree_labels(bvh: &Bvh<2>, labels: &[u32]) -> Vec<u32> {
         fn go(bvh: &Bvh<2>, labels: &[u32], node: u32, out: &mut [u32]) -> u32 {
             let l = if bvh.is_leaf(node) {
@@ -896,31 +608,35 @@ mod tests {
         out
     }
 
-    /// Runs both walkers with the component-skip predicate active and
-    /// asserts bit-identical hits.
-    fn assert_walkers_agree(pts: &[Point<2>], labels: &[u32], radius_sq: f32) {
+    /// Runs the walker from every leaf with the component-skip predicate
+    /// active and asserts a bit-identical hit to the brute-force
+    /// `(distance, rank)` minimum over the other components' leaves within
+    /// the (inclusive) radius.
+    fn assert_nearest_is_brute_force_minimum(pts: &[Point<2>], labels: &[u32], radius_sq: f32) {
         let bvh = Bvh::build(&Serial, pts);
         let node_labels = subtree_labels(&bvh, labels);
         for i in 0..pts.len() {
             let comp = labels[i];
             let q = bvh.leaf_point(i as u32);
-            let run = |t: Traversal| {
-                let mut st = TraversalStats::default();
-                bvh.nearest(
-                    t,
-                    q,
-                    radius_sq,
-                    |node| node_labels[node as usize] == comp,
-                    |rank, e| (labels[rank as usize] != comp).then_some(e),
-                    &mut st,
-                )
-            };
-            let a = run(Traversal::Stack);
-            let b = run(Traversal::Stackless);
-            assert_eq!(a, b, "query rank {i}");
+            let mut st = TraversalStats::default();
+            let got = bvh.nearest(
+                q,
+                radius_sq,
+                |node| node_labels[node as usize] == comp,
+                |rank, e| (labels[rank as usize] != comp).then_some(e),
+                &mut st,
+            );
+            let expect = (0..pts.len() as u32)
+                .filter(|&r| labels[r as usize] != comp)
+                .map(|r| NearestHit { rank: r, dist_sq: q.squared_distance(bvh.leaf_point(r)) })
+                .filter(|h| h.dist_sq <= radius_sq)
+                .min_by(|a, b| a.dist_sq.total_cmp(&b.dist_sq).then(a.rank.cmp(&b.rank)));
+            assert_eq!(got, expect, "query rank {i}");
         }
     }
 
+    /// Integer grid plus a duplicate block, so every distance ties: the
+    /// walker's hit is the brute-force minimum at both radii.
     #[test]
     fn stack_and_stackless_agree_under_tie_pressure() {
         // Integer grid: every distance ties; plus duplicate blocks.
@@ -928,8 +644,8 @@ mod tests {
             (0..8).flat_map(|x| (0..8).map(move |y| Point::new([x as f32, y as f32]))).collect();
         pts.extend(std::iter::repeat_n(Point::new([3.0, 3.0]), 9));
         let labels: Vec<u32> = (0..pts.len() as u32).map(|r| r % 5).collect();
-        assert_walkers_agree(&pts, &labels, f32::INFINITY);
-        assert_walkers_agree(&pts, &labels, 1.0);
+        assert_nearest_is_brute_force_minimum(&pts, &labels, f32::INFINITY);
+        assert_nearest_is_brute_force_minimum(&pts, &labels, 1.0);
     }
 
     #[test]
@@ -939,17 +655,14 @@ mod tests {
         // The floor must still bound those leaves: it is their minimum.
         let pts = random_points_2d(64, 4);
         let q = Point::new([0.0, 0.0]);
-        // The single-leaf tree takes its own path in the stack walker.
         for n in [64, 1] {
             let bvh = Bvh::build(&Serial, &pts[..n]);
             let expect =
                 pts[..n].iter().map(|p| q.squared_distance(p) + 10.0).fold(f32::INFINITY, f32::min);
-            for t in [Traversal::Stack, Traversal::Stackless] {
-                let mut st = TraversalStats::default();
-                let hit = bvh.nearest_floor(t, &q, 9.0, |_| false, |_, e| Some(e + 10.0), &mut st);
-                assert!(hit.is_none(), "n={n} {t:?}");
-                assert_eq!(st.pruned_min_sq, expect, "n={n} {t:?}");
-            }
+            let mut st = TraversalStats::default();
+            let hit = bvh.nearest_floor(&q, 9.0, |_| false, |_, e| Some(e + 10.0), &mut st);
+            assert!(hit.is_none(), "n={n}");
+            assert_eq!(st.pruned_min_sq, expect, "n={n}");
         }
     }
 
@@ -958,30 +671,16 @@ mod tests {
         let pts = random_points_2d(1000, 12);
         let bvh = Bvh::build(&Serial, &pts);
         let mut st = TraversalStats::default();
-        bvh.nearest_stackless(
-            &Point::new([0.1, 0.2]),
-            f32::INFINITY,
-            |_| false,
-            |_, e| Some(e),
-            &mut st,
-        );
+        bvh.nearest(&Point::new([0.1, 0.2]), f32::INFINITY, |_| false, |_, e| Some(e), &mut st);
         assert!(st.rope_hops > 0);
         assert!(st.nodes > 0);
-        // The stack walker never hops ropes.
-        let mut st2 = TraversalStats::default();
-        bvh.nearest_with(
-            &Point::new([0.1, 0.2]),
-            f32::INFINITY,
-            |_| false,
-            |_, e| Some(e),
-            &mut st2,
-        );
-        assert_eq!(st2.rope_hops, 0);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// Random or tie-heavy clouds: the walker's hit is the brute-force
+        /// minimum.
         #[test]
         fn stack_vs_stackless_bit_identical_hits(
             n in 1usize..150,
@@ -1008,7 +707,7 @@ mod tests {
             }
             let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
             let labels: Vec<u32> = (0..pts.len()).map(|_| rng.random_range(0..comps)).collect();
-            assert_walkers_agree(&pts, &labels, f32::INFINITY);
+            assert_nearest_is_brute_force_minimum(&pts, &labels, f32::INFINITY);
         }
 
         #[test]
@@ -1039,21 +738,5 @@ mod tests {
             }
         }
 
-        #[test]
-        fn radius_query_equals_brute_force(
-            n in 1usize..120, seed in 0u64..200, r in 0.01f32..2.0
-        ) {
-            let pts = random_points_2d(n, seed);
-            let bvh = Bvh::build(&Serial, &pts);
-            let q = Point::new([0.25, 0.25]);
-            let mut got: Vec<u32> = bvh.within_radius(&q, r * r)
-                .into_iter().map(|rank| bvh.point_index(rank)).collect();
-            got.sort_unstable();
-            let mut expect: Vec<u32> = pts.iter().enumerate()
-                .filter(|(_, p)| q.squared_distance(p) < r * r)
-                .map(|(i, _)| i as u32).collect();
-            expect.sort_unstable();
-            prop_assert_eq!(got, expect);
-        }
     }
 }

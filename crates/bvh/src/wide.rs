@@ -1,11 +1,11 @@
 //! 4-wide collapsed hierarchy with rope/escape pointers — the storage
-//! behind the default stackless traversal.
+//! behind the stackless traversal.
 //!
 //! The binary radix tree of [`Bvh`] is pointer-light but traversal-heavy:
 //! every step loads two child ids, then two bounding boxes from a separate
-//! array, and keeps a 128-entry stack per query. GPUs (and cache-bound CPUs)
-//! prefer the opposite trade, which ArborX adopted for its own tree and the
-//! MBVH literature formalizes:
+//! array, and a walk over it keeps a stack per query. GPUs (and cache-bound
+//! CPUs) prefer the opposite trade, which ArborX adopted for its own tree and
+//! the MBVH literature formalizes:
 //!
 //! - **collapse** the binary tree two levels at a time, so one node holds
 //!   up to four child subtrees (the grandchildren of a binary node, with
@@ -25,8 +25,8 @@
 //! A leaf lane's "box" is the degenerate box of its point, so the
 //! vectorized lane test *is* the point-distance computation — bit-identical
 //! to [`emst_geometry::Point::squared_distance`] (same per-dimension
-//! accumulation order), which is what lets the stack and stackless walkers
-//! return byte-for-byte equal [`crate::NearestHit`]s.
+//! accumulation order), which is what makes the walker's
+//! [`crate::NearestHit`]s byte-for-byte equal to a brute-force minimum.
 
 use emst_geometry::{Point, Scalar};
 
@@ -157,12 +157,11 @@ impl<const D: usize> WideBvh<D> {
     /// identical ropes.
     ///
     /// Runs eagerly (and serially) inside every [`Bvh`] construction — a
-    /// deliberate trade: the collapse backs the *default* walker of every
-    /// workload (EMST kernel, bulk/k-NN, shard merge), it is a small
-    /// sort-dominated fraction of the timed `tree` phase, and building it
-    /// here keeps the cost visible to the phase timings instead of leaking
-    /// into the first query. Only the `Traversal::Stack` ablation pays for
-    /// a structure it does not traverse.
+    /// deliberate trade: the collapse backs the walker of every workload
+    /// (EMST kernel, k-NN, shard merge), it is a small sort-dominated
+    /// fraction of the timed `tree` phase, and building it here keeps the
+    /// cost visible to the phase timings instead of leaking into the first
+    /// query.
     pub fn collapse(bvh: &Bvh<D>) -> Self {
         // Preorder DFS; parents are created before their children, so
         // escape resolution below can run as one ascending pass.

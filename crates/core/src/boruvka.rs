@@ -30,18 +30,18 @@
 //!   [`Metric::squared_bound`] leaves that bound, which the trait
 //!   guarantees for every target.
 //!
-//! The walk is skipped only when `floor > radius`, strictly: walkers accept
-//! a candidate exactly at the radius, so an equal floor decides nothing.
-//! The state is reset at the start of every run, so nothing from an
-//! earlier cloud reaches iteration 1. Both edge selections, both walkers
-//! and every backend read the same state, and every skip returns what the
-//! walk would have returned, so the edges stay bit-identical.
+//! The walk is skipped only when `floor > radius`, strictly: the walker
+//! accepts a candidate exactly at the radius, so an equal floor decides
+//! nothing. The state is reset at the start of every run, so nothing from
+//! an earlier cloud reaches iteration 1. Both edge selections and every
+//! backend read the same state, and every skip returns what the walk would
+//! have returned, so the edges stay bit-identical.
 
 use std::sync::atomic::AtomicU32;
 
 use parking_lot::Mutex;
 
-use emst_bvh::{Bvh, MortonResolution, NearestHit, Traversal, TraversalStats};
+use emst_bvh::{Bvh, MortonResolution, NearestHit, TraversalStats};
 use emst_exec::atomic::pack_dist_payload;
 use emst_exec::counters::CounterSnapshot;
 use emst_exec::{AtomicF32Min, AtomicU64Min, Counters, ExecSpace, PhaseTimings, SyncUnsafeSlice};
@@ -81,11 +81,6 @@ pub struct EmstConfig {
     /// §4.1 remedy for extremely dense datasets (GeoLife) whose hot spots
     /// are under-resolved by 64-bit codes.
     pub morton_resolution: MortonResolution,
-    /// Which nearest-neighbour walker the `find_edges` kernel uses: the
-    /// default stackless rope traversal over the 4-wide SoA tree, or the
-    /// seed per-query-stack walk kept for the ablation study. Both return
-    /// bit-identical hits, so the MST is the same either way.
-    pub traversal: Traversal,
 }
 
 impl Default for EmstConfig {
@@ -95,7 +90,6 @@ impl Default for EmstConfig {
             subtree_skipping: true,
             upper_bounds: true,
             morton_resolution: MortonResolution::Bits64,
-            traversal: Traversal::Stackless,
         }
     }
 }
@@ -465,7 +459,6 @@ pub fn run_boruvka_scratch<S: ExecSpace, M: Metric, const D: usize>(
             let node_labels = &*node_labels;
             let carry_s = SyncUnsafeSlice::new(carry);
             let subtree_skipping = config.subtree_skipping;
-            let traversal = config.traversal;
             let locked_best = &*locked_best;
 
             let (stats, queries) = space.parallel_reduce(
@@ -499,7 +492,6 @@ pub fn run_boruvka_scratch<S: ExecSpace, M: Metric, const D: usize>(
                             } else {
                                 walked = 1;
                                 let hit = bvh.nearest_floor(
-                                    traversal,
                                     bvh.leaf_point(i as u32),
                                     radius,
                                     |node| subtree_skipping && node_labels[node as usize] == comp,
@@ -926,41 +918,19 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_sizes_and_configs_stays_correct() {
-        // One pool through shrinking/growing inputs, both selections and
-        // both walkers — stale contents must never leak into a result.
+        // One pool through shrinking/growing inputs and both selections —
+        // stale contents must never leak into a result.
         let mut scratch = BoruvkaScratch::new();
         for (n, seed) in [(300usize, 1u64), (40, 2), (180, 3)] {
             let pts = random_points_2d(n, seed);
             let brute = weight_multiset(&brute_force_emst(&pts));
             for selection in [EdgeSelection::Locked, EdgeSelection::Atomic64] {
-                for traversal in [Traversal::Stack, Traversal::Stackless] {
-                    let cfg =
-                        EmstConfig { edge_selection: selection, traversal, ..Default::default() };
-                    let r = SingleTreeBoruvka::new(&pts).run_scratch(&Threads, &cfg, &mut scratch);
-                    verify_spanning_tree(n, &r.edges).unwrap();
-                    assert_eq!(
-                        weight_multiset(&r.edges),
-                        brute,
-                        "n={n} {selection:?} {traversal:?}"
-                    );
-                }
+                let cfg = EmstConfig { edge_selection: selection, ..Default::default() };
+                let r = SingleTreeBoruvka::new(&pts).run_scratch(&Threads, &cfg, &mut scratch);
+                verify_spanning_tree(n, &r.edges).unwrap();
+                assert_eq!(weight_multiset(&r.edges), brute, "n={n} {selection:?}");
             }
         }
-    }
-
-    #[test]
-    fn both_traversals_agree_under_mutual_reachability() {
-        let pts = random_points_2d(150, 91);
-        let core = brute_force_core_distances_sq(&pts, 4);
-        let metric = MutualReachability::new(&core);
-        let mut edges: Vec<Vec<Edge>> = vec![];
-        for traversal in [Traversal::Stack, Traversal::Stackless] {
-            let cfg = EmstConfig { traversal, ..Default::default() };
-            let mut e = SingleTreeBoruvka::new(&pts).run_with_metric(&Serial, &cfg, &metric).edges;
-            e.sort_by_key(Edge::key);
-            edges.push(e);
-        }
-        assert_eq!(edges[0], edges[1]);
     }
 
     #[test]
@@ -1049,7 +1019,6 @@ mod tests {
             k in 1usize..9,
             clusters in 1usize..6,
             selection in prop::sample::select(vec![EdgeSelection::Locked, EdgeSelection::Atomic64]),
-            traversal in prop::sample::select(vec![Traversal::Stack, Traversal::Stackless]),
         ) {
             // Clusters of very different sizes and spreads put points with
             // large core distances right next to dense ones: leaves that
@@ -1073,7 +1042,7 @@ mod tests {
                 .collect();
             let core = brute_force_core_distances_sq(&pts, k);
             let metric = MutualReachability::new(&core);
-            let cfg = EmstConfig { edge_selection: selection, traversal, ..Default::default() };
+            let cfg = EmstConfig { edge_selection: selection, ..Default::default() };
             let result = SingleTreeBoruvka::new(&pts).run_with_metric(&Serial, &cfg, &metric);
             prop_assert!(verify_spanning_tree(n, &result.edges).is_ok());
             let brute = brute_force_mst(&pts, &metric);

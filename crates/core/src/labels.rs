@@ -13,16 +13,15 @@
 //! flag) combines them and continues upward.
 //!
 //! Label placement and the wide traversal: `node_labels` stays indexed by
-//! *binary* node id even though the default walker runs on the 4-wide
-//! collapse — every wide lane carries the binary id of the subtree it
-//! collapsed from, so both walkers share this one array and one skip
-//! closure. Two properties of the reduction are load-bearing for that
-//! sharing: labels are **downward-closed** (a uniformly-labelled subtree
-//! has uniformly-labelled children, so consulting only the collapse's
+//! *binary* node id even though the walker runs on the 4-wide collapse —
+//! every wide lane carries the binary id of the subtree it collapsed from,
+//! so the binary tree's labels drive the wide walk through one skip
+//! closure. Two properties of the reduction are load-bearing for that:
+//! labels are **downward-closed** (a uniformly-labelled subtree has
+//! uniformly-labelled children, so consulting only the collapse's
 //! even-depth nodes skips exactly the same leaves), and a leaf node's
-//! label equals `labels[rank]` (so the stackless walker may leave leaf
-//! lanes to the callback's same-component check). See
-//! [`emst_bvh::Bvh::nearest_stackless`].
+//! label equals `labels[rank]` (so the walker may leave leaf lanes to the
+//! callback's same-component check). See [`emst_bvh::Bvh::nearest`].
 
 use std::sync::atomic::{AtomicU32, Ordering};
 

@@ -46,6 +46,3 @@ pub mod labels;
 pub use boruvka::{BoruvkaScratch, EdgeSelection, EmstConfig, EmstResult, SingleTreeBoruvka};
 pub use dsu::UnionFind;
 pub use edge::{verify_spanning_tree, Edge};
-// The traversal toggle lives in `emst_bvh` but is configured through
-// [`EmstConfig`]; re-exported so config-building callers need one import.
-pub use emst_bvh::Traversal;

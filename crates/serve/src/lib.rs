@@ -134,7 +134,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use emst_bvh::TraversalStats;
-use emst_core::{BoruvkaScratch, Edge, EmstConfig};
+use emst_core::{BoruvkaScratch, Edge};
 use emst_exec::counters::CounterSnapshot;
 use emst_exec::{ExecSpace, PhaseTimings};
 use emst_geometry::{Point, Scalar};
@@ -156,8 +156,6 @@ pub struct ServeConfig {
     /// (clamped to at least 1). The least-recently-used cloud is spilled
     /// when a new one needs the slot.
     pub max_resident: usize,
-    /// Configuration forwarded to every local solve.
-    pub emst: EmstConfig,
     /// Directory for eviction spill files. `None` (the default) derives a
     /// process-unique directory under the system temp dir, removed when
     /// the engine is dropped; a caller-provided directory is left alone.
@@ -208,7 +206,6 @@ impl ServeConfig {
         Self {
             shards,
             max_resident,
-            emst: EmstConfig::default(),
             spill_dir: None,
             observability: true,
             fallback_spill_dir: None,
@@ -1147,7 +1144,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     }
 
     fn shard_config(&self) -> ShardConfig {
-        ShardConfig { shards: self.num_shards(), emst: self.config.emst }
+        ShardConfig::new(self.num_shards())
     }
 
     fn checkout(&self) -> ScratchGuard<'_> {
@@ -1700,13 +1697,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         // pools on drop.
         let merged = r
             .artifacts
-            .merge(
-                &self.space,
-                self.config.emst.traversal,
-                &mut scratch.merge,
-                Some(&mut scratch.accel),
-                deadline,
-            )
+            .merge(&self.space, &mut scratch.merge, Some(&mut scratch.accel), deadline)
             .map_err(|_| self.deadline_exceeded(r.key))?;
         if self.obs.is_some() {
             for d in &merged.stats.round_details {
@@ -1768,14 +1759,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         // The resident copy is the authoritative cloud (it digested equal).
         let sub = r
             .artifacts
-            .merge_subset(
-                &self.space,
-                &r.points,
-                subset,
-                &self.config.emst,
-                &mut scratch.boruvka,
-                deadline,
-            )
+            .merge_subset(&self.space, &r.points, subset, &mut scratch.boruvka, deadline)
             .map_err(|_| self.deadline_exceeded(r.key))?;
         if let Some(solved) = solved {
             spans.push(SpanRecord {

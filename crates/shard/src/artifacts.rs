@@ -29,8 +29,8 @@
 //! let artifacts = ShardArtifacts::build(&Threads, &pts, &ShardConfig::new(4));
 //! // Merge-only queries: no plan, no local solves, no tree builds.
 //! let mut scratch = MergeScratch::new();
-//! let a = artifacts.merge(&Threads, Default::default(), &mut scratch, None, None).unwrap();
-//! let b = artifacts.merge(&Threads, Default::default(), &mut scratch, None, None).unwrap();
+//! let a = artifacts.merge(&Threads, &mut scratch, None, None).unwrap();
+//! let b = artifacts.merge(&Threads, &mut scratch, None, None).unwrap();
 //! assert_eq!(a.edges, b.edges); // deterministic, bit-identical
 //! assert_eq!(a.edges.len(), 599);
 //! ```
@@ -55,7 +55,7 @@
 use std::io;
 use std::time::Instant;
 
-use emst_bvh::{Bvh, Traversal, TraversalStats};
+use emst_bvh::{Bvh, TraversalStats};
 use emst_core::edge::total_weight;
 use emst_core::{BoruvkaScratch, Edge, EmstConfig, SingleTreeBoruvka};
 use emst_datasets::io::{BlobReader, BlobWriter, ByteReader, ByteWriter};
@@ -80,6 +80,41 @@ struct LocalArtifact<const D: usize> {
     merge: MergeShard<D>,
     /// Local MST edges in original point indices — the merge seeds.
     seeds: Vec<Edge>,
+}
+
+/// One shard's local solve over `points` (its members, in `ids` order): the
+/// EMST with edges mapped to the caller's vertex `ids`, and the
+/// merge-resident BVH. Returns `(merge shard, seeds, iterations, work)`;
+/// fewer than two points solve nothing and report zero work.
+fn solve_local<S: ExecSpace, const D: usize>(
+    space: &S,
+    points: &[Point<D>],
+    ids: &[u32],
+    scratch: &mut BoruvkaScratch,
+) -> (MergeShard<D>, Vec<Edge>, u32, CounterSnapshot) {
+    let (seeds, iterations, work) = if points.len() >= 2 {
+        let r = SingleTreeBoruvka::new(points).run_scratch(space, &EmstConfig::default(), scratch);
+        let seeds = r
+            .edges
+            .iter()
+            .map(|e| Edge::new(ids[e.u as usize], ids[e.v as usize], e.weight_sq))
+            .collect();
+        (seeds, r.iterations, r.work)
+    } else {
+        (vec![], 0, CounterSnapshot::default())
+    };
+    (MergeShard::build(space, points, ids), seeds, iterations, work)
+}
+
+/// Each vertex's round-1 merge radius (min incident seed weight) — the
+/// refinement threshold for the entry bounds.
+fn seed_hints<const D: usize>(locals: &[LocalArtifact<D>], n: usize) -> Vec<Scalar> {
+    let mut hint = vec![Scalar::INFINITY; n];
+    for e in locals.iter().flat_map(|l| &l.seeds) {
+        hint[e.u as usize] = hint[e.u as usize].min(e.weight_sq);
+        hint[e.v as usize] = hint[e.v as usize].min(e.weight_sq);
+    }
+    hint
 }
 
 /// The resident product of a sharded build: plan + per-shard BVHs + local
@@ -121,28 +156,15 @@ impl<const D: usize> ShardArtifacts<D> {
             })
             .collect();
 
-        let solve_one = |(s, ids, pts): (usize, Vec<u32>, Vec<Point<D>>),
-                         scratch: &mut BoruvkaScratch|
-         -> (LocalArtifact<D>, u32, CounterSnapshot) {
-            let (seeds, iterations, work) = if pts.len() >= 2 {
-                let r = SingleTreeBoruvka::new(&pts).run_scratch(space, &config.emst, scratch);
-                let seeds = r
-                    .edges
-                    .iter()
-                    .map(|e| Edge::new(ids[e.u as usize], ids[e.v as usize], e.weight_sq))
-                    .collect();
-                (seeds, r.iterations, r.work)
-            } else {
-                (vec![], 0, CounterSnapshot::default())
-            };
-            let merge = MergeShard::build(space, &pts, &ids);
-            (LocalArtifact { shard: s, merge, seeds }, iterations, work)
-        };
         // Concurrent shards cannot share scratch; each brings its own.
         let locals: Vec<(LocalArtifact<D>, u32, CounterSnapshot)> = timings.time("local", || {
             inputs
                 .into_par_iter()
-                .map(|input| solve_one(input, &mut BoruvkaScratch::new()))
+                .map(|(shard, ids, pts)| {
+                    let (merge, seeds, iterations, work) =
+                        solve_local(space, &pts, &ids, &mut BoruvkaScratch::new());
+                    (LocalArtifact { shard, merge, seeds }, iterations, work)
+                })
                 .collect()
         });
 
@@ -150,17 +172,8 @@ impl<const D: usize> ShardArtifacts<D> {
         let build_work = locals.iter().fold(CounterSnapshot::default(), |acc, (_, _, w)| acc + *w);
         let locals: Vec<LocalArtifact<D>> = locals.into_iter().map(|(l, _, _)| l).collect();
         let bounds = timings.time("plan", || {
-            // Each vertex's round-1 merge radius (min incident seed
-            // weight) — the refinement threshold for the entry bounds.
-            let mut hint = vec![Scalar::INFINITY; n];
-            for l in &locals {
-                for e in &l.seeds {
-                    hint[e.u as usize] = hint[e.u as usize].min(e.weight_sq);
-                    hint[e.v as usize] = hint[e.v as usize].min(e.weight_sq);
-                }
-            }
             let views: Vec<MergeShardView<'_, D>> = locals.iter().map(|l| l.merge.view()).collect();
-            CrossBounds::compute(space, &views, n, Some(&hint))
+            CrossBounds::compute(space, &views, n, Some(&seed_hints(&locals, n)))
         });
         let flat_seeds: Vec<Edge> = locals.iter().flat_map(|l| l.seeds.iter().copied()).collect();
         Self {
@@ -250,7 +263,6 @@ impl<const D: usize> ShardArtifacts<D> {
     pub fn merge<S: ExecSpace>(
         &self,
         space: &S,
-        traversal: Traversal,
         scratch: &mut MergeScratch,
         accel: Option<&mut MergeAccel>,
         deadline: Option<Instant>,
@@ -278,7 +290,6 @@ impl<const D: usize> ShardArtifacts<D> {
             &views,
             self.n,
             &self.flat_seeds,
-            traversal,
             &counters,
             &mut timings,
             Some(&self.bounds),
@@ -322,7 +333,6 @@ impl<const D: usize> ShardArtifacts<D> {
         space: &S,
         points: &[Point<D>],
         subset: &[u32],
-        config: &EmstConfig,
         scratch: &mut BoruvkaScratch,
         deadline: Option<Instant>,
     ) -> Result<ShardedResult, MergeDeadlineExceeded> {
@@ -374,15 +384,14 @@ impl<const D: usize> ShardArtifacts<D> {
                 } else {
                     let pts: Vec<Point<D>> = members.iter().map(|&i| points[i as usize]).collect();
                     let vids: Vec<u32> = members.iter().map(|&i| new_id[i as usize]).collect();
+                    let (merge, local_seeds, iterations, work) =
+                        solve_local(space, &pts, &vids, scratch);
                     if pts.len() >= 2 {
-                        let r = SingleTreeBoruvka::new(&pts).run_scratch(space, config, scratch);
-                        local_iterations.push(r.iterations);
-                        local_work += r.work;
-                        seeds.extend(r.edges.iter().map(|e| {
-                            Edge::new(vids[e.u as usize], vids[e.v as usize], e.weight_sq)
-                        }));
+                        local_iterations.push(iterations);
                     }
-                    subs.push(SubShard::Fresh(MergeShard::build(space, &pts, &vids)));
+                    local_work += work;
+                    seeds.extend(local_seeds);
+                    subs.push(SubShard::Fresh(merge));
                 }
             }
         });
@@ -417,7 +426,6 @@ impl<const D: usize> ShardArtifacts<D> {
             &views,
             m,
             &seeds,
-            config.traversal,
             &counters,
             &mut timings,
             // Subset views renumber vertices, so neither the cached
@@ -641,24 +649,10 @@ impl<const D: usize> ShardArtifacts<D> {
                 }
                 let ids = &members[s];
                 let pts: Vec<Point<D>> = ids.iter().map(|&c| new_points[c as usize]).collect();
-                let (seeds, iterations, work) = if pts.len() >= 2 {
-                    let r = SingleTreeBoruvka::new(&pts).run_scratch(space, &config.emst, scratch);
-                    let seeds = r
-                        .edges
-                        .iter()
-                        .map(|e| Edge::new(ids[e.u as usize], ids[e.v as usize], e.weight_sq))
-                        .collect();
-                    (seeds, r.iterations, r.work)
-                } else {
-                    (vec![], 0, CounterSnapshot::default())
-                };
+                let (merge, seeds, iterations, work) = solve_local(space, &pts, ids, scratch);
                 build_work += work;
                 local_iterations.push(iterations);
-                locals.push(LocalArtifact {
-                    shard: s,
-                    merge: MergeShard::build(space, &pts, ids),
-                    seeds,
-                });
+                locals.push(LocalArtifact { shard: s, merge, seeds });
                 dirty_local.push(true);
                 dirty_shards.push(s);
             }
@@ -666,13 +660,6 @@ impl<const D: usize> ShardArtifacts<D> {
         })?;
 
         let bounds = timings.time("plan", || {
-            let mut hint = vec![Scalar::INFINITY; n_new];
-            for l in &locals {
-                for e in &l.seeds {
-                    hint[e.u as usize] = hint[e.u as usize].min(e.weight_sq);
-                    hint[e.v as usize] = hint[e.v as usize].min(e.weight_sq);
-                }
-            }
             let views: Vec<MergeShardView<'_, D>> = locals.iter().map(|l| l.merge.view()).collect();
             CrossBounds::inherit_and_recompute(
                 space,
@@ -682,7 +669,7 @@ impl<const D: usize> ShardArtifacts<D> {
                 accel,
                 parent_of,
                 &dirty_local,
-                Some(&hint),
+                Some(&seed_hints(&locals, n_new)),
             )
         });
         let flat_seeds: Vec<Edge> = locals.iter().flat_map(|l| l.seeds.iter().copied()).collect();
@@ -958,12 +945,8 @@ mod tests {
         assert!(artifacts.build_work().iterations > 0);
         assert!(artifacts.resident_bytes() > 0);
         let cold = emst_sharded(&pts, 5);
-        let a = artifacts
-            .merge(&Threads, Traversal::default(), &mut MergeScratch::new(), None, None)
-            .unwrap();
-        let b = artifacts
-            .merge(&Threads, Traversal::default(), &mut MergeScratch::new(), None, None)
-            .unwrap();
+        let a = artifacts.merge(&Threads, &mut MergeScratch::new(), None, None).unwrap();
+        let b = artifacts.merge(&Threads, &mut MergeScratch::new(), None, None).unwrap();
         assert_eq!(a.edges, b.edges);
         assert_eq!(a.edges, cold.edges);
         // Merge-only stats: traversal queries happened, but no Borůvka
@@ -989,9 +972,7 @@ mod tests {
                 all.swap(i, j);
             }
             let subset = &all[..take];
-            let r = artifacts
-                .merge_subset(&Serial, &pts, subset, &EmstConfig::default(), &mut scratch, None)
-                .unwrap();
+            let r = artifacts.merge_subset(&Serial, &pts, subset, &mut scratch, None).unwrap();
             assert_eq!(r.edges.len(), take - 1);
             // Edges use original ids; verify over the compacted numbering.
             let compact: std::collections::HashMap<u32, u32> =
@@ -1024,9 +1005,7 @@ mod tests {
             subset.extend(plan.shard_indices(s));
         }
         let mut scratch = BoruvkaScratch::new();
-        let r = artifacts
-            .merge_subset(&Serial, &pts, &subset, &EmstConfig::default(), &mut scratch, None)
-            .unwrap();
+        let r = artifacts.merge_subset(&Serial, &pts, &subset, &mut scratch, None).unwrap();
         // Only shard 0 re-ran a local solve.
         assert_eq!(r.stats.local_iterations.len(), 1);
         let sub_pts: Vec<Point<2>> = subset.iter().map(|&i| pts[i as usize]).collect();
@@ -1039,19 +1018,17 @@ mod tests {
         let pts = random_points_2d(50, 1);
         let artifacts = ShardArtifacts::build(&Serial, &pts, &ShardConfig::new(4));
         let mut scratch = BoruvkaScratch::new();
-        let cfg = EmstConfig::default();
         assert!(artifacts
-            .merge_subset(&Serial, &pts, &[], &cfg, &mut scratch, None)
+            .merge_subset(&Serial, &pts, &[], &mut scratch, None)
             .unwrap()
             .edges
             .is_empty());
         assert!(artifacts
-            .merge_subset(&Serial, &pts, &[7], &cfg, &mut scratch, None)
+            .merge_subset(&Serial, &pts, &[7], &mut scratch, None)
             .unwrap()
             .edges
             .is_empty());
-        let two =
-            artifacts.merge_subset(&Serial, &pts, &[3, 41], &cfg, &mut scratch, None).unwrap();
+        let two = artifacts.merge_subset(&Serial, &pts, &[3, 41], &mut scratch, None).unwrap();
         assert_eq!(two.edges.len(), 1);
         assert_eq!(two.edges[0], Edge::new(3, 41, pts[3].squared_distance(&pts[41])));
     }
@@ -1061,14 +1038,7 @@ mod tests {
     fn duplicate_subset_indices_panic() {
         let pts = random_points_2d(20, 2);
         let artifacts = ShardArtifacts::build(&Serial, &pts, &ShardConfig::new(2));
-        let _ = artifacts.merge_subset(
-            &Serial,
-            &pts,
-            &[1, 2, 1],
-            &EmstConfig::default(),
-            &mut BoruvkaScratch::new(),
-            None,
-        );
+        let _ = artifacts.merge_subset(&Serial, &pts, &[1, 2, 1], &mut BoruvkaScratch::new(), None);
     }
 
     #[test]
@@ -1087,29 +1057,20 @@ mod tests {
         assert_eq!(restored.build_work().iterations, 0);
 
         // Full-cloud merge, subset merge, and knn are all bit-identical.
-        let a = built
-            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
-            .unwrap();
-        let b = restored
-            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
-            .unwrap();
+        let a = built.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
+        let b = restored.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
         assert_eq!(a.edges, b.edges);
         let subset: Vec<u32> = (0..700).step_by(3).collect();
         let mut scratch = BoruvkaScratch::new();
-        let sa = built
-            .merge_subset(&Serial, &pts, &subset, &EmstConfig::default(), &mut scratch, None)
-            .unwrap();
-        let sb = restored
-            .merge_subset(&Serial, &pts, &subset, &EmstConfig::default(), &mut scratch, None)
-            .unwrap();
+        let sa = built.merge_subset(&Serial, &pts, &subset, &mut scratch, None).unwrap();
+        let sb = restored.merge_subset(&Serial, &pts, &subset, &mut scratch, None).unwrap();
         assert_eq!(sa.edges, sb.edges);
         let mut st = TraversalStats::default();
         assert_eq!(built.k_nearest(&pts[17], 5, &mut st), restored.k_nearest(&pts[17], 5, &mut st));
         // Accelerated merges over the restored bounds stay bit-identical.
         let mut accel = restored.new_accel();
         let mut ms = MergeScratch::new();
-        let c =
-            restored.merge(&Serial, Traversal::default(), &mut ms, Some(&mut accel), None).unwrap();
+        let c = restored.merge(&Serial, &mut ms, Some(&mut accel), None).unwrap();
         assert_eq!(a.edges, c.edges);
 
         // Re-serializing the restored artifacts reproduces the same bytes.
@@ -1149,37 +1110,19 @@ mod tests {
         let mut scratch = MergeScratch::new();
         let mut accel = artifacts.new_accel();
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let err = artifacts.merge(
-            &Serial,
-            Traversal::default(),
-            &mut scratch,
-            Some(&mut accel),
-            Some(past),
-        );
+        let err = artifacts.merge(&Serial, &mut scratch, Some(&mut accel), Some(past));
         assert_eq!(err.unwrap_err(), MergeDeadlineExceeded);
         let mut bs = BoruvkaScratch::new();
         let sub: Vec<u32> = (0..100).collect();
-        let err = artifacts.merge_subset(
-            &Serial,
-            &pts,
-            &sub,
-            &EmstConfig::default(),
-            &mut bs,
-            Some(past),
-        );
+        let err = artifacts.merge_subset(&Serial, &pts, &sub, &mut bs, Some(past));
         assert_eq!(err.unwrap_err(), MergeDeadlineExceeded);
         // A generous deadline succeeds, bit-identically, with the same
         // scratch and accelerator the failed attempts touched.
         let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let ok = artifacts
-            .merge(&Serial, Traversal::default(), &mut scratch, Some(&mut accel), Some(far))
-            .unwrap();
+        let ok = artifacts.merge(&Serial, &mut scratch, Some(&mut accel), Some(far)).unwrap();
         assert_eq!(
             ok.edges,
-            artifacts
-                .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
-                .unwrap()
-                .edges
+            artifacts.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap().edges
         );
     }
 
@@ -1232,9 +1175,7 @@ mod tests {
         assert!(!report.full_rebuild);
         assert!(report.reused_shards >= 4, "cluster inserts must keep most shards clean");
         assert_eq!(report.dirty_shards.len() + report.reused_shards, 6);
-        let r = child
-            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
-            .unwrap();
+        let r = child.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
         // The child is a first-class artifact: it serializes and restores
         // to bit-identical merges like any built one.
@@ -1242,10 +1183,7 @@ mod tests {
         child.serialize_into(&mut blob);
         let restored = ShardArtifacts::<2>::deserialize(&blob).unwrap();
         assert_eq!(
-            restored
-                .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
-                .unwrap()
-                .edges,
+            restored.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap().edges,
             r.edges
         );
     }
@@ -1276,9 +1214,7 @@ mod tests {
             .unwrap();
         assert!(!report.full_rebuild);
         assert!(!report.dirty_shards.is_empty() && report.reused_shards > 0);
-        let r = child
-            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
-            .unwrap();
+        let r = child.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
         assert_eq!(r.edges.len(), np.len() - 1);
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
     }
@@ -1291,7 +1227,7 @@ mod tests {
         // inherit.
         let mut accel = parent.new_accel();
         let mut ms = MergeScratch::new();
-        parent.merge(&Serial, Traversal::default(), &mut ms, Some(&mut accel), None).unwrap();
+        parent.merge(&Serial, &mut ms, Some(&mut accel), None).unwrap();
         assert!(accel.num_candidates() > 0, "round 1 must have harvested candidates");
 
         let extra = vec![Point::new([0.05f32, -0.4]), Point::new([-0.6f32, 0.33])];
@@ -1306,18 +1242,12 @@ mod tests {
         // Inherited floors only prune provably-dead work: the merge result
         // is bit-identical, and repeated merges through the child's own
         // accelerator stay so.
-        let a = plain
-            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
-            .unwrap();
-        let b = floored
-            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
-            .unwrap();
+        let a = plain.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
+        let b = floored.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
         assert_eq!(a.edges, b.edges);
         let mut child_accel = floored.new_accel();
         for _ in 0..2 {
-            let c = floored
-                .merge(&Serial, Traversal::default(), &mut ms, Some(&mut child_accel), None)
-                .unwrap();
+            let c = floored.merge(&Serial, &mut ms, Some(&mut child_accel), None).unwrap();
             assert_eq!(c.edges, b.edges);
         }
         assert_eq!(weight_multiset(&a.edges), weight_multiset(&brute_force_emst(&np)));
@@ -1345,9 +1275,7 @@ mod tests {
             .unwrap();
         assert!(report.full_rebuild);
         assert_eq!(report.reused_shards, 0);
-        let r = child
-            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
-            .unwrap();
+        let r = child.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
     }
 
@@ -1383,16 +1311,10 @@ mod tests {
                 Some(far),
             )
             .unwrap();
-        let r = child
-            .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
-            .unwrap();
+        let r = child.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
         assert_eq!(
-            parent
-                .merge(&Serial, Traversal::default(), &mut MergeScratch::new(), None, None)
-                .unwrap()
-                .edges
-                .len(),
+            parent.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap().edges.len(),
             pts.len() - 1
         );
     }

@@ -52,24 +52,23 @@ pub use merge::{MergeAccel, MergeDeadlineExceeded, MergeRoundDetail, MergeScratc
 pub use plan::ShardPlan;
 pub use stream::{emst_sharded_csv, StreamConfig};
 
-use emst_core::{Edge, EmstConfig};
+use emst_core::Edge;
 use emst_exec::counters::CounterSnapshot;
 use emst_exec::{ExecSpace, PhaseTimings, Threads};
 use emst_geometry::Point;
 
-/// Configuration of a sharded solve.
+/// Configuration of a sharded solve. Every per-shard single-tree solve
+/// runs with [`emst_core::EmstConfig::default`].
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
     /// Number of Morton-range shards (clamped to at least 1).
     pub shards: usize,
-    /// Configuration forwarded to every per-shard single-tree solve.
-    pub emst: EmstConfig,
 }
 
 impl ShardConfig {
     /// Default configuration with `shards` shards.
     pub fn new(shards: usize) -> Self {
-        Self { shards, emst: EmstConfig::default() }
+        Self { shards }
     }
 }
 
@@ -142,9 +141,8 @@ pub fn emst_sharded_with<S: ExecSpace, const D: usize>(
         return ShardedResult::empty();
     }
     let artifacts = ShardArtifacts::build(space, points, config);
-    let mut result = artifacts
-        .merge(space, config.emst.traversal, &mut MergeScratch::new(), None, None)
-        .expect("no deadline was set");
+    let mut result =
+        artifacts.merge(space, &mut MergeScratch::new(), None, None).expect("no deadline was set");
     let mut timings = artifacts.build_timings().clone();
     timings.absorb(&result.stats.timings);
     result.stats.timings = timings;
@@ -157,7 +155,7 @@ mod tests {
     use super::*;
     use emst_core::brute::brute_force_emst;
     use emst_core::edge::{verify_spanning_tree, weight_multiset};
-    use emst_core::SingleTreeBoruvka;
+    use emst_core::{EmstConfig, SingleTreeBoruvka};
     use emst_exec::{GpuSim, Serial};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};

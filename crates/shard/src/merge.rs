@@ -15,7 +15,7 @@
 //! - the seed edges leaving it (scanned directly), and
 //! - its shortest cross-shard edge, found by one constrained
 //!   nearest-neighbour traversal per point against every *other* shard's
-//!   BVH (the same [`Bvh::nearest_with`] kernel as the monolithic
+//!   BVH (the same [`Bvh::nearest_floor`] kernel as the monolithic
 //!   algorithm, with the component-skip predicate of the paper's
 //!   Optimization 1 maintained per shard by [`reduce_labels`]).
 //!
@@ -40,7 +40,7 @@
 //!
 //! A naive round fires `n · (K−1)` traversals; this engine prunes almost
 //! all of them with four facts that only ever *strengthen* as components
-//! merge, so every skip is provably work the walkers would have discarded:
+//! merge, so every skip is provably work the walker would have discarded:
 //!
 //! - **Entry bounds** ([`CrossBounds`], cached in the artifacts): a
 //!   per-`(vertex, shard)` lower bound on the cross distance — skip the
@@ -60,11 +60,11 @@
 //!   the representative list, not all of `n`.
 //!
 //! None of this changes a single selected edge — the serving tests assert
-//! warm answers bit-identical to cold solves across backends and walkers.
+//! warm answers bit-identical to cold solves across backends.
 
 use std::sync::atomic::AtomicU32;
 
-use emst_bvh::{Bvh, Traversal, TraversalStats};
+use emst_bvh::{Bvh, TraversalStats};
 use emst_core::labels::{reduce_labels, INVALID_LABEL};
 use emst_core::{Edge, UnionFind};
 use emst_exec::atomic::{pack_dist_payload, unpack_dist_payload};
@@ -189,7 +189,7 @@ impl QueryWork {
 /// boxes overlap heavily, so the scene distance alone lets shallow no-op
 /// entries through, while every leaf lies inside some frontier box (a
 /// leaf's point distance is termwise >= a containing box's clamped
-/// distance, and both walkers prune strictly beyond the radius) and so
+/// distance, and the walker prunes strictly beyond the radius) and so
 /// can never be closer than this bound.
 pub(crate) struct CrossBounds {
     /// Owning shard per vertex id.
@@ -242,14 +242,7 @@ fn entry_bound<const D: usize>(
     if let Some(hint) = refine {
         if d <= hint {
             let mut st = TraversalStats::default();
-            let hit = shard.bvh.nearest_floor(
-                Traversal::default(),
-                q,
-                hint,
-                |_| false,
-                |_, e| Some(e),
-                &mut st,
-            );
+            let hit = shard.bvh.nearest_floor(q, hint, |_| false, |_, e| Some(e), &mut st);
             d = match hit {
                 Some(h) => h.dist_sq,
                 None => st.pruned_min_sq,
@@ -641,7 +634,7 @@ impl MergeScratch {
 /// working floors/candidates from it instead of the pristine bounds, and
 /// deposits the round-1 harvest back into it. The selected edges are
 /// bit-identical with or without it (every accel-driven skip is provably
-/// work the walkers would have discarded).
+/// work the walker would have discarded).
 ///
 /// Panics if `H` is disconnected, which cannot happen for the two callers:
 /// local-MST seeds connect each shard internally and the cross-shard edge
@@ -653,7 +646,6 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
     shards: &[MergeShardView<'_, D>],
     n_vertices: usize,
     seeds: &[Edge],
-    traversal: Traversal,
     counters: &Counters,
     timings: &mut PhaseTimings,
     bounds: Option<&CrossBounds>,
@@ -890,7 +882,7 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
                         return QueryWork::default();
                     }
                     // No cross candidate can be accepted below the reach
-                    // bound (walkers accept `dist <= radius` and prune
+                    // bound (the walker accepts `dist <= radius` and prunes
                     // strictly beyond), so this skip is exactly the set of
                     // queries that would have been pruned at every root.
                     // SAFETY (all slice accesses below): slot `v` / row
@@ -920,7 +912,6 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
                         let mut st = TraversalStats::default();
                         let vor = &shard.vertex_of_rank;
                         shard.bvh.nearest_floor(
-                            traversal,
                             query,
                             radius,
                             |node| nl[node as usize] == c,
@@ -1147,7 +1138,6 @@ mod tests {
             &views,
             60,
             &[],
-            Traversal::default(),
             &counters,
             &mut timings,
             None,
@@ -1199,7 +1189,6 @@ mod tests {
             &views,
             120,
             &seeds,
-            Traversal::default(),
             &counters,
             &mut timings,
             None,
@@ -1241,7 +1230,6 @@ mod tests {
                 &views,
                 90,
                 seeds,
-                Traversal::default(),
                 &counters,
                 &mut timings,
                 Some(&bounds),
@@ -1292,7 +1280,6 @@ mod tests {
             &views,
             1,
             &[],
-            Traversal::default(),
             &counters,
             &mut timings,
             None,

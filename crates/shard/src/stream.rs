@@ -60,14 +60,12 @@ pub struct StreamConfig {
     /// Points per streamed chunk (clamped to `max_resident` when a cap is
     /// set — the in-flight chunk counts toward residency too).
     pub chunk_points: usize,
-    /// Configuration forwarded to every per-shard single-tree solve.
-    pub emst: EmstConfig,
 }
 
 impl StreamConfig {
     /// Default configuration with `shards` shards and a residency target.
     pub fn new(shards: usize, max_resident: usize) -> Self {
-        Self { shards, max_resident, chunk_points: 4096, emst: EmstConfig::default() }
+        Self { shards, max_resident, chunk_points: 4096 }
     }
 }
 
@@ -136,7 +134,6 @@ pub fn emst_sharded_csv<S: ExecSpace, const D: usize>(
     let result = stream_shards::<S, D>(
         space,
         path,
-        config,
         chunk,
         n,
         k,
@@ -207,7 +204,6 @@ fn load_spill<const D: usize>(dir: &Path, shard: usize) -> io::Result<Vec<Spille
 fn stream_shards<S: ExecSpace, const D: usize>(
     space: &S,
     path: &Path,
-    config: &StreamConfig,
     chunk: usize,
     n: usize,
     k: usize,
@@ -250,6 +246,7 @@ fn stream_shards<S: ExecSpace, const D: usize>(
     let mut local_work = CounterSnapshot::default();
     let mut candidates: Vec<Edge> = vec![];
     let mut scratch = emst_core::BoruvkaScratch::new();
+    let emst = EmstConfig::default();
     timings.time("local", || {
         for s in 0..k {
             let spilled: Vec<Spilled<D>> = load_spill(dir, s)?;
@@ -263,7 +260,7 @@ fn stream_shards<S: ExecSpace, const D: usize>(
                 continue;
             }
             let pts: Vec<Point<D>> = spilled.iter().map(|&(_, p)| p).collect();
-            let r = SingleTreeBoruvka::new(&pts).run_scratch(space, &config.emst, &mut scratch);
+            let r = SingleTreeBoruvka::new(&pts).run_scratch(space, &emst, &mut scratch);
             local_iterations.push(r.iterations);
             local_work += r.work;
             candidates.extend(
@@ -302,7 +299,6 @@ fn stream_shards<S: ExecSpace, const D: usize>(
                 &views,
                 globals.len(),
                 &[],
-                config.emst.traversal,
                 counters,
                 timings,
                 None,

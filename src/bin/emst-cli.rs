@@ -48,7 +48,7 @@ use std::str::FromStr;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use emst::core::{EmstConfig, SingleTreeBoruvka, Traversal};
+use emst::core::{EmstConfig, SingleTreeBoruvka};
 use emst::datasets::{self, Kind};
 use emst::exec::{ExecSpace, GpuSim, Serial, Threads};
 use emst::geometry::Point;
@@ -68,13 +68,11 @@ fn usage() -> ExitCode {
   emst-cli emst     --input <points.csv> [--dim 2|3] [--output <mst.csv>]
                     [--algorithm single-tree|kd-single-tree|dual-tree|wspd]
                     [--backend serial|threads|gpusim]
-                    [--traversal stackless|stack]
                     [--shards <K>] [--max-resident <points>]
   emst-cli hdbscan  --input <points.csv> [--dim 2|3] [--k <k_pts>]
                     [--min-cluster-size <m>] [--output <labels.csv>]
   emst-cli serve    --input <points.csv> [--dim 2|3] [--shards <K>]
                     [--max-resident <clouds>] [--backend serial|threads|gpusim]
-                    [--traversal stackless|stack]
                     [--log-format text|json] [--metrics-file <metrics.prom>]
                     [--spill-dir <dir>] [--fallback-spill-dir <dir>]
                     [--spill-retries <N>] [--deadline-ms <ms>]
@@ -97,10 +95,10 @@ fn usage() -> ExitCode {
 fn flags_of(command: &str) -> Option<&'static str> {
     Some(match command {
         "generate" => "kind n dim seed output",
-        "emst" => "input dim output algorithm backend traversal shards max-resident",
+        "emst" => "input dim output algorithm backend shards max-resident",
         "hdbscan" => "input dim k min-cluster-size output",
         "serve" => {
-            "input dim shards max-resident backend traversal log-format metrics-file spill-dir \
+            "input dim shards max-resident backend log-format metrics-file spill-dir \
              fallback-spill-dir spill-retries deadline-ms max-in-flight fault-plan listen \
              net-workers max-pending"
         }
@@ -260,17 +258,8 @@ fn run_emst<const D: usize>(opts: &HashMap<String, String>) -> Result<(), String
     let backend = opts.get("backend").map(String::as_str).unwrap_or("threads");
     let shards: usize = parse_opt(opts, "shards", 0)?;
     let max_resident: usize = parse_opt(opts, "max-resident", 0)?;
-    let traversal = match opts.get("traversal") {
-        None => Traversal::default(),
-        Some(v) => Traversal::parse(v)
-            .ok_or(format!("invalid --traversal value {v:?} (expected stackless or stack)"))?,
-    };
-    let emst_cfg = EmstConfig { traversal, ..EmstConfig::default() };
     if (shards > 0 || max_resident > 0) && algorithm != "single-tree" {
         return Err(format!("--shards requires --algorithm single-tree, got {algorithm}"));
-    }
-    if opts.contains_key("traversal") && algorithm != "single-tree" {
-        return Err(format!("--traversal requires --algorithm single-tree, got {algorithm}"));
     }
 
     // The out-of-core path streams the CSV directly instead of loading it.
@@ -279,7 +268,7 @@ fn run_emst<const D: usize>(opts: &HashMap<String, String>) -> Result<(), String
         if input.ends_with(".xyz") {
             return Err("--max-resident streams CSV input only".into());
         }
-        let cfg = StreamConfig { emst: emst_cfg, ..StreamConfig::new(shards, max_resident) };
+        let cfg = StreamConfig::new(shards, max_resident);
         let start = std::time::Instant::now();
         let result = match backend {
             "serial" => emst_sharded_csv::<_, D>(&Serial, Path::new(input), &cfg),
@@ -301,8 +290,7 @@ fn run_emst<const D: usize>(opts: &HashMap<String, String>) -> Result<(), String
     let start = std::time::Instant::now();
     let edges = match algorithm {
         "single-tree" if shards > 0 => {
-            let run_sharded =
-                |space: &dyn ObjectSafeRun<D>| space.sharded(&points, shards, emst_cfg);
+            let run_sharded = |space: &dyn ObjectSafeRun<D>| space.sharded(&points, shards);
             let result = match backend {
                 "serial" => run_sharded(&Serial),
                 "threads" => run_sharded(&Threads),
@@ -312,12 +300,15 @@ fn run_emst<const D: usize>(opts: &HashMap<String, String>) -> Result<(), String
             print_shard_stats(&result.stats);
             result.edges
         }
-        "single-tree" => match backend {
-            "serial" => SingleTreeBoruvka::new(&points).run(&Serial, &emst_cfg).edges,
-            "threads" => SingleTreeBoruvka::new(&points).run(&Threads, &emst_cfg).edges,
-            "gpusim" => SingleTreeBoruvka::new(&points).run(&GpuSim::new(), &emst_cfg).edges,
-            other => return Err(format!("unknown --backend {other}")),
-        },
+        "single-tree" => {
+            let cfg = EmstConfig::default();
+            match backend {
+                "serial" => SingleTreeBoruvka::new(&points).run(&Serial, &cfg).edges,
+                "threads" => SingleTreeBoruvka::new(&points).run(&Threads, &cfg).edges,
+                "gpusim" => SingleTreeBoruvka::new(&points).run(&GpuSim::new(), &cfg).edges,
+                other => return Err(format!("unknown --backend {other}")),
+            }
+        }
         "kd-single-tree" => emst::kdtree::kd_single_tree_emst(&points).edges,
         "dual-tree" => emst::kdtree::dual_tree_emst(&points).edges,
         "wspd" => emst::wspd::wspd_emst(&points, backend != "serial").edges,
@@ -331,22 +322,12 @@ fn run_emst<const D: usize>(opts: &HashMap<String, String>) -> Result<(), String
 /// Object-safe shim so the sharded run can dispatch over backends chosen at
 /// runtime without monomorphizing the match arms three times.
 trait ObjectSafeRun<const D: usize> {
-    fn sharded(
-        &self,
-        points: &[Point<D>],
-        shards: usize,
-        emst: EmstConfig,
-    ) -> emst::shard::ShardedResult;
+    fn sharded(&self, points: &[Point<D>], shards: usize) -> emst::shard::ShardedResult;
 }
 
 impl<S: ExecSpace, const D: usize> ObjectSafeRun<D> for S {
-    fn sharded(
-        &self,
-        points: &[Point<D>],
-        shards: usize,
-        emst: EmstConfig,
-    ) -> emst::shard::ShardedResult {
-        emst_sharded_with(self, points, &ShardConfig { emst, ..ShardConfig::new(shards) })
+    fn sharded(&self, points: &[Point<D>], shards: usize) -> emst::shard::ShardedResult {
+        emst_sharded_with(self, points, &ShardConfig::new(shards))
     }
 }
 
@@ -377,11 +358,6 @@ fn run_serve<const D: usize>(opts: &HashMap<String, String>) -> Result<(), Strin
     let shards: usize = parse_opt(opts, "shards", 4)?;
     let max_resident: usize = parse_opt(opts, "max-resident", 4)?;
     let backend = opts.get("backend").map(String::as_str).unwrap_or("threads");
-    let traversal = match opts.get("traversal") {
-        None => Traversal::default(),
-        Some(v) => Traversal::parse(v)
-            .ok_or(format!("invalid --traversal value {v:?} (expected stackless or stack)"))?,
-    };
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
@@ -424,7 +400,6 @@ fn run_serve<const D: usize>(opts: &HashMap<String, String>) -> Result<(), Strin
     let input = opts.get("input").ok_or("--input is required")?;
     let points = load_points_from::<D>(input, fault_plan.as_deref())?;
     let mut config = ServeConfig::new(shards, max_resident);
-    config.emst = EmstConfig { traversal, ..EmstConfig::default() };
     config.spill_dir = spill_dir;
     config.fallback_spill_dir = fallback_spill_dir;
     config.spill_retries = spill_retries;

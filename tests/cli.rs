@@ -130,6 +130,10 @@ fn malformed_numeric_arguments_error_instead_of_defaulting() {
     assert!(stderr.contains("unknown flag --shardz for emst"), "stderr: {stderr}");
     let stderr = expect_error(&["serve", "--input", "x.csv", "--workers", "2"]);
     assert!(stderr.contains("unknown flag --workers for serve"), "stderr: {stderr}");
+    let stderr = expect_error(&["emst", "--input", "x.csv", "--traversal", "stack"]);
+    assert!(stderr.contains("unknown flag --traversal for emst"), "stderr: {stderr}");
+    let stderr = expect_error(&["serve", "--input", "x.csv", "--traversal", "stack"]);
+    assert!(stderr.contains("unknown flag --traversal for serve"), "stderr: {stderr}");
 }
 
 #[test]
@@ -225,7 +229,6 @@ fn usage_mentions_every_command_and_flag() {
         "--input",
         "--algorithm",
         "--backend",
-        "--traversal",
         "--shards",
         "--max-resident",
         "--k",
@@ -503,8 +506,6 @@ fn serve_strict_argument_errors() {
     assert!(stderr.contains("--max-resident must be at least 1"), "stderr: {stderr}");
     let stderr = expect_error(&["serve", "--input", "x.csv", "--max-resident", "-2"]);
     assert!(stderr.contains("invalid --max-resident"), "stderr: {stderr}");
-    let stderr = expect_error(&["serve", "--input", "x.csv", "--traversal", "recursive"]);
-    assert!(stderr.contains("invalid --traversal"), "stderr: {stderr}");
     let stderr = expect_error(&["serve", "--input", "x.csv", "--log-format", "yaml"]);
     assert!(stderr.contains("invalid --log-format"), "stderr: {stderr}");
     let stderr = expect_error(&["serve", "--shards", "2"]);
@@ -858,46 +859,4 @@ fn serve_metrics_file_and_json_log_format() {
     assert!(banner.contains("\"target\":\"emst-cli\""), "banner: {banner}");
     std::fs::remove_file(&pts).ok();
     std::fs::remove_file(&metrics).ok();
-}
-
-#[test]
-fn traversal_flag_selects_a_walker_and_matches_the_default() {
-    let pts = tmp("traversal-points.csv");
-    assert!(bin()
-        .args(["generate", "--kind", "uniform", "--n", "600", "--dim", "2"])
-        .args(["--seed", "11", "--output", pts.to_str().unwrap()])
-        .status()
-        .unwrap()
-        .success());
-
-    let weight_of = |traversal: &str| -> String {
-        let out = bin()
-            .args(["emst", "--input", pts.to_str().unwrap(), "--traversal", traversal])
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "{traversal}: {}", String::from_utf8_lossy(&out.stderr));
-        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-        let line = stderr.lines().find(|l| l.contains("weight")).unwrap().to_string();
-        line.split("weight ").nth(1).unwrap().split(',').next().unwrap().to_string()
-    };
-    // Both walkers report the identical tree weight.
-    assert_eq!(weight_of("stack"), weight_of("stackless"));
-
-    // Bad values are a hard error, never a silent default.
-    let stderr =
-        expect_error(&["emst", "--input", pts.to_str().unwrap(), "--traversal", "recursive"]);
-    assert!(stderr.contains("invalid --traversal"), "stderr: {stderr}");
-    // And the flag is single-tree only.
-    let stderr = expect_error(&[
-        "emst",
-        "--input",
-        pts.to_str().unwrap(),
-        "--traversal",
-        "stack",
-        "--algorithm",
-        "wspd",
-    ]);
-    assert!(stderr.contains("--traversal requires"), "stderr: {stderr}");
-
-    std::fs::remove_file(&pts).ok();
 }

@@ -4,9 +4,9 @@
 
 use emst::core::brute::brute_force_emst;
 use emst::core::edge::{verify_spanning_tree, weight_multiset};
-use emst::core::{Edge, EdgeSelection, EmstConfig, SingleTreeBoruvka, Traversal};
+use emst::core::{Edge, EdgeSelection, EmstConfig, SingleTreeBoruvka};
 use emst::datasets::Kind;
-use emst::exec::{ChaosSerial, GpuSim, Serial, Threads};
+use emst::exec::{ChaosSerial, ExecSpace, GpuSim, Serial, Threads};
 use emst::geometry::Point;
 use emst::kdtree::{bentley_friedman_emst, dual_tree_emst};
 use emst::shard::emst_sharded;
@@ -33,24 +33,13 @@ fn check_all_impls<const D: usize>(points: &[Point<D>], label: &str) {
     verify_spanning_tree(n, &reference.edges).unwrap_or_else(|e| panic!("{label}: {e}"));
     let ref_multiset = weight_multiset(&reference.edges);
 
-    // Single-tree on every backend, both edge-selection strategies and
-    // both traversal settings.
+    // Single-tree on every backend and both edge-selection strategies.
     for selection in [EdgeSelection::Locked, EdgeSelection::Atomic64] {
-        for traversal in [Traversal::Stack, Traversal::Stackless] {
-            let cfg = EmstConfig { edge_selection: selection, traversal, ..Default::default() };
-            let threads = SingleTreeBoruvka::new(points).run(&Threads, &cfg);
-            assert_eq!(
-                weight_multiset(&threads.edges),
-                ref_multiset,
-                "{label} threads {selection:?} {traversal:?}"
-            );
-            let gpu = SingleTreeBoruvka::new(points).run(&GpuSim::new(), &cfg);
-            assert_eq!(
-                weight_multiset(&gpu.edges),
-                ref_multiset,
-                "{label} gpusim {selection:?} {traversal:?}"
-            );
-        }
+        let cfg = EmstConfig { edge_selection: selection, ..Default::default() };
+        let threads = SingleTreeBoruvka::new(points).run(&Threads, &cfg);
+        assert_eq!(weight_multiset(&threads.edges), ref_multiset, "{label} threads {selection:?}");
+        let gpu = SingleTreeBoruvka::new(points).run(&GpuSim::new(), &cfg);
+        assert_eq!(weight_multiset(&gpu.edges), ref_multiset, "{label} gpusim {selection:?}");
     }
 
     // Both baselines.
@@ -232,55 +221,36 @@ fn total_weights_match_in_f64_too() {
     assert!((a - c).abs() < 1e-6 * a);
 }
 
-/// Runs one configuration and returns the edge list in canonical order.
-fn sorted_edges(points: &[Point<2>], traversal: Traversal, chaos_seed: Option<u64>) -> Vec<Edge> {
-    let cfg = EmstConfig { traversal, ..Default::default() };
-    let mut edges = match chaos_seed {
-        Some(seed) => SingleTreeBoruvka::new(points).run(&ChaosSerial::new(seed), &cfg).edges,
-        None => SingleTreeBoruvka::new(points).run(&Threads, &cfg).edges,
-    };
+/// Runs the default configuration on `space` and returns the edge list in
+/// canonical order.
+fn sorted_edges<S: ExecSpace>(points: &[Point<2>], space: &S) -> Vec<Edge> {
+    let mut edges = SingleTreeBoruvka::new(points).run(space, &EmstConfig::default()).edges;
     edges.sort_by_key(Edge::key);
     edges
 }
 
-/// The stack and stackless walkers must produce *bit-identical* trees (not
-/// just equal weight multisets): both are minima over the same candidate
-/// set under the same `(distance, rank)` order, so every chosen edge —
-/// endpoints and weight bits — must coincide, on every backend including
-/// the order-shuffling `ChaosSerial`.
+/// Every backend must produce a *bit-identical* tree (not just an equal
+/// weight multiset): each query's hit is the minimum over the same
+/// candidate set under the same `(distance, rank)` order, so every chosen
+/// edge — endpoints and weight bits — must coincide, including on the
+/// order-shuffling `ChaosSerial`.
 #[test]
 fn stack_and_stackless_trees_are_bit_identical_on_all_backends() {
     for kind in [Kind::Uniform, Kind::VisualVar, Kind::GeoLifeLike] {
         let points: Vec<Point<2>> = kind.generate(800, 0x5B);
-        let reference = sorted_edges(&points, Traversal::Stack, None);
-        assert_eq!(sorted_edges(&points, Traversal::Stackless, None), reference, "{kind:?}");
-        for space_edges in [
-            sorted_edges(&points, Traversal::Stackless, Some(3)),
-            {
-                let cfg = EmstConfig { traversal: Traversal::Stackless, ..Default::default() };
-                let mut e = SingleTreeBoruvka::new(&points).run(&Serial, &cfg).edges;
-                e.sort_by_key(Edge::key);
-                e
-            },
-            {
-                let cfg = EmstConfig { traversal: Traversal::Stackless, ..Default::default() };
-                let mut e = SingleTreeBoruvka::new(&points).run(&GpuSim::new(), &cfg).edges;
-                e.sort_by_key(Edge::key);
-                e
-            },
-        ] {
-            assert_eq!(space_edges, reference, "{kind:?}");
-        }
+        let reference = sorted_edges(&points, &Threads);
+        assert_eq!(sorted_edges(&points, &ChaosSerial::new(3)), reference, "{kind:?} chaos");
+        assert_eq!(sorted_edges(&points, &Serial), reference, "{kind:?} serial");
+        assert_eq!(sorted_edges(&points, &GpuSim::new()), reference, "{kind:?} gpusim");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Satellite of the traversal refactor: under duplicate/tie pressure
-    /// (integer grids plus repeated blocks) and with the component-skip
-    /// predicate active (default config), the stack and stackless walkers
-    /// must agree bit-for-bit across Serial, Threads, GpuSim and the
+    /// Under duplicate/tie pressure (integer grids plus repeated blocks)
+    /// and with the component-skip predicate active (default config), the
+    /// trees must agree bit-for-bit across Serial, Threads, GpuSim and the
     /// order-shuffling ChaosSerial backends.
     #[test]
     fn traversals_bit_identical_under_tie_pressure_on_every_backend(
@@ -302,9 +272,9 @@ proptest! {
             let p = points[0];
             points.extend(std::iter::repeat_n(p, 5));
         }
-        let stack = sorted_edges(&points, Traversal::Stack, None);
-        prop_assert_eq!(&sorted_edges(&points, Traversal::Stackless, None), &stack);
-        prop_assert_eq!(&sorted_edges(&points, Traversal::Stack, Some(chaos_seed)), &stack);
-        prop_assert_eq!(&sorted_edges(&points, Traversal::Stackless, Some(chaos_seed)), &stack);
+        let reference = sorted_edges(&points, &Threads);
+        prop_assert_eq!(&sorted_edges(&points, &ChaosSerial::new(chaos_seed)), &reference);
+        prop_assert_eq!(&sorted_edges(&points, &Serial), &reference);
+        prop_assert_eq!(&sorted_edges(&points, &GpuSim::new()), &reference);
     }
 }

@@ -3,11 +3,11 @@
 //! The digests below were recorded from the kernel as it stood before
 //! per-point answers were carried across iterations and before the
 //! threaded reductions were folded per worker. Every backend, edge
-//! selection, walker and metric must keep reproducing them, including
+//! selection and metric must keep reproducing them, including
 //! through a scratch pool whose last solve was a larger, different cloud
 //! (so no carried state can leak into iteration 1).
 
-use emst::core::{BoruvkaScratch, Edge, EdgeSelection, EmstConfig, SingleTreeBoruvka, Traversal};
+use emst::core::{BoruvkaScratch, Edge, EdgeSelection, EmstConfig, SingleTreeBoruvka};
 use emst::datasets::{generate_2d, generate_3d, DatasetSpec, Kind};
 use emst::exec::{ChaosSerial, GpuSim, Serial, Threads};
 use emst::geometry::{Euclidean, Metric, MutualReachability, Point};
@@ -63,7 +63,7 @@ fn digest(edges: &[Edge]) -> u64 {
     h
 }
 
-/// Digests of every backend × selection × walker combination for one
+/// Digests of every backend × selection combination for one
 /// cloud and metric; the first entry is a fresh default solve.
 fn all_digests<const D: usize, M: Metric>(
     points: &[Point<D>],
@@ -76,21 +76,18 @@ fn all_digests<const D: usize, M: Metric>(
     let mut scratch = BoruvkaScratch::new();
     SingleTreeBoruvka::new(primer).run_scratch(&Threads, &EmstConfig::default(), &mut scratch);
     for edge_selection in [EdgeSelection::Locked, EdgeSelection::Atomic64] {
-        for traversal in [Traversal::Stack, Traversal::Stackless] {
-            let cfg = EmstConfig { edge_selection, traversal, ..Default::default() };
-            let mut record = |backend: &str, edges: &[Edge]| {
-                out.push((format!("{backend} {edge_selection:?} {traversal:?}"), digest(edges)));
-            };
-            let s = solver.run_with_metric_scratch(&Serial, &cfg, metric, &mut scratch);
-            record("Serial", &s.edges);
-            let t = solver.run_with_metric_scratch(&Threads, &cfg, metric, &mut scratch);
-            record("Threads", &t.edges);
-            let g = solver.run_with_metric_scratch(&GpuSim::new(), &cfg, metric, &mut scratch);
-            record("GpuSim", &g.edges);
-            let c =
-                solver.run_with_metric_scratch(&ChaosSerial::new(7), &cfg, metric, &mut scratch);
-            record("ChaosSerial", &c.edges);
-        }
+        let cfg = EmstConfig { edge_selection, ..Default::default() };
+        let mut record = |backend: &str, edges: &[Edge]| {
+            out.push((format!("{backend} {edge_selection:?}"), digest(edges)));
+        };
+        let s = solver.run_with_metric_scratch(&Serial, &cfg, metric, &mut scratch);
+        record("Serial", &s.edges);
+        let t = solver.run_with_metric_scratch(&Threads, &cfg, metric, &mut scratch);
+        record("Threads", &t.edges);
+        let g = solver.run_with_metric_scratch(&GpuSim::new(), &cfg, metric, &mut scratch);
+        record("GpuSim", &g.edges);
+        let c = solver.run_with_metric_scratch(&ChaosSerial::new(7), &cfg, metric, &mut scratch);
+        record("ChaosSerial", &c.edges);
     }
     out
 }

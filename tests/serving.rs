@@ -1,5 +1,5 @@
 //! Cache-correctness tests of the serving layer: a warm answer must be
-//! *bit-identical* to the cold one on every backend and both traversals,
+//! *bit-identical* to the cold one on every backend,
 //! eviction/reload must not change a single bit, a mutated input must
 //! never be served from a stale entry, and the PR 10 incremental
 //! `insert`/`delete` path must match from-scratch oracles under
@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use emst::core::brute::brute_force_emst;
 use emst::core::edge::{verify_spanning_tree, weight_multiset};
-use emst::core::{Edge, EmstConfig, Traversal};
+use emst::core::Edge;
 use emst::datasets::{generate_2d, DatasetSpec, Kind};
 use emst::exec::{ExecSpace, GpuSim, Serial, Threads};
 use emst::geometry::Point;
@@ -23,15 +23,9 @@ fn cloud(n: usize, seed: u64) -> Vec<Point<2>> {
     generate_2d(&DatasetSpec::hacc_like(n, seed))
 }
 
-fn config_with(traversal: Traversal, shards: usize, max_resident: usize) -> ServeConfig {
-    let mut cfg = ServeConfig::new(shards, max_resident);
-    cfg.emst = EmstConfig { traversal, ..EmstConfig::default() };
-    cfg
-}
-
-fn check_warm_equals_cold<S: ExecSpace>(engine_space: S, anchor_space: &S, traversal: Traversal) {
+fn check_warm_equals_cold<S: ExecSpace>(engine_space: S, anchor_space: &S) {
     let pts = cloud(600, 11);
-    let engine = ServeEngine::<_, 2>::new(engine_space, config_with(traversal, 5, 2));
+    let engine = ServeEngine::<_, 2>::new(engine_space, ServeConfig::new(5, 2));
 
     let cold = engine.emst(&pts);
     assert_eq!(cold.outcome, CacheOutcome::Miss);
@@ -40,11 +34,7 @@ fn check_warm_equals_cold<S: ExecSpace>(engine_space: S, anchor_space: &S, trave
 
     // Exactness anchor: the one-shot sharded solve takes the identical
     // build + merge path, and the brute-force oracle pins the weights.
-    let oneshot = emst_sharded_with(
-        anchor_space,
-        &pts,
-        &ShardConfig { emst: engine_emst_config(traversal), ..ShardConfig::new(5) },
-    );
+    let oneshot = emst_sharded_with(anchor_space, &pts, &ShardConfig::new(5));
     assert_eq!(cold.edges, oneshot.edges);
     assert_eq!(weight_multiset(&cold.edges), weight_multiset(&brute_force_emst(&pts)));
 
@@ -65,17 +55,11 @@ fn check_warm_equals_cold<S: ExecSpace>(engine_space: S, anchor_space: &S, trave
     }
 }
 
-fn engine_emst_config(traversal: Traversal) -> EmstConfig {
-    EmstConfig { traversal, ..EmstConfig::default() }
-}
-
 #[test]
 fn warm_solve_is_bit_identical_on_every_backend_and_both_traversals() {
-    for traversal in [Traversal::Stack, Traversal::Stackless] {
-        check_warm_equals_cold(Serial, &Serial, traversal);
-        check_warm_equals_cold(Threads, &Threads, traversal);
-    }
-    check_warm_equals_cold(GpuSim::new(), &GpuSim::new(), Traversal::Stackless);
+    check_warm_equals_cold(Serial, &Serial);
+    check_warm_equals_cold(Threads, &Threads);
+    check_warm_equals_cold(GpuSim::new(), &GpuSim::new());
 }
 
 #[test]
@@ -319,15 +303,9 @@ fn warm_query_traces_expose_merge_round_spans() {
 /// tree's weight multiset must equal the brute-force EMST of the mutated
 /// cloud, and deleting exactly the inserted points must round-trip to the
 /// parent's own key and tree.
-fn check_mutation_chain<S: ExecSpace>(
-    space: S,
-    traversal: Traversal,
-    kind: Kind,
-    n: usize,
-    seed: u64,
-) {
+fn check_mutation_chain<S: ExecSpace>(space: S, kind: Kind, n: usize, seed: u64) {
     let base: Vec<Point<2>> = kind.generate(n, seed);
-    let engine = ServeEngine::<_, 2>::new(space, config_with(traversal, 4, 8));
+    let engine = ServeEngine::<_, 2>::new(space, ServeConfig::new(4, 8));
     let key = engine.ingest(&base);
     let base_tree = weight_multiset(&engine.emst_by_key(key).unwrap().edges);
 
@@ -346,7 +324,7 @@ fn check_mutation_chain<S: ExecSpace>(
     assert_eq!(
         weight_multiset(&ins.update.edges),
         weight_multiset(&brute_force_emst(&ins.points)),
-        "insert diverged (kind {kind:?}, n {n}, seed {seed}, {traversal:?})"
+        "insert diverged (kind {kind:?}, n {n}, seed {seed})"
     );
 
     // Delete a spread of ids from the mutated cloud.
@@ -357,7 +335,7 @@ fn check_mutation_chain<S: ExecSpace>(
     assert_eq!(
         weight_multiset(&del.update.edges),
         weight_multiset(&brute_force_emst(&del.points)),
-        "delete diverged (kind {kind:?}, n {n}, seed {seed}, {traversal:?})"
+        "delete diverged (kind {kind:?}, n {n}, seed {seed})"
     );
 
     // Round trip: deleting exactly the appended ids restores the parent
@@ -372,8 +350,8 @@ fn check_mutation_chain<S: ExecSpace>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Random mutation chains across dataset generators, both traversals
-    /// and the Serial/Threads backends all match from-scratch oracles.
+    /// Random mutation chains across dataset generators and the
+    /// Serial/Threads backends all match from-scratch oracles.
     #[test]
     fn mutation_chains_match_from_scratch_oracles(
         seed in 0u64..512,
@@ -381,10 +359,8 @@ proptest! {
         n in 60usize..140,
     ) {
         let kind = [Kind::Uniform, Kind::Normal, Kind::HaccLike, Kind::VisualVar][kind_idx];
-        for traversal in [Traversal::Stackless, Traversal::Stack] {
-            check_mutation_chain(Serial, traversal, kind, n, seed);
-            check_mutation_chain(Threads, traversal, kind, n, seed);
-        }
+        check_mutation_chain(Serial, kind, n, seed);
+        check_mutation_chain(Threads, kind, n, seed);
     }
 }
 
