@@ -83,14 +83,15 @@
 //!   (also on the panic path), so warm queries still allocate nothing.
 //! - **Single-flight builds**: concurrent requests for the same
 //!   non-resident [`CloudKey`] coalesce on one build, reload or mutation
-//!   child — one leader fills it (outside all locks), the rest park on a
-//!   condvar and re-check, each at most until its own query deadline. The
-//!   leader itself re-checks residency *after* winning its lease
-//!   (double-checked locking): a thread that read "not resident", stalled,
-//!   and won the next lease after the prior leader landed must serve the
-//!   landed resident, not rebuild and admit a duplicate. Points, keys and
-//!   mutation children all resolve through one private resolver, so this
-//!   protocol exists once.
+//!   child — one leader fills it (outside all locks), the rest park on the
+//!   key's flight (the crate's one single-flight rendezvous, which the
+//!   wire's query coalescing shares) and re-check, each at most until its
+//!   own query deadline. The leader itself re-checks residency *after*
+//!   winning its lease (double-checked locking): a thread that read "not
+//!   resident", stalled, and won the next lease after the prior leader
+//!   landed must serve the landed resident, not rebuild and admit a
+//!   duplicate. Points, keys and mutation children all resolve through one
+//!   private resolver, so this protocol exists once.
 //!
 //! All atomics (stats, LRU ticks) use relaxed ordering on purpose: they
 //! are advisory counters and recency hints, and every correctness-bearing
@@ -123,10 +124,10 @@
 //! ```
 
 pub mod fault;
+mod flight;
 pub mod net;
 pub mod spill;
 
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -141,7 +142,8 @@ use emst_geometry::{Point, Scalar};
 use emst_hdbscan::{Hdbscan, HdbscanResult};
 use emst_obs::{Counter, Gauge, Histogram, QueryTrace, Registry, SpanRecord, TraceRing};
 use emst_shard::{MergeAccel, MergeScratch, ShardArtifacts, ShardConfig, UpdateReport};
-use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
+use flight::{Flights, Join};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use net::{NetConfig, NetReply, NetSession, ServeServer};
@@ -684,41 +686,6 @@ impl Drop for ScratchGuard<'_> {
     }
 }
 
-/// Rendezvous for single-flight builds: followers park on the condvar
-/// until the leader marks the flight done or their deadline passes.
-struct BuildFlight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl BuildFlight {
-    fn new() -> Self {
-        Self { done: Mutex::new(false), cv: Condvar::new() }
-    }
-
-    /// Parks until the flight is done (`true`) or `deadline` passes first
-    /// (`false`).
-    fn wait(&self, deadline: Option<Instant>) -> bool {
-        let mut done = self.done.lock();
-        while !*done {
-            match deadline {
-                None => self.cv.wait(&mut done),
-                Some(at) => {
-                    if self.cv.wait_until(&mut done, at).timed_out() {
-                        return *done;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    fn finish(&self) {
-        *self.done.lock() = true;
-        self.cv.notify_all();
-    }
-}
-
 /// Lifetime counters, one per [`ServeStats`] field. With observability on
 /// each cell *is* the registry's `emst_serve_cache_events_total{event=…}`
 /// counter, so [`ServeEngine::stats`] and the exposition read the same
@@ -901,7 +868,7 @@ pub struct ServeEngine<S: ExecSpace, const D: usize> {
     clock: AtomicU64,
     stats: StatCells,
     scratch_pool: Mutex<Vec<QueryScratch>>,
-    builds: Mutex<HashMap<CloudKey, Arc<BuildFlight>>>,
+    builds: Flights<CloudKey, ()>,
     spill_dir: PathBuf,
     /// Whether `spill_dir` is engine-owned (removed on drop).
     owns_spill_dir: bool,
@@ -910,22 +877,6 @@ pub struct ServeEngine<S: ExecSpace, const D: usize> {
     /// Metrics + traces; `None` when [`ServeConfig::observability`] is
     /// off, which compiles every probe down to a branch on a `None`.
     obs: Option<ServeObs>,
-}
-
-/// Removes the flight from the in-flight map and releases its followers
-/// when dropped — including on an error return or a panicking build, so a
-/// dead leader can never wedge its followers.
-struct FlightLease<'a, S: ExecSpace, const D: usize> {
-    engine: &'a ServeEngine<S, D>,
-    key: CloudKey,
-    flight: Arc<BuildFlight>,
-}
-
-impl<S: ExecSpace, const D: usize> Drop for FlightLease<'_, S, D> {
-    fn drop(&mut self) {
-        self.engine.builds.lock().remove(&self.key);
-        self.flight.finish();
-    }
 }
 
 /// Outcome of one pass over the resident list for a cloud, by verified
@@ -965,7 +916,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             clock: AtomicU64::new(0),
             stats: StatCells::new(obs.as_ref().map(|o| &o.registry)),
             scratch_pool: Mutex::new(vec![]),
-            builds: Mutex::new(HashMap::new()),
+            builds: Flights::new(()),
             spill_dir,
             owns_spill_dir: owns,
             in_flight: AtomicU64::new(0),
@@ -1300,19 +1251,6 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         Err(last_err.expect("at least one write attempt ran"))
     }
 
-    /// Joins (or starts) the single-flight build of `key`: `Err(flight)`
-    /// means another thread is already building — park on it and re-check;
-    /// `Ok(lease)` makes the caller the leader.
-    fn begin_flight(&self, key: CloudKey) -> Result<FlightLease<'_, S, D>, Arc<BuildFlight>> {
-        let mut builds = self.builds.lock();
-        if let Some(flight) = builds.get(&key) {
-            return Err(Arc::clone(flight));
-        }
-        let flight = Arc::new(BuildFlight::new());
-        builds.insert(key, Arc::clone(&flight));
-        Ok(FlightLease { engine: self, key, flight })
-    }
-
     /// Builds artifacts for `points` (outside all engine locks) and admits
     /// the resident, evicting LRU clouds first when over budget.
     fn build_and_admit(
@@ -1525,16 +1463,15 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 Lookup::Hit(r) => break r,
                 Lookup::Vacant(key) => key,
             };
-            match self.begin_flight(key) {
-                Err(flight) => {
-                    let parked = self.obs_now();
-                    let landed = flight.wait(deadline);
+            let parked = self.obs_now();
+            match self.builds.join(key, deadline) {
+                Join::Follow(landed) => {
                     if let (Some(obs), Some(parked)) = (&self.obs, parked) {
                         let d = parked.elapsed();
                         obs.lease_wait.record(d);
                         spans.push(SpanRecord::new("lease.wait", d.as_secs_f64()));
                     }
-                    if !landed {
+                    if landed.is_none() {
                         return Err(self.deadline_exceeded(key));
                     }
                     waited = true;
@@ -1545,7 +1482,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 // re-check the late winner would fill and admit a
                 // duplicate resident — or, under salted keys, admit a
                 // *distinct* cloud at an already-taken salt.
-                Ok(_lease) => match find() {
+                Join::Lead(_lease) => match find() {
                     Lookup::Hit(r) => break r,
                     // A colliding resident landed meanwhile and moved the
                     // free salt: drop this lease (releasing any followers
@@ -1668,6 +1605,17 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         ServeError::DeadlineExceeded(key)
     }
 
+    /// Copies `r`'s shared accel into `into` under its read lock, timing
+    /// the wait into `emst_serve_lock_wait_seconds{lock="accel.read"}`.
+    fn copy_accel(&self, r: &Resident<D>, into: &mut MergeAccel) {
+        let wait = self.obs_now();
+        let accel = r.accel.read();
+        if let (Some(obs), Some(wait)) = (&self.obs, wait) {
+            obs.lock_accel_read.record(wait.elapsed());
+        }
+        into.copy_from(&accel);
+    }
+
     fn answer_emst_deadline(
         &self,
         r: &Resident<D>,
@@ -1683,14 +1631,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         let scratch = &mut *scratch;
         // Copy-out / merge / absorb-back: the accel lock is only held for
         // the two memcpy-scale critical sections, never across traversals.
-        {
-            let wait = self.obs_now();
-            let accel = r.accel.read();
-            if let (Some(obs), Some(wait)) = (&self.obs, wait) {
-                obs.lock_accel_read.record(wait.elapsed());
-            }
-            scratch.accel.copy_from(&accel);
-        }
+        self.copy_accel(r, &mut scratch.accel);
         // Over budget at a round boundary, the accel copy may hold a
         // partial round's learning; it is simply not absorbed — the shared
         // accel stays exactly as it was, and the scratch guard returns the
@@ -2006,14 +1947,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 // Copy the parent's accel out so its harvested floors seed
                 // the child's bounds without holding the parent's lock
                 // across the dirty solves.
-                {
-                    let wait = self.obs_now();
-                    let accel = parent.accel.read();
-                    if let (Some(obs), Some(wait)) = (&self.obs, wait) {
-                        obs.lock_accel_read.record(wait.elapsed());
-                    }
-                    scratch.accel.copy_from(&accel);
-                }
+                self.copy_accel(&parent, &mut scratch.accel);
                 parent
                     .artifacts
                     .apply_update(
@@ -2616,7 +2550,7 @@ mod tests {
         assert_stats_match_metrics(&engine);
     }
 
-    /// Regression stress for the lookup→begin_flight TOCTOU: a thread that
+    /// Regression stress for the lookup→join TOCTOU: a thread that
     /// read "not resident", stalled, and won a lease after the prior
     /// leader landed must re-check and serve the landed resident. Without
     /// the double-check, the late winner re-admits the key — at budget 1
@@ -3310,7 +3244,7 @@ mod tests {
             let leader = s.spawn(|| engine.emst_by_key(key));
             // Follow once the leader holds the reload's lease, not after a
             // guessed sleep.
-            while !engine.builds.lock().contains_key(&key) {
+            while !engine.builds.is_open(&key) {
                 assert!(!leader.is_finished(), "the leader returned before leasing the reload");
                 std::thread::yield_now();
             }

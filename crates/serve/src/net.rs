@@ -12,6 +12,8 @@
 //! [`next_line`] its one line reader. A TCP connection and the
 //! `emst-cli serve` stdin session are both a [`NetSession`] driven by
 //! those two functions, so a line gets the same reply bytes on either.
+//! [`load_points`] is the one point-file loader, shared by the `load`
+//! verb and `emst-cli`.
 //!
 //! Design constraints and how they are met:
 //!
@@ -40,9 +42,10 @@
 //! The headline optimisation generalizes the engine's single-flight
 //! *build* coalescing to whole *queries*: concurrent identical requests —
 //! same [`CloudKey`] (the content digest of the session's cloud) and the
-//! same canonicalized command line — register on one in-flight flight.
-//! The first becomes the leader and executes; the rest park on a condvar
-//! and receive a byte-for-byte copy of the leader's reply, counted in
+//! same canonicalized command line — register on one in-flight flight of
+//! the crate's single-flight map, the same rendezvous the engine's builds
+//! use. The first becomes the leader and executes; the rest park and
+//! receive a byte-for-byte copy of the leader's reply, counted in
 //! [`ServeStats::query_coalesced`](crate::ServeStats::query_coalesced)
 //! and the `emst_serve_cache_events_total{event="query_coalesced"}`
 //! metric. This is sound because only the deterministic read-only verbs
@@ -57,7 +60,7 @@
 //! leader's honest `err …`, which an identical concurrent request could
 //! equally have earned itself).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -75,7 +78,8 @@ use emst_hdbscan::Hdbscan;
 use emst_obs::{Counter, Gauge, Histogram};
 use parking_lot::{Condvar, Mutex};
 
-use crate::fault::{faulted_read, FaultSite};
+use crate::fault::{faulted_read, FaultPlan, FaultSite};
+use crate::flight::{Flights, Join};
 use crate::{
     CacheOutcome, CloudKey, CloudRef, MutateResponse, ServeEngine, ServeRequest, ServeResponse,
 };
@@ -401,20 +405,7 @@ fn execute<S: ExecSpace, const D: usize>(
         }
         "load" => {
             let path = rest.first().ok_or("load needs a path")?;
-            // Ingest reads go through the fault plan: chaos drills cover the
-            // network load path with the same injector as spill storage.
-            let plan = engine.config.fault_plan.as_deref();
-            let bytes = faulted_read(plan, FaultSite::IngestRead, Path::new(path))
-                .map_err(|e| format!("{path}: {e}"))?;
-            let new_points: Vec<Point<D>> = if path.ends_with(".xyz") {
-                parse_xyz(&bytes, path)
-            } else {
-                parse_csv(&bytes, path)
-            }
-            .map_err(|e| e.to_string())?;
-            if new_points.is_empty() {
-                return Err(format!("{path}: no points"));
-            }
+            let new_points = load_points::<D>(path, engine.config.fault_plan.as_deref())?;
             let req = ServeRequest::Load { points: &new_points };
             let key = match engine.execute(req).map_err(|e| e.to_string())? {
                 ServeResponse::Loaded { key } => key,
@@ -459,48 +450,31 @@ fn execute<S: ExecSpace, const D: usize>(
     }
 }
 
+/// Loads the point file at `path`, `.xyz` or else CSV, reading it through
+/// `plan`'s ingest site so chaos drills cover dataset ingest with the same
+/// injector as spill storage. Errors name `path` (parse errors
+/// `path:line`); a file without points is an error too.
+pub fn load_points<const D: usize>(
+    path: &str,
+    plan: Option<&FaultPlan>,
+) -> Result<Vec<Point<D>>, String> {
+    let bytes = faulted_read(plan, FaultSite::IngestRead, Path::new(path))
+        .map_err(|e| format!("{path}: {e}"))?;
+    let points =
+        if path.ends_with(".xyz") { parse_xyz(&bytes, path) } else { parse_csv(&bytes, path) }
+            .map_err(|e| e.to_string())?;
+    if points.is_empty() {
+        return Err(format!("{path}: no points"));
+    }
+    Ok(points)
+}
+
 /// Verbs eligible for same-key coalescing: deterministic, read-only, and
 /// replies that are pure functions of `(cloud, line)`. `load`, `insert`
 /// and `delete` mutate the session, `stats`/`metrics`/`trace` read
 /// mutable observability state — none of those may share a reply.
 fn coalescable(verb: &str) -> bool {
     matches!(verb, "emst" | "subset" | "knn" | "hdbscan")
-}
-
-type FlightKey = (CloudKey, String);
-
-/// One in-flight coalesced query: the leader publishes its reply here and
-/// wakes every parked follower.
-struct QueryFlight {
-    reply: Mutex<Option<NetReply>>,
-    published: Condvar,
-}
-
-/// The leader's obligation to publish. Dropping without publishing (the
-/// leader's execution panicked out from under it) publishes an honest
-/// internal error so followers can never wedge.
-struct FlightLease<'a> {
-    flights: &'a Mutex<HashMap<FlightKey, Arc<QueryFlight>>>,
-    key: Option<FlightKey>,
-    flight: Arc<QueryFlight>,
-}
-
-impl FlightLease<'_> {
-    fn settle(&mut self, reply: NetReply) {
-        let Some(key) = self.key.take() else { return };
-        // Remove before publishing: a request arriving after removal
-        // starts a fresh flight, which is correct — the coalescing window
-        // is exactly "concurrent with the leader's execution".
-        self.flights.lock().remove(&key);
-        *self.flight.reply.lock() = Some(reply);
-        self.flight.published.notify_all();
-    }
-}
-
-impl Drop for FlightLease<'_> {
-    fn drop(&mut self) {
-        self.settle(NetReply::err("internal error: coalesced request aborted"));
-    }
 }
 
 /// Handles owned by the server when observability is on. All metrics live
@@ -549,7 +523,8 @@ struct NetShared<S: ExecSpace, const D: usize> {
     queue: Mutex<VecDeque<(TcpStream, Instant)>>,
     queue_ready: Condvar,
     shutdown: AtomicBool,
-    flights: Mutex<HashMap<FlightKey, Arc<QueryFlight>>>,
+    /// Open coalesced queries, keyed by cloud and canonical command line.
+    flights: Flights<(CloudKey, String), NetReply>,
     active: AtomicU64,
     obs: Option<NetObs>,
 }
@@ -585,7 +560,7 @@ impl<S: ExecSpace + Send + Sync + 'static, const D: usize> ServeServer<S, D> {
             queue: Mutex::new(VecDeque::new()),
             queue_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            flights: Mutex::new(HashMap::new()),
+            flights: Flights::new(NetReply::err("internal error: coalesced request aborted")),
             active: AtomicU64::new(0),
             obs,
         });
@@ -839,36 +814,16 @@ fn respond_coalesced<S: ExecSpace, const D: usize>(
         Some(verb) if coalescable(verb) => {}
         _ => return respond(shared.engine.as_ref(), session, line),
     }
-    let key: FlightKey = (shared.engine.key(&session.points), tokens.join(" "));
-    enum Role<'a> {
-        Leader(FlightLease<'a>),
-        Follower(Arc<QueryFlight>),
-    }
-    let role = {
-        let mut flights = shared.flights.lock();
-        match flights.get(&key) {
-            Some(flight) => Role::Follower(Arc::clone(flight)),
-            None => {
-                let flight =
-                    Arc::new(QueryFlight { reply: Mutex::new(None), published: Condvar::new() });
-                flights.insert(key.clone(), Arc::clone(&flight));
-                Role::Leader(FlightLease { flights: &shared.flights, key: Some(key), flight })
-            }
-        }
-    };
-    match role {
-        Role::Leader(mut lease) => {
+    let key = (shared.engine.key(&session.points), tokens.join(" "));
+    match shared.flights.join(key, None) {
+        Join::Lead(lease) => {
             let reply = respond(shared.engine.as_ref(), session, line);
-            lease.settle(reply.clone());
+            lease.publish(reply.clone());
             reply
         }
-        Role::Follower(flight) => {
-            let mut slot = flight.reply.lock();
-            while slot.is_none() {
-                flight.published.wait(&mut slot);
-            }
+        Join::Follow(reply) => {
             shared.engine.count_query_coalesced();
-            slot.clone().expect("flight published")
+            reply.expect("a follower without a deadline waits for the reply")
         }
     }
 }

@@ -66,7 +66,8 @@ use emst_morton::MortonEncoder;
 use rayon::prelude::*;
 
 use crate::merge::{
-    cross_shard_boruvka, CrossBounds, MergeAccel, MergeDeadlineExceeded, MergeShard, MergeShardView,
+    cross_shard_boruvka, CrossBounds, Inherit, MergeAccel, MergeDeadlineExceeded, MergeShard,
+    MergeShardView,
 };
 use crate::plan::ShardPlan;
 use crate::{MergeScratch, ShardConfig, ShardStats, ShardedResult};
@@ -82,27 +83,33 @@ struct LocalArtifact<const D: usize> {
     seeds: Vec<Edge>,
 }
 
-/// One shard's local solve over `points` (its members, in `ids` order): the
-/// EMST with edges mapped to the caller's vertex `ids`, and the
-/// merge-resident BVH. Returns `(merge shard, seeds, iterations, work)`;
-/// fewer than two points solve nothing and report zero work.
+/// The EMST of one shard's `points` (its members, in `ids` order) with edges
+/// mapped to the caller's vertex `ids`: `(edges, iterations, work)`. Fewer
+/// than two points solve nothing and report zero work.
+pub(crate) fn local_mst<S: ExecSpace, const D: usize>(
+    space: &S,
+    points: &[Point<D>],
+    ids: &[u32],
+    scratch: &mut BoruvkaScratch,
+) -> (Vec<Edge>, u32, CounterSnapshot) {
+    if points.len() < 2 {
+        return (vec![], 0, CounterSnapshot::default());
+    }
+    let r = SingleTreeBoruvka::new(points).run_scratch(space, &EmstConfig::default(), scratch);
+    let edges =
+        r.edges.iter().map(|e| Edge::new(ids[e.u as usize], ids[e.v as usize], e.weight_sq));
+    (edges.collect(), r.iterations, r.work)
+}
+
+/// [`local_mst`] plus the shard's merge-resident BVH: `(merge shard, seeds,
+/// iterations, work)`.
 fn solve_local<S: ExecSpace, const D: usize>(
     space: &S,
     points: &[Point<D>],
     ids: &[u32],
     scratch: &mut BoruvkaScratch,
 ) -> (MergeShard<D>, Vec<Edge>, u32, CounterSnapshot) {
-    let (seeds, iterations, work) = if points.len() >= 2 {
-        let r = SingleTreeBoruvka::new(points).run_scratch(space, &EmstConfig::default(), scratch);
-        let seeds = r
-            .edges
-            .iter()
-            .map(|e| Edge::new(ids[e.u as usize], ids[e.v as usize], e.weight_sq))
-            .collect();
-        (seeds, r.iterations, r.work)
-    } else {
-        (vec![], 0, CounterSnapshot::default())
-    };
+    let (seeds, iterations, work) = local_mst(space, points, ids, scratch);
     (MergeShard::build(space, points, ids), seeds, iterations, work)
 }
 
@@ -173,7 +180,7 @@ impl<const D: usize> ShardArtifacts<D> {
         let locals: Vec<LocalArtifact<D>> = locals.into_iter().map(|(l, _, _)| l).collect();
         let bounds = timings.time("plan", || {
             let views: Vec<MergeShardView<'_, D>> = locals.iter().map(|l| l.merge.view()).collect();
-            CrossBounds::compute(space, &views, n, Some(&seed_hints(&locals, n)))
+            CrossBounds::compute(space, &views, n, None, Some(&seed_hints(&locals, n)))
         });
         let flat_seeds: Vec<Edge> = locals.iter().flat_map(|l| l.seeds.iter().copied()).collect();
         Self {
@@ -661,14 +668,12 @@ impl<const D: usize> ShardArtifacts<D> {
 
         let bounds = timings.time("plan", || {
             let views: Vec<MergeShardView<'_, D>> = locals.iter().map(|l| l.merge.view()).collect();
-            CrossBounds::inherit_and_recompute(
+            let inherit = Inherit { bounds: &self.bounds, accel, parent_of, dirty: &dirty_local };
+            CrossBounds::compute(
                 space,
                 &views,
                 n_new,
-                &self.bounds,
-                accel,
-                parent_of,
-                &dirty_local,
+                Some(inherit),
                 Some(&seed_hints(&locals, n_new)),
             )
         });

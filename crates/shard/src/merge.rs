@@ -203,6 +203,18 @@ pub(crate) struct CrossBounds {
     pub reach: Vec<Scalar>,
 }
 
+/// A mutated cloud's parent facts for [`CrossBounds::compute`]:
+/// `parent_of[v]` is child vertex `v`'s parent id (`u32::MAX` for an
+/// inserted point) and `dirty[s]` marks the local columns whose shard's
+/// point set changed.
+#[derive(Clone, Copy)]
+pub(crate) struct Inherit<'a> {
+    pub bounds: &'a CrossBounds,
+    pub accel: Option<&'a MergeAccel>,
+    pub parent_of: &'a [u32],
+    pub dirty: &'a [bool],
+}
+
 /// Collects the depth-4 node frontier of every shard's BVH (≤ 16 boxes
 /// each) — the geometry the pristine entry bounds are measured against.
 fn frontiers<const D: usize>(shards: &[MergeShardView<'_, D>]) -> Vec<Vec<u32>> {
@@ -280,49 +292,10 @@ impl CrossBounds {
     /// pruned floor when nothing lies within the hint. Callers pass each
     /// vertex's min incident seed weight (its round-1 radius), shifting
     /// the discovery cost into the one-time build.
-    pub fn compute<S: ExecSpace, const D: usize>(
-        space: &S,
-        shards: &[MergeShardView<'_, D>],
-        n_vertices: usize,
-        refine_radius: Option<&[Scalar]>,
-    ) -> Self {
-        let stride = shards.len();
-        let (shard_of, rank_of) = Self::maps(shards, n_vertices);
-        let frontiers = frontiers(shards);
-        let mut reach = vec![Scalar::INFINITY; n_vertices];
-        let mut cross_dist = vec![Scalar::INFINITY; n_vertices * stride];
-        {
-            let reach_s = SyncUnsafeSlice::new(reach.as_mut_slice());
-            let cross_s = SyncUnsafeSlice::new(cross_dist.as_mut_slice());
-            let (shard_of, rank_of, frontiers) = (&shard_of, &rank_of, &frontiers);
-            space.parallel_for(n_vertices, |v| {
-                let home = shard_of[v] as usize;
-                let q = shards[home].bvh.leaf_point(rank_of[v]);
-                let mut r = Scalar::INFINITY;
-                for (s, shard) in shards.iter().enumerate() {
-                    let d = if s == home {
-                        Scalar::INFINITY
-                    } else {
-                        entry_bound(shard, &frontiers[s], q, refine_radius.map(|h| h[v]))
-                    };
-                    // SAFETY: one writer per slot.
-                    unsafe { cross_s.write(v * stride + s, d) };
-                    r = r.min(d);
-                }
-                // SAFETY: one writer per slot.
-                unsafe { reach_s.write(v, r) };
-            });
-        }
-        Self { shard_of, rank_of, cross_dist, reach }
-    }
-
-    /// Bounds for a *mutated* cloud, inheriting every still-valid parent
-    /// fact and recomputing only what the mutation invalidated.
     ///
-    /// `parent_of[v]` is the parent vertex id of child vertex `v`
-    /// (`u32::MAX` for a freshly inserted point), `dirty[s]` marks the
-    /// local columns whose shard's point set changed. An entry `(v, s)` is
-    /// a lower bound on `v`'s distance to shard `s`'s points — a pure
+    /// `inherit` carries a *mutated* cloud's still-valid parent facts, so
+    /// only what the mutation invalidated is recomputed. An entry `(v, s)`
+    /// is a lower bound on `v`'s distance to shard `s`'s points — a pure
     /// function of `v`'s position and `s`'s geometry — so for a surviving
     /// vertex (position unchanged) and a clean shard (point set unchanged)
     /// the parent entry still holds verbatim, tightened by the parent
@@ -330,25 +303,23 @@ impl CrossBounds {
     /// accel floors are harvested from round 1 only, where no
     /// same-component skip can fire, so they too are label-independent
     /// geometric facts about the unchanged `(position, point set)` pair.
-    /// Dirty columns and inserted vertices' full rows are recomputed
-    /// exactly as [`Self::compute`] would.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn inherit_and_recompute<S: ExecSpace, const D: usize>(
+    /// Dirty columns and inserted vertices' full rows are computed as
+    /// without `inherit`.
+    pub fn compute<S: ExecSpace, const D: usize>(
         space: &S,
         shards: &[MergeShardView<'_, D>],
         n_vertices: usize,
-        parent: &CrossBounds,
-        parent_accel: Option<&MergeAccel>,
-        parent_of: &[u32],
-        dirty: &[bool],
+        inherit: Option<Inherit<'_>>,
         refine_radius: Option<&[Scalar]>,
     ) -> Self {
         let stride = shards.len();
-        debug_assert_eq!(parent_of.len(), n_vertices);
-        debug_assert_eq!(dirty.len(), stride);
-        debug_assert_eq!(parent.cross_dist.len() % stride.max(1), 0, "parent stride differs");
-        if let Some(a) = parent_accel {
-            debug_assert_eq!(a.stride, stride, "accel built for a different sharding");
+        if let Some(i) = &inherit {
+            debug_assert_eq!(i.parent_of.len(), n_vertices);
+            debug_assert_eq!(i.dirty.len(), stride);
+            debug_assert_eq!(i.bounds.cross_dist.len() % stride.max(1), 0, "parent stride differs");
+            if let Some(a) = i.accel {
+                debug_assert_eq!(a.stride, stride, "accel built for a different sharding");
+            }
         }
         let (shard_of, rank_of) = Self::maps(shards, n_vertices);
         let frontiers = frontiers(shards);
@@ -361,20 +332,19 @@ impl CrossBounds {
             space.parallel_for(n_vertices, |v| {
                 let home = shard_of[v] as usize;
                 let q = shards[home].bvh.leaf_point(rank_of[v]);
-                let p = parent_of[v];
+                // A surviving vertex's parent row; inserted vertices have none.
+                let parent_row = inherit
+                    .filter(|i| i.parent_of[v] != u32::MAX)
+                    .map(|i| (i, i.parent_of[v] as usize * stride));
                 let mut r = Scalar::INFINITY;
                 for (s, shard) in shards.iter().enumerate() {
-                    let d = if s == home {
-                        Scalar::INFINITY
-                    } else if p != u32::MAX && !dirty[s] {
-                        let idx = p as usize * stride + s;
-                        let mut d = parent.cross_dist[idx];
-                        if let Some(a) = parent_accel {
-                            d = d.max(a.cross_dist[idx]);
+                    let d = match parent_row {
+                        _ if s == home => Scalar::INFINITY,
+                        Some((i, row)) if !i.dirty[s] => {
+                            let d = i.bounds.cross_dist[row + s];
+                            i.accel.map_or(d, |a| d.max(a.cross_dist[row + s]))
                         }
-                        d
-                    } else {
-                        entry_bound(shard, &frontiers[s], q, refine_radius.map(|h| h[v]))
+                        _ => entry_bound(shard, &frontiers[s], q, refine_radius.map(|h| h[v])),
                     };
                     // SAFETY: one writer per slot.
                     unsafe { cross_s.write(v * stride + s, d) };
@@ -674,7 +644,7 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
     let bounds = match bounds {
         Some(b) => b,
         None => {
-            computed = CrossBounds::compute(space, shards, n_vertices, None);
+            computed = CrossBounds::compute(space, shards, n_vertices, None, None);
             &computed
         }
     };
@@ -1213,7 +1183,7 @@ mod tests {
         let vb: Vec<u32> = (40..90).collect();
         let shards = [MergeShard::build(&Serial, a, &va), MergeShard::build(&Serial, b, &vb)];
         let views: Vec<_> = shards.iter().map(MergeShard::view).collect();
-        let bounds = CrossBounds::compute(&Serial, &views, 90, None);
+        let bounds = CrossBounds::compute(&Serial, &views, 90, None, None);
         // Local-MST seeds give every vertex a finite round-1 radius, so
         // interior queries fail and raise durable floors.
         let mut seeds = brute_force_emst(a);

@@ -34,18 +34,23 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use emst_core::edge::total_weight;
-use emst_core::{Edge, EmstConfig, SingleTreeBoruvka};
+use emst_core::Edge;
 use emst_datasets::io::read_points_chunked;
 use emst_exec::counters::CounterSnapshot;
 use emst_exec::{Counters, ExecSpace, PhaseTimings};
 use emst_geometry::{Aabb, Point};
 use emst_morton::MortonEncoder;
 
+use crate::artifacts::local_mst;
 use crate::merge::{cross_shard_boruvka, MergeScratch, MergeShard};
 use crate::{ShardStats, ShardedResult};
 
 /// Number of Morton-prefix buckets used to balance the streaming split.
 const BUCKETS: usize = 1 << 16;
+
+/// Points per streamed chunk, clamped to [`StreamConfig::max_resident`]
+/// when a cap is set (the in-flight chunk counts toward residency too).
+const CHUNK_POINTS: usize = 4096;
 
 /// Configuration of an out-of-core sharded solve.
 #[derive(Clone, Copy, Debug)]
@@ -57,15 +62,12 @@ pub struct StreamConfig {
     /// overfull shard — e.g. all-duplicate inputs — can exceed it; the
     /// actual peak is reported in [`ShardStats::peak_resident`]).
     pub max_resident: usize,
-    /// Points per streamed chunk (clamped to `max_resident` when a cap is
-    /// set — the in-flight chunk counts toward residency too).
-    pub chunk_points: usize,
 }
 
 impl StreamConfig {
-    /// Default configuration with `shards` shards and a residency target.
+    /// Configuration with `shards` shards and a residency target.
     pub fn new(shards: usize, max_resident: usize) -> Self {
-        Self { shards, max_resident, chunk_points: 4096 }
+        Self { shards, max_resident }
     }
 }
 
@@ -84,8 +86,8 @@ pub fn emst_sharded_csv<S: ExecSpace, const D: usize>(
     let counters = Counters::new();
     // The streamed chunk is resident too, so it must fit under the cap.
     let chunk = match config.max_resident {
-        0 => config.chunk_points.max(1),
-        cap => config.chunk_points.clamp(1, cap),
+        0 => CHUNK_POINTS,
+        cap => CHUNK_POINTS.min(cap),
     };
 
     // Pass 1: point count and scene bounding box.
@@ -246,28 +248,21 @@ fn stream_shards<S: ExecSpace, const D: usize>(
     let mut local_work = CounterSnapshot::default();
     let mut candidates: Vec<Edge> = vec![];
     let mut scratch = emst_core::BoruvkaScratch::new();
-    let emst = EmstConfig::default();
     timings.time("local", || {
         for s in 0..k {
             let spilled: Vec<Spilled<D>> = load_spill(dir, s)?;
             shard_sizes[s] = spilled.len();
             peak_resident = peak_resident.max(spilled.len());
-            if spilled.len() < 2 {
-                if !spilled.is_empty() {
-                    // One entry per non-empty shard, as in the in-memory path.
-                    local_iterations.push(0);
-                }
+            if spilled.is_empty() {
                 continue;
             }
-            let pts: Vec<Point<D>> = spilled.iter().map(|&(_, p)| p).collect();
-            let r = SingleTreeBoruvka::new(&pts).run_scratch(space, &emst, &mut scratch);
-            local_iterations.push(r.iterations);
-            local_work += r.work;
-            candidates.extend(
-                r.edges.iter().map(|e| {
-                    Edge::new(spilled[e.u as usize].0, spilled[e.v as usize].0, e.weight_sq)
-                }),
-            );
+            // One entry per non-empty shard (0 for one point), as in the
+            // in-memory path.
+            let (ids, pts): (Vec<u32>, Vec<Point<D>>) = spilled.into_iter().unzip();
+            let (edges, iterations, work) = local_mst(space, &pts, &ids, &mut scratch);
+            local_iterations.push(iterations);
+            local_work += work;
+            candidates.extend(edges);
         }
         Ok::<(), io::Error>(())
     })?;
@@ -364,8 +359,7 @@ mod tests {
         save_csv(&path, &pts).unwrap();
         let mono = crate::emst_sharded(&pts, 1);
         for k in [1usize, 3, 8] {
-            let mut cfg = StreamConfig::new(k, 400);
-            cfg.chunk_points = 128;
+            let cfg = StreamConfig::new(k, 400);
             let streamed = emst_sharded_csv::<_, 2>(&Serial, &path, &cfg).unwrap();
             verify_spanning_tree(pts.len(), &streamed.edges).unwrap();
             assert_eq!(weight_multiset(&streamed.edges), weight_multiset(&mono.edges), "k={k}");
@@ -391,8 +385,8 @@ mod tests {
         let pts = generate_2d(&DatasetSpec::uniform(1000, 3));
         let path = tmp("ooc-derived.csv");
         save_csv(&path, &pts).unwrap();
-        // The default 4096-point chunk must be clamped to the cap — the
-        // cap has to hold without manually tuning chunk_points.
+        // The 4096-point chunk must be clamped to the cap, or the chunk
+        // alone would break the residency target.
         let cfg = StreamConfig::new(0, 250); // shards derived: ≥ 8
         let streamed = emst_sharded_csv::<_, 2>(&Serial, &path, &cfg).unwrap();
         assert!(streamed.stats.shard_sizes.len() >= 8);

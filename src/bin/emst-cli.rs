@@ -53,8 +53,8 @@ use emst::datasets::{self, Kind};
 use emst::exec::{ExecSpace, GpuSim, Serial, Threads};
 use emst::geometry::Point;
 use emst::hdbscan::Hdbscan;
-use emst::serve::fault::{faulted_read, faulted_write};
-use emst::serve::net::{next_line, respond, ReadEvent};
+use emst::serve::fault::faulted_write;
+use emst::serve::net::{self, next_line, respond, ReadEvent};
 use emst::serve::{
     FaultPlan, FaultSite, NetConfig, NetReply, NetSession, ServeConfig, ServeEngine, ServeServer,
 };
@@ -203,29 +203,7 @@ fn generate<const D: usize>(opts: &HashMap<String, String>) -> Result<(), String
 
 fn load_points<const D: usize>(opts: &HashMap<String, String>) -> Result<Vec<Point<D>>, String> {
     let input = opts.get("input").ok_or("--input is required")?;
-    load_points_from::<D>(input, None)
-}
-
-/// Loads a point file, routing the read itself through the fault plan's
-/// ingest site (serve mode passes its `--fault-plan`, so chaos drills
-/// cover dataset ingest with the same injector as spill storage).
-fn load_points_from<const D: usize>(
-    input: &str,
-    plan: Option<&FaultPlan>,
-) -> Result<Vec<Point<D>>, String> {
-    let bytes = faulted_read(plan, FaultSite::IngestRead, Path::new(input))
-        .map_err(|e| format!("{input}: {e}"))?;
-    // Parse errors already name `input:line`.
-    let points = if input.ends_with(".xyz") {
-        datasets::parse_xyz::<D>(&bytes, input)
-    } else {
-        datasets::parse_csv::<D>(&bytes, input)
-    }
-    .map_err(|e| e.to_string())?;
-    if points.is_empty() {
-        return Err(format!("{input}: no points"));
-    }
-    Ok(points)
+    net::load_points::<D>(input, None)
 }
 
 fn print_shard_stats(stats: &ShardStats) {
@@ -398,7 +376,7 @@ fn run_serve<const D: usize>(opts: &HashMap<String, String>) -> Result<(), Strin
         validate_spill_dir("fallback-spill-dir", dir)?;
     }
     let input = opts.get("input").ok_or("--input is required")?;
-    let points = load_points_from::<D>(input, fault_plan.as_deref())?;
+    let points = net::load_points::<D>(input, fault_plan.as_deref())?;
     let mut config = ServeConfig::new(shards, max_resident);
     config.spill_dir = spill_dir;
     config.fallback_spill_dir = fallback_spill_dir;
