@@ -226,9 +226,33 @@ impl<'a, const D: usize> SingleTreeBoruvka<'a, D> {
         metric: &M,
         scratch: &mut BoruvkaScratch,
     ) -> EmstResult {
+        self.solve(space, config, metric, scratch).0
+    }
+
+    /// [`Self::run_scratch`] that also hands back the BVH the solve built
+    /// over `points` (`None` below two points, where nothing is built), for
+    /// callers that keep the tree instead of building the same one again.
+    pub fn run_scratch_keeping_tree<S: ExecSpace>(
+        &self,
+        space: &S,
+        config: &EmstConfig,
+        scratch: &mut BoruvkaScratch,
+    ) -> (EmstResult, Option<Bvh<D>>) {
+        self.solve(space, config, &Euclidean, scratch)
+    }
+
+    /// The one solve behind every `run*` method: the result and the tree
+    /// it built (`None` below two points).
+    fn solve<S: ExecSpace, M: Metric>(
+        &self,
+        space: &S,
+        config: &EmstConfig,
+        metric: &M,
+        scratch: &mut BoruvkaScratch,
+    ) -> (EmstResult, Option<Bvh<D>>) {
         let n = self.points.len();
         if n < 2 {
-            return EmstResult::empty();
+            return (EmstResult::empty(), None);
         }
         let mut timings = PhaseTimings::new();
         let counters = Counters::new();
@@ -253,7 +277,7 @@ impl<'a, const D: usize> SingleTreeBoruvka<'a, D> {
         let launches2 = kernel_snapshot(space);
 
         debug_assert_eq!(edges.len(), n - 1);
-        EmstResult {
+        let result = EmstResult {
             total_weight: total_weight(&edges),
             edges,
             iterations,
@@ -262,7 +286,8 @@ impl<'a, const D: usize> SingleTreeBoruvka<'a, D> {
             work_tree,
             launches_tree: delta(launches0, launches1),
             launches_mst: delta(launches1, launches2),
-        }
+        };
+        (result, Some(bvh))
     }
 }
 

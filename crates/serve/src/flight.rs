@@ -1,6 +1,7 @@
 //! Keyed single-flight rendezvous, shared by the engine's builds, reloads
 //! and mutation children (`Flights<CloudKey, ()>`) and the wire's same-key
-//! query coalescing (`Flights<(CloudKey, String), NetReply>`).
+//! query coalescing (`Flights<(u64, String), NetReply>`, keyed by the
+//! session cloud's digest and the command line).
 //!
 //! The first caller to [`Flights::join`] a key leads; later callers of the
 //! same key park until the leader publishes a value. The leader removes its

@@ -1366,25 +1366,31 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
 
     /// Resolves either cloud naming to a resident: points by content
     /// digest (admitting on a miss), a key via residency + spill reload.
-    /// A follower of another thread's in-flight build or reload waits at
-    /// most until `deadline`.
+    /// `digest`, when the caller already holds it, is the
+    /// [`digest_points`] of the `Points` cloud and spares hashing it again
+    /// (and the `digest` span); a `Key` ignores it. A follower of another
+    /// thread's in-flight build or reload waits at most until `deadline`.
     fn resolve_cloud(
         &self,
         cloud: CloudRef<'_, D>,
+        digest: Option<u64>,
         deadline: Option<Instant>,
         spans: &mut Vec<SpanRecord>,
     ) -> Result<Resolved<D>, ServeError> {
         match cloud {
             CloudRef::Points(points) => {
-                let digested = self.obs_now();
-                let digest = digest_points(points);
-                if let Some(digested) = digested {
-                    spans.push(SpanRecord {
-                        name: "digest",
-                        secs: digested.elapsed().as_secs_f64(),
-                        fields: vec![("points", points.len() as u64)],
-                    });
-                }
+                let digest = digest.unwrap_or_else(|| {
+                    let digested = self.obs_now();
+                    let digest = digest_points(points);
+                    if let Some(digested) = digested {
+                        spans.push(SpanRecord {
+                            name: "digest",
+                            secs: digested.elapsed().as_secs_f64(),
+                            fields: vec![("points", points.len() as u64)],
+                        });
+                    }
+                    digest
+                });
                 self.resolve_digest_traced(digest, points, deadline, spans)
             }
             CloudRef::Key(key) => self.resolve_key(key, deadline, spans),
@@ -1731,7 +1737,8 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     // `execute` is the one entry point every fallible verb flows
     // through — the `*_by_key` wrappers, `insert`/`delete` and the wire
     // protocol (TCP and stdin alike) all build a `ServeRequest` and call
-    // it. (The legacy infallible positional wrappers run the same
+    // it (the wire through `execute_digested`, which `execute` wraps, to
+    // hand over the session's digest). (The legacy infallible positional wrappers run the same
     // `dispatch_guarded` table with the guards off — see the wrapper
     // block.) `Load`/`Stats` run unguarded (`Stats`
     // is a lock-free snapshot; `Load` is the explicit admission path —
@@ -1747,7 +1754,8 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     // ------------------------------------------------------------------
 
     /// Executes one typed [`ServeRequest`] — the single code path behind
-    /// every named method and [`net::respond`].
+    /// every named method and [`net::respond`] (which passes its
+    /// session's digest through the crate-private twin of this method).
     ///
     /// Query and mutation verbs run under the uniform guard surface
     /// (admission control, deadline, panic isolation — see
@@ -1755,12 +1763,28 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// execute unguarded. Each verb returns its matching
     /// [`ServeResponse`] arm.
     pub fn execute(&self, req: ServeRequest<'_, D>) -> Result<ServeResponse<D>, ServeError> {
+        self.execute_digested(req, None)
+    }
+
+    /// [`Self::execute`] for a caller that already holds `digest`, the
+    /// [`digest_points`] of `req`'s [`CloudRef::Points`] cloud: the
+    /// resolve (a mutation's parent resolve too) uses it instead of
+    /// hashing the points again. `None` digests as `execute` does, and
+    /// `Load` always digests its points. Crate-private because a digest of
+    /// other points would admit a duplicate resident under a salted key
+    /// (never wrong bits: `lookup` verifies the bytes); the wire session
+    /// passes only the digest of its own current cloud.
+    pub(crate) fn execute_digested(
+        &self,
+        req: ServeRequest<'_, D>,
+        digest: Option<u64>,
+    ) -> Result<ServeResponse<D>, ServeError> {
         match req {
             ServeRequest::Load { points } => {
                 let started = self.obs_now();
                 let mut spans = Vec::new();
                 let (r, outcome, build_work, _) =
-                    self.resolve_cloud(CloudRef::Points(points), None, &mut spans)?;
+                    self.resolve_cloud(CloudRef::Points(points), None, None, &mut spans)?;
                 self.record_work(&build_work);
                 self.finish_trace("ingest", r.key, outcome, started, spans);
                 Ok(ServeResponse::Loaded { key: r.key })
@@ -1770,7 +1794,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 resident_bytes: self.resident_bytes(),
                 stats: self.stats(),
             })),
-            req => self.run_guarded(|deadline| self.dispatch_guarded(req, deadline)),
+            req => self.run_guarded(|deadline| self.dispatch_guarded(req, digest, deadline)),
         }
     }
 
@@ -1778,10 +1802,12 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// [`Self::execute`] path (which mints the deadline and holds the
     /// admission slot) and the legacy unguarded positional wrappers
     /// (which pass `deadline: None` and skip the gate — an infallible
-    /// signature cannot report an honest shed).
+    /// signature cannot report an honest shed). `digest` is
+    /// [`Self::execute_digested`]'s.
     fn dispatch_guarded(
         &self,
         req: ServeRequest<'_, D>,
+        digest: Option<u64>,
         deadline: Option<Instant>,
     ) -> Result<ServeResponse<D>, ServeError> {
         match req {
@@ -1789,7 +1815,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 let started = self.obs_now();
                 let mut spans = Vec::new();
                 let (r, outcome, build_work, build_timings) =
-                    self.resolve_cloud(cloud, deadline, &mut spans)?;
+                    self.resolve_cloud(cloud, digest, deadline, &mut spans)?;
                 let resp = self.answer_emst_deadline(
                     &r,
                     outcome,
@@ -1806,7 +1832,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 let started = self.obs_now();
                 let mut spans = Vec::new();
                 let (r, outcome, build_work, build_timings) =
-                    self.resolve_cloud(cloud, deadline, &mut spans)?;
+                    self.resolve_cloud(cloud, digest, deadline, &mut spans)?;
                 let resp = self.answer_subset(
                     &r,
                     subset,
@@ -1826,7 +1852,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 let started = self.obs_now();
                 let mut spans = Vec::new();
                 let (r, outcome, build_work, _) =
-                    self.resolve_cloud(cloud, deadline, &mut spans)?;
+                    self.resolve_cloud(cloud, digest, deadline, &mut spans)?;
                 let mut stats = TraversalStats::default();
                 let neighbors = r.artifacts.k_nearest(&query, k, &mut stats);
                 let resp = KnnResponse {
@@ -1852,7 +1878,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 let started = self.obs_now();
                 let mut spans = Vec::new();
                 let (r, outcome, build_work, _) =
-                    self.resolve_cloud(cloud, deadline, &mut spans)?;
+                    self.resolve_cloud(cloud, digest, deadline, &mut spans)?;
                 let mut scratch = self.checkout();
                 let result = params.fit_scratch(&self.space, &r.points, &mut scratch.boruvka);
                 self.record_work(&build_work);
@@ -1860,10 +1886,10 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                 Ok(ServeResponse::Hdbscan(HdbscanResponse { result, outcome, key: r.key }))
             }
             ServeRequest::Insert { cloud, points } => {
-                self.answer_mutation(cloud, Mutation::Insert(points), deadline)
+                self.answer_mutation(cloud, digest, Mutation::Insert(points), deadline)
             }
             ServeRequest::Delete { cloud, ids } => {
-                self.answer_mutation(cloud, Mutation::Delete(ids), deadline)
+                self.answer_mutation(cloud, digest, Mutation::Delete(ids), deadline)
             }
             ServeRequest::Load { .. } | ServeRequest::Stats => {
                 unreachable!("handled unguarded in execute")
@@ -1884,13 +1910,14 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     fn answer_mutation(
         &self,
         cloud: CloudRef<'_, D>,
+        digest: Option<u64>,
         mutation: Mutation<'_, D>,
         deadline: Option<Instant>,
     ) -> Result<ServeResponse<D>, ServeError> {
         let started = self.obs_now();
         let verb = mutation.verb();
         let mut spans = Vec::new();
-        let (parent, _, _, _) = self.resolve_cloud(cloud, deadline, &mut spans)?;
+        let (parent, _, _, _) = self.resolve_cloud(cloud, digest, deadline, &mut spans)?;
         let (new_points, parent_of) = match &mutation {
             Mutation::Insert(extra) => {
                 let mut pts = Vec::with_capacity(parent.points.len() + extra.len());
@@ -1935,9 +1962,9 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         }
         // The child resolves like any cloud, with the build replaced by
         // the incremental derivation; a hit derives nothing.
-        let digest = digest_points(&new_points);
+        let child_digest = digest_points(&new_points);
         let mut report = UpdateReport::default();
-        let find = || self.lookup(digest, &new_points);
+        let find = || self.lookup(child_digest, &new_points);
         let fill = |key, spans: &mut Vec<SpanRecord>| {
             let key = self.miss_key(key, &new_points);
             let derived = self.obs_now();
@@ -2079,7 +2106,8 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// over [`ServeRequest::Emst`]: no admission gate, no deadline — use
     /// [`Self::execute`] or [`Self::emst_by_key`] for the guarded surface.
     pub fn emst(&self, points: &[Point<D>]) -> QueryResponse {
-        match self.dispatch_guarded(ServeRequest::Emst { cloud: CloudRef::Points(points) }, None) {
+        let req = ServeRequest::Emst { cloud: CloudRef::Points(points) };
+        match self.dispatch_guarded(req, None, None) {
             Ok(ServeResponse::Emst(r)) => r,
             Ok(other) => unreachable!("Emst returns Emst: {other:?}"),
             Err(e) => panic!("{e}"),
@@ -2109,7 +2137,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// On out-of-range or duplicate subset indices.
     pub fn emst_subset(&self, points: &[Point<D>], subset: &[u32]) -> QueryResponse {
         let req = ServeRequest::Subset { cloud: CloudRef::Points(points), subset };
-        match self.dispatch_guarded(req, None) {
+        match self.dispatch_guarded(req, None, None) {
             Ok(ServeResponse::Subset(r)) => r,
             Ok(other) => unreachable!("Subset returns Subset: {other:?}"),
             Err(e) => panic!("{e}"),
@@ -2137,7 +2165,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// surface.
     pub fn k_nearest(&self, points: &[Point<D>], query: &Point<D>, k: usize) -> KnnResponse {
         let req = ServeRequest::KNearest { cloud: CloudRef::Points(points), query: *query, k };
-        match self.dispatch_guarded(req, None) {
+        match self.dispatch_guarded(req, None, None) {
             Ok(ServeResponse::KNearest(r)) => r,
             Ok(other) => unreachable!("KNearest returns KNearest: {other:?}"),
             Err(e) => panic!("{e}"),
@@ -2166,7 +2194,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// the guarded surface.
     pub fn hdbscan(&self, points: &[Point<D>], params: Hdbscan) -> HdbscanResponse {
         let req = ServeRequest::Hdbscan { cloud: CloudRef::Points(points), params };
-        match self.dispatch_guarded(req, None) {
+        match self.dispatch_guarded(req, None, None) {
             Ok(ServeResponse::Hdbscan(r)) => r,
             Ok(other) => unreachable!("Hdbscan returns Hdbscan: {other:?}"),
             Err(e) => panic!("{e}"),

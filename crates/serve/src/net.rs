@@ -26,7 +26,8 @@
 //!   `err overloaded …` line and is closed — admission control at the
 //!   socket layer, mirroring the engine's in-flight gate one layer down.
 //! - **Robustness contract over the wire**: every verb dispatches through
-//!   the one typed [`ServeEngine::execute`] entry point, so deadlines,
+//!   the one typed [`ServeEngine::execute`] entry point (in its
+//!   crate-private form that also takes the session's digest), so deadlines,
 //!   admission shedding and panic isolation from the fault-tolerance
 //!   layer all apply uniformly; its typed [`ServeError`](crate::ServeError)s
 //!   become `err …` lines. Connection handling itself is
@@ -41,8 +42,9 @@
 //!
 //! The headline optimisation generalizes the engine's single-flight
 //! *build* coalescing to whole *queries*: concurrent identical requests —
-//! same [`CloudKey`] (the content digest of the session's cloud) and the
-//! same canonicalized command line — register on one in-flight flight of
+//! same content digest of the session's cloud (which the session hashes
+//! once per cloud, see [`NetSession`]) and the same canonicalized command
+//! line — register on one in-flight flight of
 //! the crate's single-flight map, the same rendezvous the engine's builds
 //! use. The first becomes the leader and executes; the rest park and
 //! receive a byte-for-byte copy of the leader's reply, counted in
@@ -81,7 +83,8 @@ use parking_lot::{Condvar, Mutex};
 use crate::fault::{faulted_read, FaultPlan, FaultSite};
 use crate::flight::{Flights, Join};
 use crate::{
-    CacheOutcome, CloudKey, CloudRef, MutateResponse, ServeEngine, ServeRequest, ServeResponse,
+    digest_points, CacheOutcome, CloudKey, CloudRef, MutateResponse, ServeEngine, ServeRequest,
+    ServeResponse,
 };
 
 /// Longest accepted request line; anything longer gets one
@@ -159,19 +162,40 @@ impl NetReply {
 /// server's initial cloud; `load <path>`, `insert` and `delete` swap it
 /// for this session only. Each TCP connection has one, and so does the
 /// `emst-cli serve` stdin session.
+///
+/// The session also keeps its cloud's content digest, so a request
+/// hashes nothing: the coalescing key and the engine's resolve both use
+/// it. It is computed at most once per cloud, on the first request that
+/// needs it, or copied from the key the engine returned for exactly the
+/// new points of a `load`, `insert` or `delete`.
 pub struct NetSession<const D: usize> {
     points: Arc<Vec<Point<D>>>,
+    /// [`digest_points`] of `points`, once known. Only
+    /// [`Self::set_cloud`] changes the cloud, and it sets both.
+    digest: Option<u64>,
 }
 
 impl<const D: usize> NetSession<D> {
     /// A session serving `points`.
     pub fn new(points: Arc<Vec<Point<D>>>) -> Self {
-        Self { points }
+        Self { points, digest: None }
     }
 
     /// The cloud the session currently queries.
     pub fn points(&self) -> &Arc<Vec<Point<D>>> {
         &self.points
+    }
+
+    /// The content digest of the session's cloud, hashed on first use.
+    fn digest(&mut self) -> u64 {
+        *self.digest.get_or_insert_with(|| digest_points(&self.points))
+    }
+
+    /// Moves the session onto `points`, the exact points the engine
+    /// admitted under `key`, so `key.digest` is their digest.
+    fn set_cloud(&mut self, points: Vec<Point<D>>, key: CloudKey) {
+        self.points = Arc::new(points);
+        self.digest = Some(key.digest);
     }
 }
 
@@ -265,6 +289,11 @@ fn execute<S: ExecSpace, const D: usize>(
         v.parse().map_err(|_| format!("invalid {what} {v:?}"))
     };
     let points = Arc::clone(&session.points);
+    // Every verb that names the session's cloud resolves it by the
+    // session's digest, so the engine does not hash the points again.
+    let mut run = |req: ServeRequest<'_, D>| {
+        engine.execute_digested(req, Some(session.digest())).map_err(|e| e.to_string())
+    };
     match cmd {
         "ping" => Ok(NetReply::ok("pong")),
         "quit" | "exit" => Ok(NetReply { text: "ok bye\n".to_string(), close: true }),
@@ -273,7 +302,7 @@ fn execute<S: ExecSpace, const D: usize>(
                 return Err("emst takes no arguments over the wire".to_string());
             }
             let req = ServeRequest::Emst { cloud: CloudRef::Points(points.as_slice()) };
-            let r = match engine.execute(req).map_err(|e| e.to_string())? {
+            let r = match run(req)? {
                 ServeResponse::Emst(r) => r,
                 other => unreachable!("emst request answered with {other:?}"),
             };
@@ -300,7 +329,7 @@ fn execute<S: ExecSpace, const D: usize>(
                 cloud: CloudRef::Points(points.as_slice()),
                 subset: &subset,
             };
-            let r = match engine.execute(req).map_err(|e| e.to_string())? {
+            let r = match run(req)? {
                 ServeResponse::Subset(r) => r,
                 other => unreachable!("subset request answered with {other:?}"),
             };
@@ -327,7 +356,7 @@ fn execute<S: ExecSpace, const D: usize>(
                 query: Point::new(coords),
                 k,
             };
-            let r = match engine.execute(req).map_err(|e| e.to_string())? {
+            let r = match run(req)? {
                 ServeResponse::KNearest(r) => r,
                 other => unreachable!("knn request answered with {other:?}"),
             };
@@ -350,7 +379,7 @@ fn execute<S: ExecSpace, const D: usize>(
                 cloud: CloudRef::Points(points.as_slice()),
                 params: Hdbscan { k_pts, min_cluster_size },
             };
-            let r = match engine.execute(req).map_err(|e| e.to_string())? {
+            let r = match run(req)? {
                 ServeResponse::Hdbscan(r) => r,
                 other => unreachable!("hdbscan request answered with {other:?}"),
             };
@@ -377,12 +406,12 @@ fn execute<S: ExecSpace, const D: usize>(
             }
             let req =
                 ServeRequest::Insert { cloud: CloudRef::Points(points.as_slice()), points: &added };
-            let m = match engine.execute(req).map_err(|e| e.to_string())? {
+            let m = match run(req)? {
                 ServeResponse::Mutated(m) => m,
                 other => unreachable!("insert request answered with {other:?}"),
             };
             let reply = mutation_reply("insert", &m);
-            session.points = Arc::new(m.points);
+            session.set_cloud(m.points, m.key);
             Ok(reply)
         }
         "delete" => {
@@ -395,12 +424,12 @@ fn execute<S: ExecSpace, const D: usize>(
             }
             let req =
                 ServeRequest::Delete { cloud: CloudRef::Points(points.as_slice()), ids: &ids };
-            let m = match engine.execute(req).map_err(|e| e.to_string())? {
+            let m = match run(req)? {
                 ServeResponse::Mutated(m) => m,
                 other => unreachable!("delete request answered with {other:?}"),
             };
             let reply = mutation_reply("delete", &m);
-            session.points = Arc::new(m.points);
+            session.set_cloud(m.points, m.key);
             Ok(reply)
         }
         "load" => {
@@ -411,7 +440,7 @@ fn execute<S: ExecSpace, const D: usize>(
                 ServeResponse::Loaded { key } => key,
                 other => unreachable!("load request answered with {other:?}"),
             };
-            session.points = Arc::new(new_points);
+            session.set_cloud(new_points, key);
             Ok(NetReply::ok(format!("loaded n={} key={key}", session.points.len())))
         }
         "stats" => {
@@ -523,8 +552,9 @@ struct NetShared<S: ExecSpace, const D: usize> {
     queue: Mutex<VecDeque<(TcpStream, Instant)>>,
     queue_ready: Condvar,
     shutdown: AtomicBool,
-    /// Open coalesced queries, keyed by cloud and canonical command line.
-    flights: Flights<(CloudKey, String), NetReply>,
+    /// Open coalesced queries, keyed by the session cloud's digest and the
+    /// canonical command line.
+    flights: Flights<(u64, String), NetReply>,
     active: AtomicU64,
     obs: Option<NetObs>,
 }
@@ -802,6 +832,17 @@ fn handle_connection<S: ExecSpace, const D: usize>(shared: &NetShared<S, D>, str
     }
 }
 
+/// The same-key coalescing key of `line` on `session`: the session
+/// cloud's digest and the canonical command line, or `None` for a verb
+/// that never coalesces.
+fn coalescing_key<const D: usize>(
+    session: &mut NetSession<D>,
+    line: &str,
+) -> Option<(u64, String)> {
+    let tokens: Vec<&str> = line.split_whitespace().collect();
+    coalescable(tokens.first()?).then(|| (session.digest(), tokens.join(" ")))
+}
+
 /// [`respond`] with same-key coalescing on top: identical concurrent
 /// requests for the deterministic verbs share one execution.
 fn respond_coalesced<S: ExecSpace, const D: usize>(
@@ -809,12 +850,9 @@ fn respond_coalesced<S: ExecSpace, const D: usize>(
     session: &mut NetSession<D>,
     line: &str,
 ) -> NetReply {
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    match tokens.first() {
-        Some(verb) if coalescable(verb) => {}
-        _ => return respond(shared.engine.as_ref(), session, line),
-    }
-    let key = (shared.engine.key(&session.points), tokens.join(" "));
+    let Some(key) = coalescing_key(session, line) else {
+        return respond(shared.engine.as_ref(), session, line);
+    };
     match shared.flights.join(key, None) {
         Join::Lead(lease) => {
             let reply = respond(shared.engine.as_ref(), session, line);
@@ -998,5 +1036,99 @@ mod tests {
         let bad = respond(&engine, &mut session, "delete 5 5");
         assert_eq!(bad.text, "err invalid request: duplicate delete id 5\n");
         assert_eq!(session.points.len(), 200);
+    }
+
+    /// `digest_points` calls made on this thread so far.
+    fn digest_calls() -> u64 {
+        crate::spill::DIGEST_CALLS.with(|calls| calls.get())
+    }
+
+    #[test]
+    fn session_digest_follows_insert_delete_and_load() {
+        let (engine, pts) = engine();
+        let loaded = generate_2d(&DatasetSpec::uniform(150, 11));
+        let path = std::env::temp_dir()
+            .join(format!("emst-net-session-digest-{}.csv", std::process::id()));
+        emst_datasets::io::save_csv(&path, &loaded).unwrap();
+        let load = format!("load {}", path.display());
+        let mut session = NetSession::new(Arc::clone(&pts));
+        assert!(respond(&engine, &mut session, "emst").text.starts_with("ok emst cache=hit "));
+        // Each swap hashes the new cloud once, inside the engine, and the
+        // session copies that digest from the reply's key; the `emst` on
+        // the new cloud hashes nothing and hits the resident just admitted.
+        let swaps = [("insert 0.25 0.75 0.6 0.4", 202), ("delete 0 5 201", 199), (&load, 150)];
+        for (line, n) in swaps {
+            let before = digest_calls();
+            let reply = respond(&engine, &mut session, line);
+            assert!(reply.text.starts_with("ok "), "{line}: {}", reply.text);
+            assert_eq!(session.points().len(), n, "{line}");
+            assert_eq!(session.digest, Some(digest_points(session.points())), "{line}");
+            let before_emst = digest_calls();
+            assert_eq!(before_emst - before, 2, "{line}: one engine digest plus the check above");
+            let emst = respond(&engine, &mut session, "emst");
+            assert!(emst.text.starts_with(&format!("ok emst cache=hit n={n} ")), "{}", emst.text);
+            assert_eq!(digest_calls(), before_emst, "{line}: the next emst hashed the cloud");
+        }
+        assert_eq!(session.points().as_slice(), loaded.as_slice());
+        let stats = respond(&engine, &mut session, "stats");
+        assert!(stats.text.contains(" digest_collisions=0"), "{}", stats.text);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn warm_wire_requests_hash_nothing_while_in_process_points_still_digest() {
+        let (engine, pts) = engine();
+        let mut session = NetSession::new(Arc::clone(&pts));
+        // The session's first request hashes its cloud once, on the wire
+        // side; the engine resolves by that digest.
+        let before = digest_calls();
+        assert!(respond(&engine, &mut session, "emst").text.starts_with("ok emst cache=hit "));
+        assert_eq!(digest_calls(), before + 1);
+        let no_digest_span = |op: &str| {
+            let trace = engine.recent_traces(1).pop().expect("trace recorded");
+            assert_eq!(trace.op, op);
+            !trace.spans.iter().any(|s| s.name == "digest")
+        };
+        assert!(no_digest_span("emst"));
+
+        let knn = respond(&engine, &mut session, "knn 3 0.5 0.5");
+        assert!(knn.text.starts_with("ok knn cache=hit k=3 "), "{}", knn.text);
+        assert_eq!(digest_calls(), before + 1, "a warm wire knn hashed the cloud");
+        assert!(no_digest_span("knn"));
+
+        // An in-process `CloudRef::Points` caller still digests in the
+        // engine, and its trace keeps the `digest` span.
+        engine.k_nearest(&pts, &pts[0], 3);
+        assert_eq!(digest_calls(), before + 2);
+        assert!(!no_digest_span("knn"));
+    }
+
+    #[test]
+    fn a_mutated_session_stops_coalescing_with_its_parent() {
+        let (engine, pts) = engine();
+        let line = "knn 3 0.5 0.5";
+        let mut parent = NetSession::new(Arc::clone(&pts));
+        let mut child = NetSession::new(Arc::clone(&pts));
+        let parent_key = coalescing_key(&mut parent, line).unwrap();
+        assert_eq!(coalescing_key(&mut child, line), Some(parent_key.clone()));
+        assert!(coalescing_key(&mut child, "insert 0.25 0.75").is_none());
+
+        let ins = respond(&engine, &mut child, "insert 0.25 0.75");
+        assert!(ins.text.starts_with("ok insert "), "{}", ins.text);
+        let child_key = coalescing_key(&mut child, line).unwrap();
+        assert_eq!(child_key.0, digest_points(child.points()));
+        assert_ne!(child_key, parent_key);
+        assert_eq!(coalescing_key(&mut parent, line), Some(parent_key.clone()));
+
+        // With the parent's line in flight, a fresh session on the parent
+        // cloud parks behind it; the mutated session leads its own flight.
+        let flights = Flights::new(NetReply::err("abandoned"));
+        let Join::Lead(_in_flight) = flights.join(parent_key, None) else {
+            panic!("the first join leads");
+        };
+        let past = Some(Instant::now());
+        let fresh = coalescing_key(&mut NetSession::new(Arc::clone(&pts)), line).unwrap();
+        assert!(matches!(flights.join(fresh, past), Join::Follow(None)));
+        assert!(matches!(flights.join(child_key, past), Join::Lead(_)));
     }
 }

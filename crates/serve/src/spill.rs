@@ -94,11 +94,20 @@ impl std::fmt::Display for CloudKey {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`digest_points`] calls made on this thread, so tests can pin which
+    /// paths hash a cloud.
+    pub(crate) static DIGEST_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// FNV-1a 64 over the exact coordinate bits of `points`, with the
 /// dimension and count mixed in first. Bit-exact: `-0.0` and `0.0` (and
 /// different NaN payloads) digest differently, which errs on the side of a
 /// rebuild rather than a false hit.
 pub fn digest_points<const D: usize>(points: &[Point<D>]) -> u64 {
+    #[cfg(test)]
+    DIGEST_CALLS.with(|calls| calls.set(calls.get() + 1));
     const OFFSET: u64 = 0xcbf29ce484222325;
     const PRIME: u64 = 0x100000001b3;
     let mut h = OFFSET;

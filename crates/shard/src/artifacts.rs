@@ -84,33 +84,40 @@ struct LocalArtifact<const D: usize> {
 }
 
 /// The EMST of one shard's `points` (its members, in `ids` order) with edges
-/// mapped to the caller's vertex `ids`: `(edges, iterations, work)`. Fewer
-/// than two points solve nothing and report zero work.
+/// mapped to the caller's vertex `ids`, and the BVH the solve built:
+/// `(tree, edges, iterations, work)`. Fewer than two points solve nothing,
+/// build no tree and report zero work.
 pub(crate) fn local_mst<S: ExecSpace, const D: usize>(
     space: &S,
     points: &[Point<D>],
     ids: &[u32],
     scratch: &mut BoruvkaScratch,
-) -> (Vec<Edge>, u32, CounterSnapshot) {
-    if points.len() < 2 {
-        return (vec![], 0, CounterSnapshot::default());
-    }
-    let r = SingleTreeBoruvka::new(points).run_scratch(space, &EmstConfig::default(), scratch);
+) -> (Option<Bvh<D>>, Vec<Edge>, u32, CounterSnapshot) {
+    let (r, tree) = SingleTreeBoruvka::new(points).run_scratch_keeping_tree(
+        space,
+        &EmstConfig::default(),
+        scratch,
+    );
     let edges =
         r.edges.iter().map(|e| Edge::new(ids[e.u as usize], ids[e.v as usize], e.weight_sq));
-    (edges.collect(), r.iterations, r.work)
+    (tree, edges.collect(), r.iterations, r.work)
 }
 
-/// [`local_mst`] plus the shard's merge-resident BVH: `(merge shard, seeds,
-/// iterations, work)`.
+/// [`local_mst`] with its tree kept as the shard's merge-resident BVH:
+/// `(merge shard, seeds, iterations, work)`. A one-point shard, where the
+/// solve builds nothing, gets its tree built here.
 fn solve_local<S: ExecSpace, const D: usize>(
     space: &S,
     points: &[Point<D>],
     ids: &[u32],
     scratch: &mut BoruvkaScratch,
 ) -> (MergeShard<D>, Vec<Edge>, u32, CounterSnapshot) {
-    let (seeds, iterations, work) = local_mst(space, points, ids, scratch);
-    (MergeShard::build(space, points, ids), seeds, iterations, work)
+    let (tree, seeds, iterations, work) = local_mst(space, points, ids, scratch);
+    let merge = match tree {
+        Some(bvh) => MergeShard::from_bvh(bvh, ids),
+        None => MergeShard::build(space, points, ids),
+    };
+    (merge, seeds, iterations, work)
 }
 
 /// Each vertex's round-1 merge radius (min incident seed weight) — the
@@ -844,11 +851,7 @@ impl<const D: usize> ShardArtifacts<D> {
             if bvh.num_leaves() != shard_sizes[shard] {
                 return Err(bad("artifact locals: bvh leaf count disagrees with the plan"));
             }
-            // vertex_of_rank is derived, exactly as MergeShard::build does.
-            let ids = plan.shard_indices(shard);
-            let vertex_of_rank =
-                (0..bvh.num_leaves() as u32).map(|r| ids[bvh.point_index(r) as usize]).collect();
-            let merge = MergeShard { bvh, vertex_of_rank };
+            let merge = MergeShard::from_bvh(bvh, plan.shard_indices(shard));
             locals.push(LocalArtifact { shard, merge, seeds });
         }
         r.done()?;
@@ -1322,6 +1325,34 @@ mod tests {
             parent.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap().edges.len(),
             pts.len() - 1
         );
+    }
+
+    #[test]
+    fn solved_shards_keep_the_tree_a_fresh_build_makes() {
+        fn check<S: ExecSpace>(space: &S, pts: &[Point<2>], ids: &[u32]) {
+            let bytes = |shard: &MergeShard<2>| {
+                let mut out = Vec::new();
+                shard.bvh.serialize_into(&mut out);
+                out
+            };
+            let (kept, seeds, iterations, _) =
+                solve_local(space, pts, ids, &mut BoruvkaScratch::new());
+            let fresh = MergeShard::build(space, pts, ids);
+            assert_eq!(bytes(&kept), bytes(&fresh), "the solver's tree is the merge tree");
+            assert_eq!(kept.vertex_of_rank, fresh.vertex_of_rank);
+            assert_eq!(seeds.len(), pts.len() - 1);
+            assert!(iterations > 0);
+        }
+        let pts = random_points_2d(700, 41);
+        let ids: Vec<u32> = (0..pts.len() as u32).map(|i| 3 * i + 1).collect();
+        check(&Serial, &pts, &ids);
+        check(&Threads, &pts, &ids);
+        // A one-point shard solves nothing and still gets its tree.
+        let (one, seeds, iterations, work) =
+            solve_local(&Serial, &pts[..1], &ids[..1], &mut BoruvkaScratch::new());
+        assert_eq!(one.vertex_of_rank, vec![ids[0]]);
+        assert!(seeds.is_empty());
+        assert_eq!((iterations, work), (0, CounterSnapshot::default()));
     }
 
     #[test]

@@ -102,9 +102,15 @@ impl<const D: usize> MergeShard<D> {
     /// arrays; `vertices[i]` is the id of `points[i]`).
     pub fn build<S: ExecSpace>(space: &S, points: &[Point<D>], vertices: &[u32]) -> Self {
         debug_assert_eq!(points.len(), vertices.len());
-        let bvh = Bvh::build(space, points);
+        Self::from_bvh(Bvh::build(space, points), vertices)
+    }
+
+    /// A resident shard over an already built `bvh` (`vertices[i]` is the
+    /// id of the tree's input point `i`).
+    pub fn from_bvh(bvh: Bvh<D>, vertices: &[u32]) -> Self {
+        debug_assert_eq!(bvh.num_leaves(), vertices.len());
         let vertex_of_rank =
-            (0..points.len() as u32).map(|r| vertices[bvh.point_index(r) as usize]).collect();
+            (0..bvh.num_leaves() as u32).map(|r| vertices[bvh.point_index(r) as usize]).collect();
         Self { bvh, vertex_of_rank }
     }
 

@@ -259,7 +259,7 @@ fn stream_shards<S: ExecSpace, const D: usize>(
             // One entry per non-empty shard (0 for one point), as in the
             // in-memory path.
             let (ids, pts): (Vec<u32>, Vec<Point<D>>) = spilled.into_iter().unzip();
-            let (edges, iterations, work) = local_mst(space, &pts, &ids, &mut scratch);
+            let (_, edges, iterations, work) = local_mst(space, &pts, &ids, &mut scratch);
             local_iterations.push(iterations);
             local_work += work;
             candidates.extend(edges);
