@@ -19,7 +19,7 @@ fn main() {
 
     println!("# Figure 1: EMST performance summary on Hacc37M-like data");
     println!("# n = {n} points, d = {}, rates in MFeatures/sec", cloud.dim());
-    println!("# (GPU rows are modeled from counted work; see DESIGN.md)");
+    println!("# (GPU rows are modeled from counted work; see crates/exec/src/device.rs)");
     println!();
     println!("{:<36} {:>12}", "configuration", "MFeat/s");
 

@@ -17,7 +17,7 @@ fn main() {
     let a100 = DeviceModel::a100_like();
     let mi = DeviceModel::mi250x_gcd_like();
     println!("# Figure 6: parallel EMST performance (MFeatures/sec)");
-    println!("# scale = {scale}; device columns are modeled (DESIGN.md)");
+    println!("# scale = {scale}; device columns are modeled (crates/exec/src/device.rs)");
     println!();
     println!(
         "{:<16} {:>8} {:>4} {:>12} {:>12} {:>14} {:>16}",

@@ -2,11 +2,15 @@
 //! baseline on one dataset. Usage:
 //!
 //! ```text
-//! cargo run --release -p emst-bench --bin profile_st [kind] [n]
+//! cargo run --release -p emst_bench --bin profile_st [kind] [n]
 //! ```
 //!
-//! `kind` ∈ {uniform, normal, visualvar, hacc, geolife, ngsim, porto, road}
-//! (default hacc), `n` default 300000. 3D points.
+//! `kind` is a [`Kind::name`] ∈ {uniform, normal, visualvar, hacc,
+//! geolife, ngsim, porto, road} (default hacc), `n` a point count (default
+//! 300000). 3D points. An unknown kind, a malformed `n` or a third
+//! argument exits with status 2 and a message naming it.
+
+use std::process::exit;
 
 use emst_core::{EmstConfig, SingleTreeBoruvka};
 use emst_datasets::Kind;
@@ -14,18 +18,23 @@ use emst_exec::Serial;
 use emst_geometry::Point;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let kind = match args.get(1).map(String::as_str).unwrap_or("hacc") {
-        "uniform" => Kind::Uniform,
-        "normal" => Kind::Normal,
-        "visualvar" => Kind::VisualVar,
-        "geolife" => Kind::GeoLifeLike,
-        "ngsim" => Kind::NgsimLike,
-        "porto" => Kind::PortoTaxiLike,
-        "road" => Kind::RoadNetworkLike,
-        _ => Kind::HaccLike,
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let fail = |message: String| -> ! {
+        eprintln!("profile_st: {message}\nusage: profile_st [kind] [n]");
+        exit(2)
     };
-    let n: usize = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(300_000);
+    if args.len() > 2 {
+        fail(format!("unexpected argument {:?}", args[2]));
+    }
+    let name = args.first().map_or("hacc", String::as_str);
+    let kind = Kind::parse(name).unwrap_or_else(|| {
+        let names: Vec<&str> = Kind::ALL.iter().map(Kind::name).collect();
+        fail(format!("unknown kind {name:?} (expected one of {})", names.join(", ")))
+    });
+    let n: usize = match args.get(1) {
+        Some(v) => v.parse().unwrap_or_else(|_| fail(format!("invalid n {v:?}"))),
+        None => 300_000,
+    };
 
     let points: Vec<Point<3>> = kind.generate(n, 0xF);
     let r = SingleTreeBoruvka::new(&points).run(&Serial, &EmstConfig::default());

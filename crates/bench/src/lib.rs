@@ -10,8 +10,8 @@
 //!
 //! GPU rows are **modeled**, not measured: the run executes on the
 //! instrumented [`GpuSim`] backend and an analytic [`DeviceModel`] converts
-//! counted work into device time (see DESIGN.md §1 and `emst-exec`'s
-//! `device` module for the calibration).
+//! counted work into device time (see the `emst_exec::device` module docs
+//! for the model and its calibration, and README's "Benches" section).
 
 pub mod snapshot;
 

@@ -32,7 +32,7 @@ pub fn visualvar<const D: usize>(n: usize, seed: u64) -> Vec<Point<D>> {
     let clusters = (n as f64).sqrt().ceil() as usize;
     let mut out = Vec::with_capacity(n);
     let mut center = Point::<D>::origin();
-    for c in 0..clusters.max(1) {
+    for _ in 0..clusters.max(1) {
         // Random-walk step of the cluster centre.
         for d in 0..D {
             center[d] += rng.random_range(-1.0f32..1.0);
@@ -42,26 +42,15 @@ pub fn visualvar<const D: usize>(n: usize, seed: u64) -> Vec<Point<D>> {
         let remaining = n - out.len();
         let this = (n / clusters.max(1)).min(remaining).max(usize::from(remaining > 0));
         for _ in 0..this.min(remaining) {
-            let mut p = center;
-            let g = gaussian_point::<D>(&mut rng, sigma);
-            for d in 0..D {
-                p[d] += g[d];
-            }
-            out.push(p);
+            out.push(offset_gaussian(&mut rng, &center, sigma));
         }
         if out.len() >= n {
             break;
         }
-        let _ = c;
     }
     // Fill any rounding remainder near the last centre.
     while out.len() < n {
-        let mut p = center;
-        let g = gaussian_point::<D>(&mut rng, 0.01);
-        for d in 0..D {
-            p[d] += g[d];
-        }
-        out.push(p);
+        out.push(offset_gaussian(&mut rng, &center, 0.01));
     }
     out
 }
@@ -116,7 +105,7 @@ pub fn geolife_like<const D: usize>(n: usize, seed: u64) -> Vec<Point<D>> {
     let hotspots = 12usize;
     let centers: Vec<Point<D>> =
         (0..hotspots).map(|_| random_point(&mut rng, 0.0, 100.0)).collect();
-    for i in 0..n {
+    for _ in 0..n {
         if rng.random_range(0.0f32..1.0) < 0.9 {
             // Zipf-ish hotspot choice: hotspot k gets ~1/(k+1) share.
             let z: f32 = rng.random_range(0.0f32..1.0);
@@ -130,7 +119,6 @@ pub fn geolife_like<const D: usize>(n: usize, seed: u64) -> Vec<Point<D>> {
         } else {
             out.push(random_point(&mut rng, 0.0, 100.0));
         }
-        let _ = i;
     }
     out
 }

@@ -1,9 +1,9 @@
 //! Point-cloud I/O.
 //!
 //! The paper's datasets arrive as CSV-ish text (NGSIM trajectory exports,
-//! GeoLife PLT files) or raw particle dumps (HACC). This module reads and
-//! writes the two formats a user needs to run this library on their own
-//! data:
+//! GeoLife PLT files) or raw particle dumps (HACC). This module reads the
+//! two formats a user needs to run this library on their own data, and
+//! writes CSV:
 //!
 //! - **CSV** — one point per line, coordinates separated by commas,
 //!   optional header line (skipped when non-numeric), extra columns
@@ -37,32 +37,6 @@ pub fn save_csv<const D: usize>(path: &Path, points: &[Point<D>]) -> io::Result<
     out.flush()
 }
 
-/// Reads CSV points: the first `D` numeric columns of every line; a leading
-/// non-numeric header line is skipped; blank lines are ignored.
-pub fn load_csv<const D: usize>(path: &Path) -> io::Result<Vec<Point<D>>> {
-    load_delimited(path, b',')
-}
-
-/// Writes points in XYZ layout (space-separated).
-pub fn save_xyz<const D: usize>(path: &Path, points: &[Point<D>]) -> io::Result<()> {
-    let mut out = BufWriter::new(File::create(path)?);
-    for p in points {
-        for d in 0..D {
-            if d > 0 {
-                out.write_all(b" ")?;
-            }
-            write!(out, "{:?}", p[d])?;
-        }
-        out.write_all(b"\n")?;
-    }
-    out.flush()
-}
-
-/// Reads XYZ points (whitespace-separated).
-pub fn load_xyz<const D: usize>(path: &Path) -> io::Result<Vec<Point<D>>> {
-    load_delimited(path, b' ')
-}
-
 /// Why a non-blank line did not parse as a point.
 enum LineError {
     /// Too few fields, or a field that is not a number. Allowed once, as
@@ -82,6 +56,26 @@ impl LineError {
             ),
         };
         io::Error::new(io::ErrorKind::InvalidData, format!("{origin}:{line_no}: {what}"))
+    }
+}
+
+/// The point on line `line_no` of `origin`: `None` for a blank line or a
+/// non-numeric header on line 1, an `origin:line_no` error for any other
+/// line that is not a point.
+fn point_on_line<const D: usize>(
+    raw: &str,
+    line_no: usize,
+    delim: u8,
+    origin: &str,
+) -> io::Result<Option<Point<D>>> {
+    let line = raw.trim();
+    if line.is_empty() {
+        return Ok(None);
+    }
+    match parse_line::<D>(line, delim) {
+        Ok(p) => Ok(Some(p)),
+        Err(LineError::NotNumeric) if line_no == 1 => Ok(None), // header
+        Err(e) => Err(e.at::<D>(origin, line_no)),
     }
 }
 
@@ -121,7 +115,7 @@ impl<'a> Iterator for FieldIter<'a> {
 /// Streams CSV points in fixed-size chunks without ever holding the whole
 /// file in memory — the reader behind the out-of-core sharded EMST path.
 ///
-/// Semantics match [`load_csv`] exactly (leading non-numeric header skipped,
+/// Semantics match [`parse_csv`] exactly (leading non-numeric header skipped,
 /// blank lines ignored, extra columns ignored, malformed data lines are
 /// errors). `f` is called with the index of the chunk's first point and the
 /// chunk's points (every chunk except the last has exactly `chunk_points`
@@ -133,6 +127,7 @@ pub fn read_points_chunked<const D: usize>(
     mut f: impl FnMut(usize, &[Point<D>]) -> io::Result<()>,
 ) -> io::Result<usize> {
     assert!(chunk_points > 0, "chunk size must be positive");
+    let origin = path.display().to_string();
     let mut reader = BufReader::new(File::open(path)?);
     let mut line_buf = String::new();
     let mut chunk: Vec<Point<D>> = Vec::with_capacity(chunk_points);
@@ -144,21 +139,13 @@ pub fn read_points_chunked<const D: usize>(
             break;
         }
         line_no += 1;
-        let line = line_buf.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_line::<D>(line, b',') {
-            Ok(p) => {
-                chunk.push(p);
-                if chunk.len() == chunk_points {
-                    f(total, &chunk)?;
-                    total += chunk.len();
-                    chunk.clear();
-                }
+        if let Some(p) = point_on_line::<D>(&line_buf, line_no, b',', &origin)? {
+            chunk.push(p);
+            if chunk.len() == chunk_points {
+                f(total, &chunk)?;
+                total += chunk.len();
+                chunk.clear();
             }
-            Err(LineError::NotNumeric) if line_no == 1 => {} // header
-            Err(e) => return Err(e.at::<D>(&path.display().to_string(), line_no)),
         }
     }
     if !chunk.is_empty() {
@@ -355,14 +342,11 @@ impl<'a> BlobReader<'a> {
     }
 }
 
-fn load_delimited<const D: usize>(path: &Path, delim: u8) -> io::Result<Vec<Point<D>>> {
-    parse_delimited(&std::fs::read(path)?, delim, &path.display().to_string())
-}
-
-/// Parses CSV point bytes — the in-memory core of [`load_csv`], exposed so
-/// callers that route the file read itself through fault injection (the
-/// serving stack's ingest path) can parse exactly the bytes they read.
-/// `origin` names the source in error messages.
+/// Parses CSV point bytes: the first `D` numeric columns of every line; a
+/// leading non-numeric header line is skipped; blank lines are ignored.
+/// Callers read the bytes themselves, so a caller that routes the file
+/// read through fault injection (the serving stack's ingest path) parses
+/// exactly the bytes it read. `origin` names the source in error messages.
 pub fn parse_csv<const D: usize>(bytes: &[u8], origin: &str) -> io::Result<Vec<Point<D>>> {
     parse_delimited(bytes, b',', origin)
 }
@@ -378,26 +362,21 @@ fn parse_delimited<const D: usize>(
     origin: &str,
 ) -> io::Result<Vec<Point<D>>> {
     let text = String::from_utf8_lossy(bytes);
-    let mut out = vec![];
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_line::<D>(line, delim) {
-            Ok(p) => out.push(p),
-            Err(LineError::NotNumeric) if line_no == 1 => {} // header
-            Err(e) => return Err(e.at::<D>(origin, line_no)),
-        }
-    }
-    Ok(out)
+    text.lines()
+        .enumerate()
+        .filter_map(|(idx, raw)| point_on_line(raw, idx + 1, delim, origin).transpose())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::uniform;
+
+    /// Reads `path` and parses it as CSV, naming it in errors.
+    fn read_csv<const D: usize>(path: &Path) -> io::Result<Vec<Point<D>>> {
+        parse_csv(&std::fs::read(path)?, &path.display().to_string())
+    }
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -410,7 +389,7 @@ mod tests {
         let pts = uniform::<3>(500, 7);
         let path = tmp("roundtrip.csv");
         save_csv(&path, &pts).unwrap();
-        let back: Vec<Point<3>> = load_csv(&path).unwrap();
+        let back: Vec<Point<3>> = read_csv(&path).unwrap();
         assert_eq!(pts, back);
         std::fs::remove_file(&path).ok();
     }
@@ -418,18 +397,17 @@ mod tests {
     #[test]
     fn xyz_round_trips_exactly() {
         let pts = uniform::<2>(300, 9);
-        let path = tmp("roundtrip.xyz");
-        save_xyz(&path, &pts).unwrap();
-        let back: Vec<Point<2>> = load_xyz(&path).unwrap();
+        // Space-separated, with the shortest representation that round-trips.
+        let text: String = pts.iter().map(|p| format!("{:?} {:?}\n", p[0], p[1])).collect();
+        let back: Vec<Point<2>> = parse_xyz(text.as_bytes(), "roundtrip.xyz").unwrap();
         assert_eq!(pts, back);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn header_line_is_skipped_and_extra_columns_ignored() {
         let path = tmp("header.csv");
         std::fs::write(&path, "x,y,label\n1.0,2.0,7\n3.5,-4.25,9\n").unwrap();
-        let pts: Vec<Point<2>> = load_csv(&path).unwrap();
+        let pts: Vec<Point<2>> = read_csv(&path).unwrap();
         assert_eq!(pts, vec![Point::new([1.0, 2.0]), Point::new([3.5, -4.25])]);
         std::fs::remove_file(&path).ok();
     }
@@ -438,7 +416,7 @@ mod tests {
     fn malformed_data_line_is_an_error() {
         let path = tmp("bad.csv");
         std::fs::write(&path, "1.0,2.0\nnot,numbers\n").unwrap();
-        let err = load_csv::<2>(&path).unwrap_err();
+        let err = read_csv::<2>(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
@@ -473,17 +451,19 @@ mod tests {
     fn blank_lines_and_empty_files_work() {
         let path = tmp("blank.csv");
         std::fs::write(&path, "\n1.0,2.0\n\n\n").unwrap();
-        let pts: Vec<Point<2>> = load_csv(&path).unwrap();
+        let pts: Vec<Point<2>> = read_csv(&path).unwrap();
         assert_eq!(pts.len(), 1);
         std::fs::write(&path, "").unwrap();
-        let pts: Vec<Point<2>> = load_csv(&path).unwrap();
+        let pts: Vec<Point<2>> = read_csv(&path).unwrap();
         assert!(pts.is_empty());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn missing_file_errors() {
-        assert!(load_csv::<2>(Path::new("/definitely/not/here.csv")).is_err());
+        let missing = Path::new("/definitely/not/here.csv");
+        assert!(read_csv::<2>(missing).is_err());
+        assert!(read_points_chunked::<2>(missing, 64, |_, _| Ok(())).is_err());
     }
 
     #[test]
@@ -491,7 +471,7 @@ mod tests {
         let pts = uniform::<3>(1003, 11); // deliberately not a chunk multiple
         let path = tmp("chunked.csv");
         save_csv(&path, &pts).unwrap();
-        let whole: Vec<Point<3>> = load_csv(&path).unwrap();
+        let whole: Vec<Point<3>> = read_csv(&path).unwrap();
         for chunk_points in [1usize, 7, 256, 1003, 5000] {
             let mut streamed: Vec<Point<3>> = vec![];
             let mut starts: Vec<usize> = vec![];

@@ -10,34 +10,37 @@
 //! depends on ("performance ... is more dependent on the distribution of
 //! points", §4.2):
 //!
-//! | paper dataset | generator | reproduced trait |
+//! | paper dataset | [`Kind`] (CLI name) | reproduced trait |
 //! |---|---|---|
-//! | Uniform100M2/3 | [`uniform`] | constant density |
-//! | Normal100M2/3, Normal300M2 | [`normal`] | radially decaying density |
-//! | VisualVar10M2D/3D | [`visualvar`] | clusters of wildly varying density (Gan & Tao) |
-//! | Hacc37M/497M | [`hacc_like`] | halo hierarchy: dense clumps + filaments + background |
-//! | GeoLife24M3D | [`geolife_like`] | extreme hot-spot skew (the paper's BVH-quality outlier) |
-//! | Ngsim / Ngsimlocation3 | [`ngsim_like`] | points strung along a few highway polylines |
-//! | PortoTaxi | [`portotaxi_like`] | points along a dense street network |
-//! | RoadNetwork3D | [`roadnetwork_like`] | sparse graph-embedded points (small dataset) |
+//! | Uniform100M2/3 | [`Kind::Uniform`] (`uniform`) | constant density |
+//! | Normal100M2/3, Normal300M2 | [`Kind::Normal`] (`normal`) | radially decaying density |
+//! | VisualVar10M2D/3D | [`Kind::VisualVar`] (`visualvar`) | clusters of wildly varying density (Gan & Tao) |
+//! | Hacc37M/497M | [`Kind::HaccLike`] (`hacc`) | halo hierarchy: dense clumps + filaments + background |
+//! | GeoLife24M3D | [`Kind::GeoLifeLike`] (`geolife`) | extreme hot-spot skew (the paper's BVH-quality outlier) |
+//! | Ngsim / Ngsimlocation3 | [`Kind::NgsimLike`] (`ngsim`) | points strung along a few highway polylines |
+//! | PortoTaxi | [`Kind::PortoTaxiLike`] (`porto`) | points along a dense street network |
+//! | RoadNetwork3D | [`Kind::RoadNetworkLike`] (`road`) | sparse graph-embedded points (small dataset) |
 //!
-//! Everything is deterministic in `(kind, n, seed)`. The paper's §4.3
+//! [`Kind::generate`] is the one way to make a cloud: everything is
+//! deterministic in `(kind, n, seed)`. [`PaperDataset`] maps each paper
+//! dataset to its kind, dimension and scaled size. The paper's §4.3
 //! scaling methodology ("randomly sampling a large dataset") is
 //! [`sample_preserving_distribution`].
+//!
+//! Point files go through [`io`]: [`save_csv`] writes them, [`parse_csv`]
+//! and [`parse_xyz`] parse bytes already read, and
+//! [`io::read_points_chunked`] streams a CSV file chunk by chunk.
 
 // Loops over the const-generic dimension D index several parallel arrays;
 // clippy's iterator suggestion does not apply cleanly there.
 #![allow(clippy::needless_range_loop)]
 
-pub mod generators;
+mod generators;
 pub mod io;
 pub mod paper;
 
-pub use generators::{
-    geolife_like, hacc_like, ngsim_like, normal, portotaxi_like, roadnetwork_like,
-    sample_preserving_distribution, uniform, visualvar,
-};
-pub use io::{load_csv, load_xyz, parse_csv, parse_xyz, save_csv, save_xyz};
+pub use generators::sample_preserving_distribution;
+pub use io::{parse_csv, parse_xyz, save_csv};
 pub use paper::{PaperDataset, PointCloud};
 
 use emst_geometry::Point;
@@ -63,55 +66,51 @@ pub enum Kind {
     RoadNetworkLike,
 }
 
-/// A dataset request: kind, point count and RNG seed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DatasetSpec {
-    /// Distribution family.
-    pub kind: Kind,
-    /// Number of points to generate.
-    pub n: usize,
-    /// RNG seed (same seed ⇒ same points).
-    pub seed: u64,
-}
+impl Kind {
+    /// Every kind, in declaration order.
+    pub const ALL: [Kind; 8] = [
+        Kind::Uniform,
+        Kind::Normal,
+        Kind::VisualVar,
+        Kind::HaccLike,
+        Kind::GeoLifeLike,
+        Kind::NgsimLike,
+        Kind::PortoTaxiLike,
+        Kind::RoadNetworkLike,
+    ];
 
-impl DatasetSpec {
-    /// Uniform spec shorthand.
-    pub fn uniform(n: usize, seed: u64) -> Self {
-        Self { kind: Kind::Uniform, n, seed }
+    /// The kind's name on the command line (`emst-cli generate --kind`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Kind::Uniform => "uniform",
+            Kind::Normal => "normal",
+            Kind::VisualVar => "visualvar",
+            Kind::HaccLike => "hacc",
+            Kind::GeoLifeLike => "geolife",
+            Kind::NgsimLike => "ngsim",
+            Kind::PortoTaxiLike => "porto",
+            Kind::RoadNetworkLike => "road",
+        }
     }
 
-    /// Normal spec shorthand.
-    pub fn normal(n: usize, seed: u64) -> Self {
-        Self { kind: Kind::Normal, n, seed }
+    /// The kind whose [`Kind::name`] is `name`, if any.
+    pub fn parse(name: &str) -> Option<Kind> {
+        Kind::ALL.into_iter().find(|kind| kind.name() == name)
     }
 
-    /// VisualVar spec shorthand.
-    pub fn visualvar(n: usize, seed: u64) -> Self {
-        Self { kind: Kind::VisualVar, n, seed }
+    /// Generates `n` points of this kind in dimension `D`.
+    pub fn generate<const D: usize>(&self, n: usize, seed: u64) -> Vec<Point<D>> {
+        match self {
+            Kind::Uniform => generators::uniform(n, seed),
+            Kind::Normal => generators::normal(n, seed),
+            Kind::VisualVar => generators::visualvar(n, seed),
+            Kind::HaccLike => generators::hacc_like(n, seed),
+            Kind::GeoLifeLike => generators::geolife_like(n, seed),
+            Kind::NgsimLike => generators::ngsim_like(n, seed),
+            Kind::PortoTaxiLike => generators::portotaxi_like(n, seed),
+            Kind::RoadNetworkLike => generators::roadnetwork_like(n, seed),
+        }
     }
-
-    /// HACC-like spec shorthand.
-    pub fn hacc_like(n: usize, seed: u64) -> Self {
-        Self { kind: Kind::HaccLike, n, seed }
-    }
-}
-
-/// Generates a 2D dataset from a spec.
-pub fn generate_2d(spec: &DatasetSpec) -> Vec<Point<2>> {
-    dispatch::<2>(spec)
-}
-
-/// Generates a 3D dataset from a spec.
-pub fn generate_3d(spec: &DatasetSpec) -> Vec<Point<3>> {
-    dispatch::<3>(spec)
-}
-
-fn dispatch<const D: usize>(spec: &DatasetSpec) -> Vec<Point<D>> {
-    paper::dispatch_kind::<D>(spec.kind, spec.n, spec.seed)
-}
-
-pub(crate) fn dispatch_pub<const D: usize>(kind: Kind, n: usize, seed: u64) -> Vec<Point<D>> {
-    paper::dispatch_kind::<D>(kind, n, seed)
 }
 
 #[cfg(test)]
@@ -120,23 +119,13 @@ mod tests {
 
     #[test]
     fn specs_generate_requested_sizes_deterministically() {
-        for kind in [
-            Kind::Uniform,
-            Kind::Normal,
-            Kind::VisualVar,
-            Kind::HaccLike,
-            Kind::GeoLifeLike,
-            Kind::NgsimLike,
-            Kind::PortoTaxiLike,
-            Kind::RoadNetworkLike,
-        ] {
-            let spec = DatasetSpec { kind, n: 500, seed: 9 };
-            let a = generate_2d(&spec);
-            let b = generate_2d(&spec);
+        for kind in Kind::ALL {
+            let a = kind.generate::<2>(500, 9);
+            let b = kind.generate::<2>(500, 9);
             assert_eq!(a.len(), 500, "{kind:?}");
             assert_eq!(a, b, "{kind:?} must be deterministic");
             assert!(a.iter().all(Point::is_finite), "{kind:?} produced non-finite points");
-            let c = generate_3d(&spec);
+            let c = kind.generate::<3>(500, 9);
             assert_eq!(c.len(), 500);
             assert!(c.iter().all(Point::is_finite));
         }
@@ -144,8 +133,23 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = generate_2d(&DatasetSpec::uniform(100, 1));
-        let b = generate_2d(&DatasetSpec::uniform(100, 2));
+        let a = Kind::Uniform.generate::<2>(100, 1);
+        let b = Kind::Uniform.generate::<2>(100, 2);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn names_parse_back_in_declaration_order() {
+        let names = Kind::ALL.map(|kind| kind.name());
+        assert_eq!(
+            names,
+            ["uniform", "normal", "visualvar", "hacc", "geolife", "ngsim", "porto", "road"]
+        );
+        for kind in Kind::ALL {
+            assert_eq!(Kind::parse(kind.name()), Some(kind));
+        }
+        for bad in ["", "nonsense", "Uniform", "hacc_like", " uniform"] {
+            assert_eq!(Kind::parse(bad), None, "{bad:?}");
+        }
     }
 }

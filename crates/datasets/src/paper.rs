@@ -8,7 +8,7 @@
 
 use emst_geometry::Point;
 
-use crate::{generators, Kind};
+use crate::Kind;
 
 /// A dimension-erased point cloud (the dataset list mixes 2D and 3D).
 #[derive(Clone, Debug)]
@@ -179,36 +179,17 @@ impl PaperDataset {
     pub fn generate(&self, n: usize, seed: u64) -> PointCloud {
         let kind = self.kind();
         if self.dim() == 2 {
-            PointCloud::D2(crate::dispatch_pub::<2>(kind, n, seed))
+            PointCloud::D2(kind.generate(n, seed))
         } else {
-            PointCloud::D3(crate::dispatch_pub::<3>(kind, n, seed))
+            PointCloud::D3(kind.generate(n, seed))
         }
-    }
-}
-
-impl crate::Kind {
-    /// Generates `n` points of this kind in dimension `D`.
-    pub fn generate<const D: usize>(&self, n: usize, seed: u64) -> Vec<Point<D>> {
-        crate::dispatch_pub::<D>(*self, n, seed)
-    }
-}
-
-pub(crate) fn dispatch_kind<const D: usize>(kind: Kind, n: usize, seed: u64) -> Vec<Point<D>> {
-    match kind {
-        Kind::Uniform => generators::uniform(n, seed),
-        Kind::Normal => generators::normal(n, seed),
-        Kind::VisualVar => generators::visualvar(n, seed),
-        Kind::HaccLike => generators::hacc_like(n, seed),
-        Kind::GeoLifeLike => generators::geolife_like(n, seed),
-        Kind::NgsimLike => generators::ngsim_like(n, seed),
-        Kind::PortoTaxiLike => generators::portotaxi_like(n, seed),
-        Kind::RoadNetworkLike => generators::roadnetwork_like(n, seed),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators;
 
     #[test]
     fn all_figure_datasets_generate() {

@@ -26,7 +26,9 @@
 //!
 //! Parameter sets are calibrated against the paper's headline numbers
 //! (≈270 MFeatures/s on A100 and ≈0.67× that on one MI250X GCD for the
-//! HACC-like dataset); see EXPERIMENTS.md for the calibration notes.
+//! HACC-like dataset): [`DeviceModel::a100_like`] and
+//! [`DeviceModel::mi250x_gcd_like`] hold the two parameter sets, and
+//! README's "Benches" section says how the figure benches use them.
 
 use crate::counters::CounterSnapshot;
 

@@ -13,7 +13,8 @@
 //!   results) while recording [`KernelStats`]; an analytic [`DeviceModel`]
 //!   converts the recorded work into a modeled GPU execution time. This is
 //!   the documented substitution for the paper's A100/MI250X measurements —
-//!   see DESIGN.md §1.
+//!   see the [`device`] module docs for the model and its calibration, and
+//!   README's "Benches" section for how the figure benches use it.
 //!
 //! Algorithms in this workspace are written strictly in terms of
 //! [`ExecSpace`], which forces the bulk-synchronous, kernel-per-phase

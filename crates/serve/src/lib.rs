@@ -101,11 +101,11 @@
 //! `emst_serve_cache_events_total{event=…}` when observability is on.
 //!
 //! ```
-//! use emst_datasets::{generate_2d, DatasetSpec};
+//! use emst_datasets::Kind;
 //! use emst_exec::Threads;
 //! use emst_serve::{CacheOutcome, ServeConfig, ServeEngine};
 //!
-//! let pts = generate_2d(&DatasetSpec::uniform(800, 42));
+//! let pts = Kind::Uniform.generate::<2>(800, 42);
 //! let engine = ServeEngine::<_, 2>::new(Threads, ServeConfig::new(4, 2));
 //!
 //! let cold = engine.emst(&pts); // miss: plan + local solves + merge

@@ -870,11 +870,11 @@ fn respond_coalesced<S: ExecSpace, const D: usize>(
 mod tests {
     use super::*;
     use crate::ServeConfig;
-    use emst_datasets::{generate_2d, DatasetSpec};
+    use emst_datasets::Kind;
     use emst_exec::Serial;
 
     fn engine() -> (ServeEngine<Serial, 2>, Arc<Vec<Point<2>>>) {
-        let pts = Arc::new(generate_2d(&DatasetSpec::uniform(200, 7)));
+        let pts = Arc::new(Kind::Uniform.generate::<2>(200, 7));
         let engine = ServeEngine::new(Serial, ServeConfig::new(4, 2));
         engine.ingest(&pts);
         (engine, pts)
@@ -1046,7 +1046,7 @@ mod tests {
     #[test]
     fn session_digest_follows_insert_delete_and_load() {
         let (engine, pts) = engine();
-        let loaded = generate_2d(&DatasetSpec::uniform(150, 11));
+        let loaded = Kind::Uniform.generate::<2>(150, 11);
         let path = std::env::temp_dir()
             .join(format!("emst-net-session-digest-{}.csv", std::process::id()));
         emst_datasets::io::save_csv(&path, &loaded).unwrap();

@@ -21,11 +21,11 @@
 //! takes an optional cross-query accelerator ([`MergeAccel`]).
 //!
 //! ```
-//! use emst_datasets::{generate_2d, DatasetSpec};
+//! use emst_datasets::Kind;
 //! use emst_exec::Threads;
 //! use emst_shard::{MergeScratch, ShardArtifacts, ShardConfig};
 //!
-//! let pts = generate_2d(&DatasetSpec::uniform(600, 9));
+//! let pts = Kind::Uniform.generate::<2>(600, 9);
 //! let artifacts = ShardArtifacts::build(&Threads, &pts, &ShardConfig::new(4));
 //! // Merge-only queries: no plan, no local solves, no tree builds.
 //! let mut scratch = MergeScratch::new();

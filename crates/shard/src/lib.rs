@@ -29,10 +29,10 @@
 //! resident (see the [`stream`] module).
 //!
 //! ```
-//! use emst_datasets::{generate_2d, DatasetSpec};
+//! use emst_datasets::Kind;
 //! use emst_shard::emst_sharded;
 //!
-//! let pts = generate_2d(&DatasetSpec::uniform(500, 42));
+//! let pts = Kind::Uniform.generate::<2>(500, 42);
 //! let result = emst_sharded(&pts, 4);
 //! assert_eq!(result.edges.len(), 499);
 //! assert_eq!(result.stats.shard_sizes.iter().sum::<usize>(), 500);

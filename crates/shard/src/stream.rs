@@ -343,7 +343,7 @@ fn stream_shards<S: ExecSpace, const D: usize>(
 mod tests {
     use super::*;
     use emst_core::edge::{verify_spanning_tree, weight_multiset};
-    use emst_datasets::{generate_2d, generate_3d, save_csv, DatasetSpec};
+    use emst_datasets::{save_csv, Kind};
     use emst_exec::Serial;
 
     fn tmp(name: &str) -> PathBuf {
@@ -354,7 +354,7 @@ mod tests {
 
     #[test]
     fn streamed_solve_matches_in_memory_solve_2d() {
-        let pts = generate_2d(&DatasetSpec::hacc_like(900, 5));
+        let pts = Kind::HaccLike.generate::<2>(900, 5);
         let path = tmp("ooc-2d.csv");
         save_csv(&path, &pts).unwrap();
         let mono = crate::emst_sharded(&pts, 1);
@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn streamed_solve_matches_in_memory_solve_3d() {
-        let pts = generate_3d(&DatasetSpec::normal(700, 9));
+        let pts = Kind::Normal.generate::<3>(700, 9);
         let path = tmp("ooc-3d.csv");
         save_csv(&path, &pts).unwrap();
         let mono = crate::emst_sharded(&pts, 1);
@@ -382,7 +382,7 @@ mod tests {
 
     #[test]
     fn derived_shard_count_respects_residency_target() {
-        let pts = generate_2d(&DatasetSpec::uniform(1000, 3));
+        let pts = Kind::Uniform.generate::<2>(1000, 3);
         let path = tmp("ooc-derived.csv");
         save_csv(&path, &pts).unwrap();
         // The 4096-point chunk must be clamped to the cap, or the chunk

@@ -5,7 +5,7 @@
 //! cargo run --release --example clustering_hdbscan [n] [k_pts] [min_cluster_size]
 //! ```
 
-use emst::datasets::visualvar;
+use emst::datasets::Kind;
 use emst::exec::Threads;
 use emst::geometry::Point;
 use emst::hdbscan::{Hdbscan, NOISE};
@@ -16,7 +16,7 @@ fn main() {
     let k_pts: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(8);
     let min_cluster_size: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(50);
 
-    let points: Vec<Point<2>> = visualvar(n, 99);
+    let points: Vec<Point<2>> = Kind::VisualVar.generate(n, 99);
     println!("clustering {n} variable-density points (k_pts={k_pts}, mcs={min_cluster_size})");
 
     let result = Hdbscan { k_pts, min_cluster_size }.fit(&Threads, &points);

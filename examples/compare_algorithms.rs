@@ -7,7 +7,7 @@
 
 use emst::core::edge::weight_multiset;
 use emst::core::{EmstConfig, SingleTreeBoruvka};
-use emst::datasets::normal;
+use emst::datasets::Kind;
 use emst::exec::{Serial, Threads};
 use emst::geometry::Point;
 use emst::kdtree::dual_tree_emst;
@@ -15,7 +15,7 @@ use emst::wspd::wspd_emst;
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|v| v.parse().ok()).unwrap_or(100_000);
-    let points: Vec<Point<2>> = normal(n, 3);
+    let points: Vec<Point<2>> = Kind::Normal.generate(n, 3);
     println!("n = {n} 2D normal points\n");
 
     let t0 = std::time::Instant::now();

@@ -28,7 +28,7 @@ fn main() {
     let threads: usize = std::env::args().nth(2).and_then(|v| v.parse().ok()).unwrap_or(4);
     let queries_per_thread = 4;
 
-    let points = emst::datasets::generate_2d(&emst::datasets::DatasetSpec::hacc_like(n, 7));
+    let points = emst::datasets::Kind::HaccLike.generate::<2>(n, 7);
     // Serial backend per query: the worker threads are the parallelism.
     let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(4, 2));
     let subset: Vec<u32> = (n as u32 / 4..3 * n as u32 / 4).collect();

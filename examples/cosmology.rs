@@ -11,13 +11,13 @@
 //! ```
 
 use emst::core::{EmstConfig, SingleTreeBoruvka};
-use emst::datasets::hacc_like;
+use emst::datasets::Kind;
 use emst::exec::Threads;
 use emst::geometry::Point;
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|v| v.parse().ok()).unwrap_or(200_000);
-    let points: Vec<Point<3>> = hacc_like(n, 7);
+    let points: Vec<Point<3>> = Kind::HaccLike.generate(n, 7);
     println!("generated {n} HACC-like particles");
 
     let result = SingleTreeBoruvka::new(&points).run(&Threads, &EmstConfig::default());

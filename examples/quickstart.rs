@@ -5,7 +5,7 @@
 //! ```
 
 use emst::core::{EmstConfig, SingleTreeBoruvka};
-use emst::datasets::{generate_2d, DatasetSpec};
+use emst::datasets::Kind;
 use emst::exec::Threads;
 
 fn main() {
@@ -13,7 +13,7 @@ fn main() {
 
     // 1. Get some points (any `&[Point<D>]` works; here: a seeded uniform
     //    cloud in the unit square).
-    let points = generate_2d(&DatasetSpec::uniform(n, 42));
+    let points = Kind::Uniform.generate::<2>(n, 42);
 
     // 2. Run the single-tree Borůvka EMST. Pick an execution space:
     //    `Serial`, `Threads` (rayon) or `GpuSim` (instrumented).

@@ -22,7 +22,7 @@ fn main() {
     let n: usize = std::env::args().nth(1).and_then(|v| v.parse().ok()).unwrap_or(100_000);
     let shards: usize = std::env::args().nth(2).and_then(|v| v.parse().ok()).unwrap_or(4);
 
-    let points = emst::datasets::generate_2d(&emst::datasets::DatasetSpec::hacc_like(n, 7));
+    let points = emst::datasets::Kind::HaccLike.generate::<2>(n, 7);
     let engine = ServeEngine::<_, 2>::new(Threads, ServeConfig::new(shards, 2));
 
     // Cold: the first query pays the full build (what every request would

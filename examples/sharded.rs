@@ -10,7 +10,7 @@
 //! demonstrating that the input never needs to be fully in memory.
 
 use emst::core::{EmstConfig, SingleTreeBoruvka};
-use emst::datasets::{generate_3d, save_csv, DatasetSpec};
+use emst::datasets::{save_csv, Kind};
 use emst::exec::Threads;
 use emst::shard::{emst_sharded, emst_sharded_csv, StreamConfig};
 
@@ -18,7 +18,7 @@ fn main() {
     let n: usize = std::env::args().nth(1).and_then(|v| v.parse().ok()).unwrap_or(50_000);
     let shards: usize = std::env::args().nth(2).and_then(|v| v.parse().ok()).unwrap_or(8);
 
-    let points = generate_3d(&DatasetSpec::hacc_like(n, 7));
+    let points = Kind::HaccLike.generate::<3>(n, 7);
 
     // Baseline: the paper's monolithic single-tree solve.
     let mono = SingleTreeBoruvka::new(&points).run(&Threads, &EmstConfig::default());

@@ -10,13 +10,13 @@
 //! ```
 
 use emst::core::{EmstConfig, SingleTreeBoruvka};
-use emst::datasets::ngsim_like;
+use emst::datasets::Kind;
 use emst::exec::Threads;
 use emst::geometry::Point;
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|v| v.parse().ok()).unwrap_or(150_000);
-    let points: Vec<Point<2>> = ngsim_like(n, 2024);
+    let points: Vec<Point<2>> = Kind::NgsimLike.generate(n, 2024);
     println!("{n} NGSIM-like trajectory points across 3 highway corridors");
 
     let result = SingleTreeBoruvka::new(&points).run(&Threads, &EmstConfig::default());

@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 use emst::core::{EmstConfig, SingleTreeBoruvka};
-use emst::datasets::visualvar;
+use emst::datasets::Kind;
 use emst::exec::Threads;
 use emst::geometry::{Aabb, Point};
 use emst::hdbscan::{Hdbscan, NOISE};
@@ -24,7 +24,7 @@ fn main() {
     let n: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(4_000);
     let output = args.next().unwrap_or_else(|| "emst.svg".to_string());
 
-    let points: Vec<Point<2>> = visualvar(n, 7);
+    let points: Vec<Point<2>> = Kind::VisualVar.generate(n, 7);
     let emst = SingleTreeBoruvka::new(&points).run(&Threads, &EmstConfig::default());
     let clusters = Hdbscan { k_pts: 6, min_cluster_size: (n / 100).max(8) }.fit(&Threads, &points);
     eprintln!("n = {n}: EMST weight {:.4}, {} clusters", emst.total_weight, clusters.num_clusters);

@@ -181,17 +181,8 @@ fn run(command: &str, opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn generate<const D: usize>(opts: &HashMap<String, String>) -> Result<(), String> {
-    let kind = match opts.get("kind").map(String::as_str) {
-        Some("uniform") => Kind::Uniform,
-        Some("normal") => Kind::Normal,
-        Some("visualvar") => Kind::VisualVar,
-        Some("hacc") => Kind::HaccLike,
-        Some("geolife") => Kind::GeoLifeLike,
-        Some("ngsim") => Kind::NgsimLike,
-        Some("porto") => Kind::PortoTaxiLike,
-        Some("road") => Kind::RoadNetworkLike,
-        other => return Err(format!("unknown --kind {other:?}")),
-    };
+    let name = opts.get("kind").ok_or("--kind is required")?;
+    let kind = Kind::parse(name).ok_or_else(|| format!("unknown --kind {name:?}"))?;
     let n: usize = parse_req(opts, "n")?;
     let seed: u64 = parse_opt(opts, "seed", 0)?;
     let output = opts.get("output").ok_or("--output is required")?;

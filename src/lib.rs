@@ -34,10 +34,10 @@
 //!
 //! ```
 //! use emst::core::{EmstConfig, SingleTreeBoruvka};
-//! use emst::datasets::{self, DatasetSpec};
+//! use emst::datasets::Kind;
 //! use emst::exec::Threads;
 //!
-//! let points = datasets::generate_2d(&DatasetSpec::uniform(1_000, 42));
+//! let points = Kind::Uniform.generate::<2>(1_000, 42);
 //! let result = SingleTreeBoruvka::new(&points)
 //!     .run(&Threads, &EmstConfig::default());
 //! assert_eq!(result.edges.len(), points.len() - 1);

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
-use emst::datasets::{generate_2d, DatasetSpec};
+use emst::datasets::Kind;
 use emst::exec::Serial;
 use emst::geometry::Point;
 use emst::hdbscan::Hdbscan;
@@ -24,7 +24,7 @@ fn chaos_seed() -> u64 {
 }
 
 fn cloud(n: usize, seed: u64) -> Vec<Point<2>> {
-    generate_2d(&DatasetSpec::hacc_like(n, seed))
+    Kind::HaccLike.generate::<2>(n, seed)
 }
 
 /// An error is "honest" when it names a detected failure; anything else

@@ -134,6 +134,31 @@ fn malformed_numeric_arguments_error_instead_of_defaulting() {
     assert!(stderr.contains("unknown flag --traversal for emst"), "stderr: {stderr}");
     let stderr = expect_error(&["serve", "--input", "x.csv", "--traversal", "stack"]);
     assert!(stderr.contains("unknown flag --traversal for serve"), "stderr: {stderr}");
+    let stderr = expect_error(&["generate", "--kind", "nonsense", "--n", "10", "--output", "x"]);
+    assert!(stderr.contains("unknown --kind \"nonsense\""), "stderr: {stderr}");
+    let stderr = expect_error(&["generate", "--n", "10", "--output", "x"]);
+    assert!(stderr.contains("--kind is required"), "stderr: {stderr}");
+}
+
+/// Every `--kind` name reaches its own generator: the file `generate`
+/// writes reads back as exactly `Kind::generate`'s points.
+#[test]
+fn generate_writes_every_kind_bit_identically() {
+    use emst::datasets::Kind;
+    use emst::serve::net::load_points;
+
+    for kind in Kind::ALL {
+        let path = tmp(&format!("kind-{}.csv", kind.name()));
+        let out = bin()
+            .args(["generate", "--kind", kind.name(), "--n", "300", "--dim", "3"])
+            .args(["--seed", "11", "--output", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{kind:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let written = load_points::<3>(path.to_str().unwrap(), None).unwrap();
+        assert_eq!(written, kind.generate::<3>(300, 11), "{kind:?}");
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 #[test]
@@ -247,6 +272,10 @@ fn usage_mentions_every_command_and_flag() {
     ] {
         assert!(usage.contains(flag), "usage misses flag {flag}: {usage}");
     }
+    // `generate`'s `--kind` list names every generator kind, in order.
+    let kinds = usage.split("--kind <").nth(1).and_then(|rest| rest.split('>').next());
+    let names = emst::datasets::Kind::ALL.map(|kind| kind.name()).join("|");
+    assert_eq!(kinds, Some(names.as_str()), "usage: {usage}");
     // And the serve protocol's verbs are spelled out.
     for verb in ["subset", "knn", "stats", "metrics", "trace", "insert", "delete", "quit"] {
         assert!(usage.contains(verb), "usage misses serve verb {verb}: {usage}");
@@ -306,7 +335,7 @@ fn serve_answers_repeated_queries_from_the_cache() {
 /// UTF-8 lines included.
 #[test]
 fn serve_stdin_transcript_equals_the_respond_oracle_byte_for_byte() {
-    use emst::serve::net::respond;
+    use emst::serve::net::{load_points, respond};
     use emst::serve::{NetSession, ServeConfig, ServeEngine};
     use std::io::Write as _;
     use std::process::Stdio;
@@ -355,7 +384,8 @@ fn serve_stdin_transcript_equals_the_respond_oracle_byte_for_byte() {
     let out = child.wait_with_output().unwrap();
     assert!(out.status.success(), "serve failed: {}", String::from_utf8_lossy(&out.stderr));
 
-    let cloud = Arc::new(emst::datasets::load_csv::<2>(&pts).unwrap());
+    // The oracle reads the cloud through the loader the CLI itself uses.
+    let cloud = Arc::new(load_points::<2>(pts.to_str().unwrap(), None).unwrap());
     let engine = ServeEngine::<_, 2>::new(emst::exec::Threads, ServeConfig::new(4, 4));
     engine.ingest(&cloud);
     let mut session = NetSession::new(cloud);

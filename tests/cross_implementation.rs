@@ -16,17 +16,6 @@ use proptest::prelude::*;
 /// The shard counts the sharded solver is cross-checked at everywhere.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 
-const ALL_KINDS: [Kind; 8] = [
-    Kind::Uniform,
-    Kind::Normal,
-    Kind::VisualVar,
-    Kind::HaccLike,
-    Kind::GeoLifeLike,
-    Kind::NgsimLike,
-    Kind::PortoTaxiLike,
-    Kind::RoadNetworkLike,
-];
-
 fn check_all_impls<const D: usize>(points: &[Point<D>], label: &str) {
     let n = points.len();
     let reference = SingleTreeBoruvka::new(points).run(&Serial, &EmstConfig::default());
@@ -55,7 +44,7 @@ fn check_all_impls<const D: usize>(points: &[Point<D>], label: &str) {
 
 #[test]
 fn all_archetypes_2d_agree_across_implementations() {
-    for kind in ALL_KINDS {
+    for kind in Kind::ALL {
         let points: Vec<Point<2>> = kind.generate(700, 0x2D);
         check_all_impls(&points, &format!("{kind:?}/2D"));
     }
@@ -63,7 +52,7 @@ fn all_archetypes_2d_agree_across_implementations() {
 
 #[test]
 fn all_archetypes_3d_agree_across_implementations() {
-    for kind in ALL_KINDS {
+    for kind in Kind::ALL {
         let points: Vec<Point<3>> = kind.generate(500, 0x3D);
         check_all_impls(&points, &format!("{kind:?}/3D"));
     }
@@ -123,7 +112,7 @@ fn check_sharded_matches_monolithic<const D: usize>(points: &[Point<D>], label: 
 
 #[test]
 fn sharded_matches_monolithic_on_all_generators_2d() {
-    for kind in ALL_KINDS {
+    for kind in Kind::ALL {
         let points: Vec<Point<2>> = kind.generate(2000, 0x5A);
         check_sharded_matches_monolithic(&points, &format!("{kind:?}/2D"));
     }
@@ -131,7 +120,7 @@ fn sharded_matches_monolithic_on_all_generators_2d() {
 
 #[test]
 fn sharded_matches_monolithic_on_all_generators_3d() {
-    for kind in ALL_KINDS {
+    for kind in Kind::ALL {
         let points: Vec<Point<3>> = kind.generate(2000, 0x5B);
         check_sharded_matches_monolithic(&points, &format!("{kind:?}/3D"));
     }

@@ -8,24 +8,13 @@
 //! (so no carried state can leak into iteration 1).
 
 use emst::core::{BoruvkaScratch, Edge, EdgeSelection, EmstConfig, SingleTreeBoruvka};
-use emst::datasets::{generate_2d, generate_3d, DatasetSpec, Kind};
+use emst::datasets::Kind;
 use emst::exec::{ChaosSerial, GpuSim, Serial, Threads};
 use emst::geometry::{Euclidean, Metric, MutualReachability, Point};
 use emst::hdbscan::core_distances_sq;
 
 const N: usize = 2000;
 const SEED: u64 = 2022;
-
-const KINDS: [Kind; 8] = [
-    Kind::Uniform,
-    Kind::Normal,
-    Kind::VisualVar,
-    Kind::HaccLike,
-    Kind::GeoLifeLike,
-    Kind::NgsimLike,
-    Kind::PortoTaxiLike,
-    Kind::RoadNetworkLike,
-];
 
 /// `(kind, dimension, [Euclidean, MRD k = 2, MRD k = 5])` edge digests.
 const GOLDEN: &[(Kind, usize, [u64; 3])] = &[
@@ -93,14 +82,14 @@ fn all_digests<const D: usize, M: Metric>(
 }
 
 /// Checks every kind in dimension `D` against [`GOLDEN`].
-fn check_dimension<const D: usize>(generate: fn(&DatasetSpec) -> Vec<Point<D>>) {
+fn check_dimension<const D: usize>() {
     let mut failures = vec![];
-    for (idx, &kind) in KINDS.iter().enumerate() {
-        let points = generate(&DatasetSpec { kind, n: N, seed: SEED });
-        // A larger cloud of another kind solved just before, through the
-        // same scratch pool.
-        let other = KINDS[(idx + 1) % KINDS.len()];
-        let primer = generate(&DatasetSpec { kind: other, n: 3 * N / 2, seed: SEED + 1 });
+    for (idx, &kind) in Kind::ALL.iter().enumerate() {
+        let points = kind.generate::<D>(N, SEED);
+        // A larger cloud of the next kind in `Kind::ALL` solved just
+        // before, through the same scratch pool.
+        let other = Kind::ALL[(idx + 1) % Kind::ALL.len()];
+        let primer = other.generate::<D>(3 * N / 2, SEED + 1);
         let core2 = core_distances_sq(&Serial, &points, 2);
         let core5 = core_distances_sq(&Serial, &points, 5);
         let digests = [
@@ -122,10 +111,10 @@ fn check_dimension<const D: usize>(generate: fn(&DatasetSpec) -> Vec<Point<D>>) 
 
 #[test]
 fn golden_digests_2d() {
-    check_dimension::<2>(generate_2d);
+    check_dimension::<2>();
 }
 
 #[test]
 fn golden_digests_3d() {
-    check_dimension::<3>(generate_3d);
+    check_dimension::<3>();
 }

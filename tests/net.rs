@@ -15,7 +15,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use emst::datasets::{generate_2d, DatasetSpec};
+use emst::datasets::Kind;
 use emst::exec::Serial;
 use emst::geometry::Point;
 use emst::serve::net::{respond, MAX_LINE_BYTES};
@@ -26,7 +26,7 @@ type Engine = ServeEngine<Serial, 2>;
 type Server = ServeServer<Serial, 2>;
 
 fn cloud(n: usize, seed: u64) -> Arc<Vec<Point<2>>> {
-    Arc::new(generate_2d(&DatasetSpec::uniform(n, seed)))
+    Arc::new(Kind::Uniform.generate::<2>(n, seed))
 }
 
 /// A fresh engine with the cloud ingested — the same construction for the
@@ -106,7 +106,7 @@ fn concurrent_clients_match_the_in_process_oracle_bit_for_bit() {
 /// straggler that missed the flight window may see differently).
 #[test]
 fn same_key_storm_coalesces_and_all_clients_get_identical_bytes() {
-    let pts = Arc::new(generate_2d(&DatasetSpec::hacc_like(4000, 3)));
+    let pts = Arc::new(Kind::HaccLike.generate::<2>(4000, 3));
     let server = server(&pts, NetConfig { workers: 12, max_pending: 64 });
     assert_eq!(server.engine().stats().query_coalesced, 0);
 
@@ -177,7 +177,7 @@ fn over_capacity_connections_get_an_honest_overloaded_line() {
 /// queued-but-unstarted connection gets the honest line instead of a hang.
 #[test]
 fn graceful_shutdown_drains_in_flight_and_answers_queued_connections() {
-    let pts = Arc::new(generate_2d(&DatasetSpec::hacc_like(3000, 9)));
+    let pts = Arc::new(Kind::HaccLike.generate::<2>(3000, 9));
     let server = server(&pts, NetConfig { workers: 1, max_pending: 4 });
 
     let mut c0 = connect(&server);

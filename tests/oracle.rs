@@ -11,7 +11,7 @@
 use emst::core::brute::brute_force_emst;
 use emst::core::edge::{verify_spanning_tree, weight_multiset};
 use emst::core::{EmstConfig, SingleTreeBoruvka};
-use emst::datasets::{generate_2d, generate_3d, DatasetSpec, Kind};
+use emst::datasets::Kind;
 use emst::exec::{Serial, Threads};
 use emst::geometry::Point;
 use proptest::prelude::*;
@@ -35,7 +35,7 @@ proptest! {
         seed in 0u64..10_000,
         kind in prop::sample::select(vec![Kind::Uniform, Kind::Normal, Kind::VisualVar]),
     ) {
-        let pts = generate_2d(&DatasetSpec { kind, n, seed });
+        let pts = kind.generate::<2>(n, seed);
         prop_assert_eq!(single_tree_multiset(&pts), oracle_multiset(&pts));
     }
 
@@ -45,7 +45,7 @@ proptest! {
         seed in 0u64..10_000,
         kind in prop::sample::select(vec![Kind::Uniform, Kind::HaccLike, Kind::NgsimLike]),
     ) {
-        let pts = generate_3d(&DatasetSpec { kind, n, seed });
+        let pts = kind.generate::<3>(n, seed);
         prop_assert_eq!(single_tree_multiset(&pts), oracle_multiset(&pts));
     }
 }
@@ -53,7 +53,7 @@ proptest! {
 #[test]
 fn empty_and_singleton_inputs_yield_empty_trees() {
     for n in [0usize, 1] {
-        let pts: Vec<Point<2>> = generate_2d(&DatasetSpec::uniform(n, 1));
+        let pts: Vec<Point<2>> = Kind::Uniform.generate(n, 1);
         assert_eq!(pts.len(), n);
         let r = SingleTreeBoruvka::new(&pts).run(&Serial, &EmstConfig::default());
         assert!(r.edges.is_empty());

@@ -11,7 +11,7 @@ use std::time::Duration;
 use emst::core::brute::brute_force_emst;
 use emst::core::edge::{verify_spanning_tree, weight_multiset};
 use emst::core::Edge;
-use emst::datasets::{generate_2d, DatasetSpec, Kind};
+use emst::datasets::Kind;
 use emst::exec::{ExecSpace, GpuSim, Serial, Threads};
 use emst::geometry::Point;
 use emst::hdbscan::Hdbscan;
@@ -20,7 +20,7 @@ use emst::shard::{emst_sharded_with, ShardConfig};
 use proptest::prelude::*;
 
 fn cloud(n: usize, seed: u64) -> Vec<Point<2>> {
-    generate_2d(&DatasetSpec::hacc_like(n, seed))
+    Kind::HaccLike.generate::<2>(n, seed)
 }
 
 fn check_warm_equals_cold<S: ExecSpace>(engine_space: S, anchor_space: &S) {
