@@ -13,7 +13,9 @@
 //!               [--incremental-shards 16]
 //! ```
 //!
-//! Without `--json` the tables are printed only. CI runs this at tiny
+//! Without `--json` the tables are printed only; a failed write to stdout
+//! (a reader that closed the pipe) exits with status 1 and one
+//! `perf_snapshot: stdout: …` line on stderr. CI runs this at tiny
 //! sizes as a schema/harness smoke test and uploads the JSON artifact.
 //! `--concurrent-workers` drives the shared-engine warm-throughput grid
 //! (the first count is the scaling baseline, so keep `1` first); its
@@ -37,6 +39,7 @@
 //! update, so coarse shardings cap the speedup), so it is measured at a
 //! finer sharding than the cold/warm grid's sweep.
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -45,6 +48,7 @@ use emst_bench::snapshot::{
     measure_serving_cell, measure_serving_concurrent, measure_serving_network, measure_summary,
     Snapshot, SERVING_GENERATORS,
 };
+use emst_bench::to_stdout;
 
 struct Args {
     json: Option<PathBuf>,
@@ -128,15 +132,35 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let snap = match to_stdout(|out| run(out, &args)) {
+        Ok(snap) => snap,
+        Err(e) => {
+            eprintln!("perf_snapshot: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let Some(path) = &args.json {
+        if let Err(e) = snap.write(path) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+        eprintln!("wrote {}", path.display());
+    }
+    ExitCode::SUCCESS
+}
+
+/// Measures every section, writing each table to `out` as it completes.
+fn run(out: &mut dyn Write, args: &Args) -> io::Result<Snapshot> {
     let repeats = args.repeats;
     let sizes = &args.serving_sizes;
     // The serving grids past the cold/warm sweep run at its last count.
     let shards = *args.serving_shards.last().expect("checked non-empty");
     let mut snap = Snapshot { repeats, sections: vec![] };
 
-    println!("# perf_snapshot: summary n = {}, repeats = {repeats}", args.summary_n);
-    snap.section("summary", "fig1-style summary", measure_summary(args.summary_n, repeats));
+    writeln!(out, "# perf_snapshot: summary n = {}, repeats = {repeats}", args.summary_n)?;
+    snap.section(out, "summary", "fig1-style summary", measure_summary(args.summary_n, repeats))?;
     snap.section(
+        out,
         "serving",
         &format!(
             "serving ablation (cold vs warm full-EMST query, K in {:?}, Threads backend)",
@@ -150,8 +174,9 @@ fn main() -> ExitCode {
                 })
             })
             .collect(),
-    );
+    )?;
     snap.section(
+        out,
         "serving_concurrent",
         &format!(
             "concurrent serving (warm throughput, shared engine, Serial per query, workers {:?})",
@@ -161,22 +186,25 @@ fn main() -> ExitCode {
             let workers = &args.concurrent_workers;
             measure_serving_concurrent(g, kind, n, shards, workers, args.concurrent_queries)
         }),
-    );
+    )?;
     snap.section(
+        out,
         "observability",
         "observability overhead (warm query, instrumentation on vs off, budget <= 5%)",
         grid(&SERVING_GENERATORS, sizes, |g, kind, n| {
             [measure_observability(g, kind, n, shards, repeats)]
         }),
-    );
+    )?;
     snap.section(
+        out,
         "fault_tolerance",
         "fault tolerance (reload of an evicted cloud: artifact restore vs rebuild)",
         grid(&SERVING_GENERATORS, sizes, |g, kind, n| {
             [measure_fault_tolerance(g, kind, n, shards, repeats)]
         }),
-    );
+    )?;
     snap.section(
+        out,
         "serving_network",
         &format!(
             "network serving (warm wire latency vs in-process, {} clients storm)",
@@ -185,8 +213,9 @@ fn main() -> ExitCode {
         grid(&SERVING_GENERATORS, sizes, |g, kind, n| {
             [measure_serving_network(g, kind, n, shards, args.net_clients, args.net_requests)]
         }),
-    );
+    )?;
     snap.section(
+        out,
         "incremental",
         &format!(
             "incremental updates (1% clustered insert delta-solve vs cold rebuild, K = {})",
@@ -195,14 +224,6 @@ fn main() -> ExitCode {
         grid(&SERVING_GENERATORS, sizes, |g, kind, n| {
             [measure_incremental(g, kind, n, args.incremental_shards, repeats)]
         }),
-    );
-
-    if let Some(path) = &args.json {
-        if let Err(e) = snap.write(path) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
-    }
-    ExitCode::SUCCESS
+    )?;
+    Ok(snap)
 }

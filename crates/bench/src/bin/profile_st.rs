@@ -8,16 +8,20 @@
 //! `kind` is a [`Kind::name`] ∈ {uniform, normal, visualvar, hacc,
 //! geolife, ngsim, porto, road} (default hacc), `n` a point count (default
 //! 300000). 3D points. An unknown kind, a malformed `n` or a third
-//! argument exits with status 2 and a message naming it.
+//! argument exits with status 2 and a message naming it; a failed write
+//! to stdout (a reader that closed the pipe) exits with status 1 and one
+//! `profile_st: stdout: …` line on stderr.
 
-use std::process::exit;
+use std::io::{self, Write};
+use std::process::{exit, ExitCode};
 
+use emst_bench::to_stdout;
 use emst_core::{EmstConfig, SingleTreeBoruvka};
 use emst_datasets::Kind;
 use emst_exec::Serial;
 use emst_geometry::Point;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fail = |message: String| -> ! {
         eprintln!("profile_st: {message}\nusage: profile_st [kind] [n]");
@@ -35,25 +39,37 @@ fn main() {
         Some(v) => v.parse().unwrap_or_else(|_| fail(format!("invalid n {v:?}"))),
         None => 300_000,
     };
+    match to_stdout(|out| profile(out, kind, n)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("profile_st: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
+fn profile(out: &mut dyn Write, kind: Kind, n: usize) -> io::Result<()> {
     let points: Vec<Point<3>> = kind.generate(n, 0xF);
     let r = SingleTreeBoruvka::new(&points).run(&Serial, &EmstConfig::default());
-    println!("single-tree ({kind:?}, n = {n}):");
+    writeln!(out, "single-tree ({kind:?}, n = {n}):")?;
     for (name, secs) in r.timings.iter() {
-        println!("  {name:<22} {secs:.3}s");
+        writeln!(out, "  {name:<22} {secs:.3}s")?;
     }
-    println!("  iterations: {}", r.iterations);
+    writeln!(out, "  iterations: {}", r.iterations)?;
     let w = r.work;
-    println!(
+    writeln!(
+        out,
         "  dist {} nodes {} leaves {} skipped {} queries {}",
         w.distance_computations, w.node_visits, w.leaf_visits, w.subtrees_skipped, w.queries
-    );
+    )?;
     let d = emst_kdtree::dual_tree_emst(&points);
-    println!(
+    writeln!(
+        out,
         "dual-tree: tree {:.3}s mst {:.3}s dist {}",
         d.timings.get("tree"),
         d.timings.get("mst"),
         d.distance_computations
-    );
+    )?;
     assert!((r.total_weight - d.total_weight).abs() / r.total_weight < 1e-6);
+    Ok(())
 }

@@ -15,10 +15,21 @@
 
 pub mod snapshot;
 
+use std::io::{self, Write};
+
 use emst_core::{EmstConfig, SingleTreeBoruvka};
 use emst_datasets::PointCloud;
 use emst_exec::{DeviceModel, ExecSpace, GpuSim, Serial, Threads};
 use emst_geometry::Point;
+
+/// Runs a bench binary's `body` against a locked stdout, flushed at the
+/// end. A failed write (a reader that closed the pipe early, say) comes
+/// back as `stdout: <error>` for the binary to report and exit on, where
+/// `println!` would panic.
+pub fn to_stdout<T>(body: impl FnOnce(&mut dyn Write) -> io::Result<T>) -> Result<T, String> {
+    let mut out = io::stdout().lock();
+    body(&mut out).and_then(|t| out.flush().map(|()| t)).map_err(|e| format!("stdout: {e}"))
+}
 
 /// The dataset scale factor (`EMST_BENCH_SCALE`, default 0.2).
 pub fn bench_scale() -> f64 {

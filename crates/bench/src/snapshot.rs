@@ -13,6 +13,7 @@
 //! against [`SECTIONS`].
 
 use std::fmt;
+use std::io::{self, Write};
 use std::path::Path;
 
 use emst_core::{EmstConfig, SingleTreeBoruvka};
@@ -35,7 +36,7 @@ pub const SECTIONS: [(&str, &[&str]); 7] = [
     ("observability", &["generator", "n", "shards", "warm_observed_s", "warm_raw_s",
         "overhead_pct"]),
     ("fault_tolerance", &["generator", "n", "shards", "restore_reload_s", "rebuild_reload_s",
-        "restore_speedup"]),
+        "restore_speedup", "spill_write_s"]),
     ("serving_network", &["generator", "n", "shards", "clients", "requests", "warm_net_s",
         "warm_inproc_s", "wire_overhead", "coalesced"]),
     ("incremental", &["generator", "n", "shards", "mutated", "dirty_shards", "update_s",
@@ -184,9 +185,9 @@ impl fmt::Display for Cell {
     }
 }
 
-/// Prints `cells` under `# title` as one table with a column per
+/// Writes `cells` to `out` under `# title` as one table with a column per
 /// (flattened) key; a cell without a column's key shows `-`.
-fn print_table(title: &str, cells: &[Cell]) {
+fn print_table(out: &mut dyn Write, title: &str, cells: &[Cell]) -> io::Result<()> {
     let rows: Vec<Vec<(String, String)>> = cells
         .iter()
         .map(|c| {
@@ -208,8 +209,8 @@ fn print_table(title: &str, cells: &[Cell]) {
     table.extend(rows.iter().map(|row| keys.iter().map(|key| lookup(row, key)).collect()));
     let widths: Vec<usize> =
         (0..keys.len()).map(|j| table.iter().map(|r| r[j].len()).max().unwrap_or(0)).collect();
-    println!();
-    println!("# {title}");
+    writeln!(out)?;
+    writeln!(out, "# {title}")?;
     for row in &table {
         // The first column (the row's label) reads best left-aligned.
         let padded: Vec<String> = row
@@ -218,8 +219,9 @@ fn print_table(title: &str, cells: &[Cell]) {
             .enumerate()
             .map(|(j, (t, &w))| if j == 0 { format!("{t:<w$}") } else { format!("{t:>w$}") })
             .collect();
-        println!("{}", padded.join("  "));
+        writeln!(out, "{}", padded.join("  "))?;
     }
+    Ok(())
 }
 
 /// A complete snapshot, ready to serialize.
@@ -233,11 +235,18 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Prints `cells` as a table under `# title` and files them under
-    /// section `name`.
-    pub fn section(&mut self, name: &'static str, title: &str, cells: Vec<Cell>) {
-        print_table(title, &cells);
+    /// Writes `cells` to `out` as a table under `# title` and files them
+    /// under section `name`.
+    pub fn section(
+        &mut self,
+        out: &mut dyn Write,
+        name: &'static str,
+        title: &str,
+        cells: Vec<Cell>,
+    ) -> io::Result<()> {
+        print_table(out, title, &cells)?;
         self.sections.push((name, cells));
+        Ok(())
     }
 
     /// Serializes to the documented `emst-bench-snapshot/2` JSON. Panics
@@ -465,10 +474,13 @@ pub fn measure_observability(
 /// evict-then-reload cycles on two engines that differ only in
 /// `ServeConfig::spill_artifacts`. Each cycle evicts the measured cloud
 /// by querying a decoy through the single residency slot, then times the
-/// by-key reload. Panics if any reloaded answer is not bit-identical to
-/// the reference, if the restoring engine reports build work (it must
-/// deserialize, not rebuild), or if the rebuilding engine reports none —
-/// a mislabeled path would make the speedup meaningless.
+/// by-key reload; the restoring engine's `emst_serve_spill_write_seconds`
+/// histogram also times the eviction's artifact spill write. Panics if
+/// any reloaded answer is not bit-identical to the reference, if the
+/// restoring engine reports build work (it must deserialize, not re-solve;
+/// its shard-tree rebuilds are not Borůvka work), or if the rebuilding
+/// engine reports none — a mislabeled path would make the speedup
+/// meaningless.
 pub fn measure_fault_tolerance(
     generator: &str,
     kind: Kind,
@@ -489,11 +501,21 @@ pub fn measure_fault_tolerance(
     assert_eq!(rebuilding.emst(&points).edges, reference, "engines must agree before eviction");
     let key_restore = restoring.key(&points);
     let key_rebuild = rebuilding.key(&points);
+    let spill_write = restoring
+        .obs_registry()
+        .expect("observability is on by default")
+        .histogram("emst_serve_spill_write_seconds");
 
     let mut restore_s = vec![];
     let mut rebuild_s = vec![];
+    let mut spill_write_s = vec![];
     for _ in 0..repeats {
+        let before = spill_write.snapshot();
         restoring.emst(&decoy); // evict `points` into its artifact spill
+        let after = spill_write.snapshot();
+        let writes = after.count - before.count;
+        assert_eq!(writes, 1, "the decoy must evict exactly the measured cloud");
+        spill_write_s.push((after.sum_seconds() - before.sum_seconds()) / writes as f64);
         let t = std::time::Instant::now();
         let resp = restoring.emst_by_key(key_restore).expect("fault-free restore reload");
         restore_s.push(t.elapsed().as_secs_f64());
@@ -524,6 +546,7 @@ pub fn measure_fault_tolerance(
         .with("restore_reload_s", restore_s)
         .with("rebuild_reload_s", rebuild_s)
         .with("restore_speedup", rebuild_s / restore_s)
+        .with("spill_write_s", median(&mut spill_write_s))
 }
 
 /// Measures one network serving cell: warm full-EMST request latency
@@ -796,19 +819,20 @@ mod tests {
     #[test]
     fn snapshot_serializes_valid_shape() {
         let mut snap = Snapshot { repeats: 1, sections: vec![] };
-        snap.section("summary", "summary", measure_summary(400, 1));
+        let mut section = |name, cells| snap.section(&mut io::sink(), name, name, cells).unwrap();
+        section("summary", measure_summary(400, 1));
         let serving = measure_serving_cell("uniform", Kind::Uniform, 600, 3, 1);
-        snap.section("serving", "serving", vec![serving]);
+        section("serving", vec![serving]);
         let concurrent = measure_serving_concurrent("uniform", Kind::Uniform, 600, 3, &[1, 2], 2);
-        snap.section("serving_concurrent", "concurrent", concurrent);
+        section("serving_concurrent", concurrent);
         let obs = measure_observability("uniform", Kind::Uniform, 600, 3, 1);
-        snap.section("observability", "observability", vec![obs]);
+        section("observability", vec![obs]);
         let ft = measure_fault_tolerance("uniform", Kind::Uniform, 600, 3, 1);
-        snap.section("fault_tolerance", "fault tolerance", vec![ft]);
+        section("fault_tolerance", vec![ft]);
         let net = measure_serving_network("uniform", Kind::Uniform, 600, 3, 2, 2);
-        snap.section("serving_network", "network", vec![net]);
+        section("serving_network", vec![net]);
         let inc = measure_incremental("uniform", Kind::Uniform, 600, 3, 1);
-        snap.section("incremental", "incremental", vec![inc]);
+        section("incremental", vec![inc]);
         let json = snap.to_json();
         assert!(json.contains("\"schema\": \"emst-bench-snapshot/2\""));
         assert!(json.contains("\"speedup_warm\""));
@@ -860,6 +884,7 @@ mod tests {
         assert!(cell.num("restore_reload_s") > 0.0);
         assert!(cell.num("rebuild_reload_s") > 0.0);
         assert!(cell.num("restore_speedup").is_finite());
+        assert!(cell.num("spill_write_s") > 0.0);
     }
 
     #[test]

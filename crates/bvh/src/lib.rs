@@ -29,13 +29,11 @@
 pub mod build;
 pub mod node;
 pub mod quality;
-pub mod serial;
 pub mod traverse;
 pub mod wide;
 
 pub use build::{Bvh, MortonResolution};
 pub use node::{NodeId, INVALID_NODE};
 pub use quality::TreeQuality;
-pub use serial::DecodeError;
 pub use traverse::{NearestHit, TraversalStats};
 pub use wide::{WideBvh, WideNode};

@@ -234,13 +234,6 @@ impl<const D: usize> WideBvh<D> {
         &self.nodes
     }
 
-    /// Reassembles a collapse from previously serialized nodes (see
-    /// [`crate::serial`]); the caller is responsible for the nodes being a
-    /// faithful preorder collapse of the binary tree they ride with.
-    pub(crate) fn from_nodes(nodes: Vec<WideNode<D>>) -> Self {
-        Self { nodes }
-    }
-
     /// Number of collapsed nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {

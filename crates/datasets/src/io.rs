@@ -202,10 +202,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
     }

@@ -173,10 +173,11 @@ pub struct ServeConfig {
     /// declared non-durable; reloads probe both directories. `None` (the
     /// default) disables relocation.
     pub fallback_spill_dir: Option<PathBuf>,
-    /// Persist serialized artifacts (plan, per-shard BVHs, local MSTs,
-    /// cross bounds) alongside the points in spill files, so a reload is a
-    /// checksum-verified read instead of a rebuild. On by default; a
-    /// corrupt or absent artifact section always degrades to the
+    /// Persist serialized artifacts (plan, local MSTs, cross bounds)
+    /// alongside the points in spill files, so a reload is a
+    /// checksum-verified read plus a rebuild of each shard's BVH from its
+    /// points instead of a rebuild with every local solve. On by default;
+    /// a corrupt or absent artifact section always degrades to the
     /// deterministic rebuild, never to wrong bits.
     pub spill_artifacts: bool,
     /// Retries per spill-write attempt *per directory*, with exponential
@@ -277,7 +278,7 @@ pub struct ServeStats {
     /// would-have-been-wrong-bits event turned into a typed error.
     pub checksum_failures: u64,
     /// Reloads answered by restoring verified artifact bytes from the
-    /// spill file (no rebuild ran).
+    /// spill file (no local solve ran; only the shard trees were rebuilt).
     pub artifact_restores: u64,
     /// Reloads that fell back to the deterministic rebuild because the
     /// spill carried no intact artifact section.
@@ -1573,12 +1574,17 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
             self.count_checksum_failure(key, "artifact section corrupt");
         }
         // Artifact restore is best-effort: the blob decodes with full
-        // structural validation, and its point count must match the
-        // verified points. Anything short of that rebuilds — same bits,
-        // more work.
-        let restored = match contents.artifacts.as_deref().map(ShardArtifacts::<D>::deserialize) {
-            Some(Ok(a)) if a.num_points() == contents.points.len() => Some(a),
-            Some(Ok(_) | Err(_)) => {
+        // structural validation against the verified points (its plan must
+        // cover exactly them) before the shard trees are rebuilt from
+        // those points. Anything short of that rebuilds — same bits, more
+        // work.
+        let restored = contents
+            .artifacts
+            .as_deref()
+            .map(|bytes| ShardArtifacts::<D>::deserialize(&self.space, bytes, &contents.points));
+        let restored = match restored {
+            Some(Ok(a)) => Some(a),
+            Some(Err(_)) => {
                 self.count_checksum_failure(key, "artifact blob invalid");
                 None
             }
@@ -2785,8 +2791,8 @@ mod tests {
         assert!(fields.iter().any(|&(n, v)| n == "query_coalesced" && v == 16));
     }
 
-    /// Tentpole: an evicted cloud reloads by *restoring* its serialized
-    /// artifacts — no rebuild runs, and the answers are bit-identical.
+    /// An evicted cloud reloads by *restoring* its serialized artifacts —
+    /// no local solve runs, and the answers are bit-identical.
     #[test]
     fn reload_restores_artifacts_without_rebuilding() {
         let a = random_points_2d(400, 70);

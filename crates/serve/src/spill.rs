@@ -20,12 +20,15 @@
 //! |---------|---------|
 //! | `HEAD`  | `D` u32, shards u64, salt u32, `n` u64, points digest u64 |
 //! | `PNTS`  | `n · D` coordinate `f32` bit patterns, row-major |
-//! | `ARTS`  | *(optional)* serialized [`emst_shard::ShardArtifacts`] blob |
+//! | `ARTS`  | *(optional)* serialized [`emst_shard::ShardArtifacts`] blob: plan, local MSTs, merge bounds |
 //!
 //! Every section carries its own FNV-1a checksum, so a flipped bit or a
 //! short write is detected as such — never decoded into wrong points or
 //! wrong artifacts. The `ARTS` section makes reload cheap: a verified read
-//! of the artifact bytes replaces the deterministic-but-expensive rebuild.
+//! of the plan, the local MSTs and the merge bounds replaces the
+//! deterministic-but-expensive local solves. It holds no BVH bytes — each
+//! shard tree is rebuilt from the verified points on restore, which costs
+//! less than decoding and checksumming the node arrays would.
 //! Because the build *is* deterministic, artifacts are best-effort — a
 //! missing or corrupt `ARTS` section degrades to a rebuild from the
 //! (verified) points, reported via `SpillContents::artifacts` being

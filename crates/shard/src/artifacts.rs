@@ -728,15 +728,18 @@ impl<const D: usize> ShardArtifacts<D> {
     }
 
     /// Appends the durable binary encoding of these artifacts to `out` —
-    /// the plan, every local's seeds and BVH, and the precomputed merge
-    /// bounds, framed as checksummed sections (magic `EMSTART1`).
+    /// the plan, every local's seeds and the precomputed merge bounds,
+    /// framed as checksummed sections (magic `EMSTART2`).
     ///
-    /// Only state that cannot be derived from the rest is stored:
-    /// `vertex_of_rank`, the vertex→shard maps, `shard_sizes` and
-    /// `flat_seeds` are all recomputed by [`Self::deserialize`]. Build-time
-    /// accounting (`build_work`, `build_timings`) is deliberately **not**
-    /// persisted — a restore did no build work, and reporting zeros is the
-    /// honest signature the serving stats rely on.
+    /// Only state that cannot be derived from the rest and the points is
+    /// stored. The per-shard BVHs are not: a tree is a deterministic
+    /// function of its shard's points, and [`Self::deserialize`] rebuilds
+    /// it for less than decoding and checksumming its node arrays would
+    /// cost. `vertex_of_rank`, the vertex→shard maps, `shard_sizes` and
+    /// `flat_seeds` are likewise recomputed. Build-time accounting
+    /// (`build_work`, `build_timings`) is deliberately **not** persisted —
+    /// a restore runs no Borůvka solve, and reporting zeros is the honest
+    /// signature the serving stats rely on.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
         let mut blob = BlobWriter::new(ARTIFACT_MAGIC);
         let mut plan = ByteWriter::new();
@@ -761,10 +764,6 @@ impl<const D: usize> ShardArtifacts<D> {
                 locs.u32(e.v);
                 locs.f32(e.weight_sq);
             }
-            let mut bvh = vec![];
-            l.merge.bvh.serialize_into(&mut bvh);
-            locs.u64(bvh.len() as u64);
-            locs.bytes(&bvh);
         }
         blob.section(b"LOCS", &locs.into_vec());
 
@@ -779,23 +778,35 @@ impl<const D: usize> ShardArtifacts<D> {
         out.extend_from_slice(&blob.finish());
     }
 
-    /// Decodes a blob written by [`Self::serialize_into`], re-deriving all
-    /// the redundant state. Every length, id range and structural invariant
-    /// is validated — corrupt or foreign bytes yield an `InvalidData` error
-    /// (the serving layer's cue to fall back to the deterministic rebuild),
-    /// never a panic or wrong artifacts downstream.
+    /// Decodes a blob written by [`Self::serialize_into`] for the cloud
+    /// `points`, re-deriving all the redundant state: each shard's BVH is
+    /// rebuilt on `space` from its points in plan order — the same
+    /// deterministic build the local solve ran, so merges, subsets and
+    /// k-NN over the result are bit-identical to the artifacts that were
+    /// serialized. Every length, id range and structural invariant is
+    /// validated before any tree is built — corrupt or foreign bytes, or a
+    /// plan whose point count differs from `points.len()`, yield an
+    /// `InvalidData` error (the serving layer's cue to fall back to the
+    /// full rebuild), never a panic or wrong artifacts downstream.
     ///
-    /// The caller is responsible for the blob belonging to the point cloud
-    /// it will be merged against; the serving layer guarantees this by
-    /// storing artifact bytes inside the same digest-named spill file as
-    /// the points themselves.
-    pub fn deserialize(bytes: &[u8]) -> io::Result<Self> {
+    /// The caller is responsible for `points` being the cloud the blob was
+    /// serialized from; the serving layer guarantees this by storing
+    /// artifact bytes inside the same digest-named spill file as the
+    /// points themselves and verifying the points' digest first.
+    pub fn deserialize<S: ExecSpace>(
+        space: &S,
+        bytes: &[u8],
+        points: &[Point<D>],
+    ) -> io::Result<Self> {
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
         let mut blob = BlobReader::open(bytes, ARTIFACT_MAGIC)?;
 
         let plan_bytes = blob.section(b"PLAN")?;
         let mut r = ByteReader::new(plan_bytes);
         let n = r.len_capped(plan_bytes.len() / 4, "artifact plan: implausible point count")?;
+        if n != points.len() {
+            return Err(bad("artifact plan: point count differs from the cloud"));
+        }
         let k = r.len_capped(plan_bytes.len() / 8, "artifact plan: implausible shard count")?;
         if k == 0 {
             return Err(bad("artifact plan: zero shards"));
@@ -823,14 +834,14 @@ impl<const D: usize> ShardArtifacts<D> {
         let locs_bytes = blob.section(b"LOCS")?;
         let mut r = ByteReader::new(locs_bytes);
         let num_locals = r.len_capped(k, "artifact locals: more locals than shards")?;
-        let mut locals: Vec<LocalArtifact<D>> = Vec::with_capacity(num_locals);
+        let mut decoded: Vec<(usize, Vec<Edge>)> = Vec::with_capacity(num_locals);
         let mut local_iterations = Vec::with_capacity(num_locals);
         for _ in 0..num_locals {
             let shard = r.u32()? as usize;
             if shard >= k || shard_sizes[shard] == 0 {
                 return Err(bad("artifact locals: local for an empty or out-of-range shard"));
             }
-            if locals.iter().any(|l: &LocalArtifact<D>| l.shard == shard) {
+            if decoded.iter().any(|&(s, _)| s == shard) {
                 return Err(bad("artifact locals: duplicate shard"));
             }
             local_iterations.push(r.u32()?);
@@ -845,23 +856,16 @@ impl<const D: usize> ShardArtifacts<D> {
                 }
                 seeds.push(Edge::new(u, v, w));
             }
-            let blob_len = r.len_capped(r.remaining(), "artifact locals: bvh blob length")?;
-            let bvh = Bvh::<D>::deserialize(r.take(blob_len)?)
-                .map_err(|e| bad(&format!("artifact locals: {e}")))?;
-            if bvh.num_leaves() != shard_sizes[shard] {
-                return Err(bad("artifact locals: bvh leaf count disagrees with the plan"));
-            }
-            let merge = MergeShard::from_bvh(bvh, plan.shard_indices(shard));
-            locals.push(LocalArtifact { shard, merge, seeds });
+            decoded.push((shard, seeds));
         }
         r.done()?;
-        if locals.len() != (0..k).filter(|&s| shard_sizes[s] > 0).count() {
+        if decoded.len() != (0..k).filter(|&s| shard_sizes[s] > 0).count() {
             return Err(bad("artifact locals: missing a non-empty shard's local"));
         }
 
         let bnds_bytes = blob.section(b"BNDS")?;
         blob.done()?;
-        let stride = locals.len();
+        let stride = decoded.len();
         let expect = n
             .checked_mul(stride)
             .and_then(|c| c.checked_add(n))
@@ -880,21 +884,28 @@ impl<const D: usize> ShardArtifacts<D> {
             reach.push(r.f32()?);
         }
         r.done()?;
+
+        // Every byte is verified: rebuild the trees. The plan is a
+        // permutation and every non-empty shard has exactly one local, so
+        // the rank maps cover every vertex once.
+        let locals: Vec<LocalArtifact<D>> = decoded
+            .into_iter()
+            .map(|(shard, seeds)| {
+                let ids = plan.shard_indices(shard);
+                let pts: Vec<Point<D>> = ids.iter().map(|&i| points[i as usize]).collect();
+                LocalArtifact { shard, merge: MergeShard::build(space, &pts, ids), seeds }
+            })
+            .collect();
         // shard_of / rank_of are derived from the rank maps (local index,
         // not plan shard index — mirroring CrossBounds::compute, which the
         // merge's cross_dist indexing depends on).
         let mut shard_of = vec![0u32; n];
         let mut rank_of = vec![0u32; n];
-        let mut covered = vec![false; n];
         for (s, l) in locals.iter().enumerate() {
             for (rank, &v) in l.merge.vertex_of_rank.iter().enumerate() {
                 shard_of[v as usize] = s as u32;
                 rank_of[v as usize] = rank as u32;
-                covered[v as usize] = true;
             }
-        }
-        if n > 0 && !covered.iter().all(|&c| c) {
-            return Err(bad("artifact locals: rank maps do not cover every vertex"));
         }
         let bounds = CrossBounds { shard_of, rank_of, cross_dist, reach };
         let flat_seeds = locals.iter().flat_map(|l| l.seeds.iter().copied()).collect();
@@ -927,7 +938,7 @@ pub struct UpdateReport {
 }
 
 /// Magic of the serialized-artifact blob ([`ShardArtifacts::serialize_into`]).
-pub const ARTIFACT_MAGIC: &[u8; 8] = b"EMSTART1";
+pub const ARTIFACT_MAGIC: &[u8; 8] = b"EMSTART2";
 
 #[cfg(test)]
 mod tests {
@@ -944,6 +955,62 @@ mod tests {
         (0..n)
             .map(|_| Point::new([rng.random_range(-1.0f32..1.0), rng.random_range(-1.0f32..1.0)]))
             .collect()
+    }
+
+    /// Every stored field of `bvh` as raw bits (coordinates through
+    /// `to_bits`, so `-0.0` and `0.0` differ): root, scene box, leaf
+    /// points, Morton order, children, parents, internal boxes and the
+    /// wide nodes.
+    fn tree_bits<const D: usize>(bvh: &Bvh<D>) -> [Vec<u32>; 8] {
+        fn coords<'a, const D: usize>(ps: impl IntoIterator<Item = &'a Point<D>>) -> Vec<u32> {
+            ps.into_iter().flat_map(|p| p.coords.map(f32::to_bits)).collect()
+        }
+        let internal = 0..bvh.num_internal() as u32;
+        let boxes: Vec<Aabb<D>> = internal.clone().map(|id| bvh.node_aabb(id)).collect();
+        let mut wide = vec![];
+        for w in bvh.wide().nodes() {
+            let corners = w.lo.iter().chain(&w.hi).flatten().chain(&w.self_lo).chain(&w.self_hi);
+            wide.extend(corners.map(|c| c.to_bits()));
+            wide.extend([w.self_bin, w.escape, w.occupied]);
+            wide.extend(w.child.iter().chain(&w.bin));
+        }
+        [
+            vec![bvh.root()],
+            coords([&bvh.scene().min, &bvh.scene().max]),
+            coords(bvh.leaf_points()),
+            bvh.morton_order().to_vec(),
+            internal.flat_map(|id| bvh.children_of(id)).collect(),
+            bvh.parents().to_vec(),
+            coords(boxes.iter().flat_map(|b| [&b.min, &b.max])),
+            wide,
+        ]
+    }
+
+    /// Serializes `artifacts`, restores them against their cloud `points`
+    /// on `Threads`, and checks that the restore holds the same trees bit
+    /// for bit, merges to the same edges and re-serializes to the same
+    /// bytes. Returns the restored artifacts.
+    fn assert_restores_bit_identically(
+        artifacts: &ShardArtifacts<2>,
+        points: &[Point<2>],
+    ) -> ShardArtifacts<2> {
+        let mut blob = vec![];
+        artifacts.serialize_into(&mut blob);
+        let restored = ShardArtifacts::<2>::deserialize(&Threads, &blob, points).unwrap();
+        assert_eq!(restored.locals.len(), artifacts.locals.len());
+        for (a, b) in artifacts.locals.iter().zip(&restored.locals) {
+            assert_eq!(a.shard, b.shard);
+            assert_eq!(tree_bits(&a.merge.bvh), tree_bits(&b.merge.bvh), "shard {}", a.shard);
+            assert_eq!(a.merge.vertex_of_rank, b.merge.vertex_of_rank);
+        }
+        assert_eq!(
+            restored.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap().edges,
+            artifacts.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap().edges
+        );
+        let mut blob2 = vec![];
+        restored.serialize_into(&mut blob2);
+        assert_eq!(blob, blob2);
+        restored
     }
 
     #[test]
@@ -1055,7 +1122,20 @@ mod tests {
         let built = ShardArtifacts::build(&Serial, &pts, &ShardConfig::new(6));
         let mut blob = vec![];
         built.serialize_into(&mut blob);
-        let restored = ShardArtifacts::<2>::deserialize(&blob).unwrap();
+        // The blob holds the plan, the seeds and the bounds, and no tree
+        // bytes: magic, three framed sections (tag, length, checksum),
+        // then PLAN (n, K, order, K + 1 cuts), LOCS (count, then shard,
+        // iterations, seed count and 12-byte seeds per local) and BNDS
+        // (one f32 per vertex and local, plus one reach per vertex).
+        let (n, k, locals) = (pts.len(), built.plan().num_shards(), built.locals.len());
+        let seeds: usize = built.locals.iter().map(|l| l.seeds.len()).sum();
+        let plan = 8 + 8 + 4 * n + 8 * (k + 1);
+        let locs = 8 + 16 * locals + 12 * seeds;
+        let bnds = 4 * (n * locals + n);
+        assert_eq!(blob.len(), 8 + 3 * (4 + 8 + 8) + plan + locs + bnds);
+        // Restoring on another backend rebuilds every shard tree bit for
+        // bit (and checks the rest of the round trip).
+        let restored = assert_restores_bit_identically(&built, &pts);
 
         // Restored state mirrors the build, minus the build accounting.
         assert_eq!(restored.num_points(), built.num_points());
@@ -1093,12 +1173,15 @@ mod tests {
         let built = ShardArtifacts::build(&Serial, &pts, &ShardConfig::new(3));
         let mut blob = vec![];
         built.serialize_into(&mut blob);
-        assert!(ShardArtifacts::<2>::deserialize(&[]).is_err());
+        let decode = |bytes: &[u8], points: &[Point<2>]| {
+            ShardArtifacts::<2>::deserialize(&Serial, bytes, points)
+        };
+        assert!(decode(&[], &pts).is_err());
         for cut in [7usize, 12, blob.len() / 2, blob.len() - 1] {
-            assert!(ShardArtifacts::<2>::deserialize(&blob[..cut]).is_err(), "cut={cut}");
+            assert!(decode(&blob[..cut], &pts).is_err(), "cut={cut}");
         }
         // A flipped byte anywhere is caught (section checksums), including
-        // deep inside the BVH bytes.
+        // deep inside the seeds and the bounds.
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..40 {
             let i = rng.random_range(0..blob.len());
@@ -1107,7 +1190,13 @@ mod tests {
             if bad == blob {
                 continue;
             }
-            assert!(ShardArtifacts::<2>::deserialize(&bad).is_err(), "flip at {i}");
+            assert!(decode(&bad, &pts).is_err(), "flip at {i}");
+        }
+        // A cloud of the wrong size cannot have its trees rebuilt from the
+        // plan: an error, not a panic.
+        for wrong in [&pts[..119], &random_points_2d(121, 23)[..]] {
+            let err = decode(&blob, wrong).err().expect("wrong-size cloud must not decode");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
     }
 
@@ -1185,15 +1274,31 @@ mod tests {
         assert_eq!(report.dirty_shards.len() + report.reused_shards, 6);
         let r = child.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
-        // The child is a first-class artifact: it serializes and restores
-        // to bit-identical merges like any built one.
-        let mut blob = vec![];
-        child.serialize_into(&mut blob);
-        let restored = ShardArtifacts::<2>::deserialize(&blob).unwrap();
+        // The child is a first-class artifact: restored against its own
+        // points, it rebuilds the trees it reused and re-solved bit for
+        // bit and merges to the same edges, like any built one.
+        let restored = assert_restores_bit_identically(&child, &np);
         assert_eq!(
             restored.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap().edges,
             r.edges
         );
+        // So is a grandchild, whose clean shards carry trees two updates
+        // old: delete a few of the parent's points from the child.
+        let (np2, parent_of2) = with_deletes(&np, &[5, 90, 211]);
+        let (grandchild, report) = child
+            .apply_update(
+                &Serial,
+                &np,
+                &np2,
+                &parent_of2,
+                &ShardConfig::new(6),
+                &mut scratch,
+                None,
+                None,
+            )
+            .unwrap();
+        assert!(!report.full_rebuild && report.reused_shards > 0);
+        assert_restores_bit_identically(&grandchild, &np2);
     }
 
     #[test]
@@ -1225,6 +1330,8 @@ mod tests {
         let r = child.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
         assert_eq!(r.edges.len(), np.len() - 1);
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
+        // A delete child restores against its own points bit for bit.
+        assert_restores_bit_identically(&child, &np);
     }
 
     #[test]
@@ -1330,15 +1437,14 @@ mod tests {
     #[test]
     fn solved_shards_keep_the_tree_a_fresh_build_makes() {
         fn check<S: ExecSpace>(space: &S, pts: &[Point<2>], ids: &[u32]) {
-            let bytes = |shard: &MergeShard<2>| {
-                let mut out = Vec::new();
-                shard.bvh.serialize_into(&mut out);
-                out
-            };
             let (kept, seeds, iterations, _) =
                 solve_local(space, pts, ids, &mut BoruvkaScratch::new());
             let fresh = MergeShard::build(space, pts, ids);
-            assert_eq!(bytes(&kept), bytes(&fresh), "the solver's tree is the merge tree");
+            assert_eq!(
+                tree_bits(&kept.bvh),
+                tree_bits(&fresh.bvh),
+                "the solver's tree is the merge tree"
+            );
             assert_eq!(kept.vertex_of_rank, fresh.vertex_of_rank);
             assert_eq!(seeds.len(), pts.len() - 1);
             assert!(iterations > 0);
