@@ -378,8 +378,8 @@ pub fn measure_serving_concurrent(
     use emst_serve::{ServeConfig, ServeEngine};
     let points: Vec<Point<2>> = kind.generate(n, 0xC0C);
     let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(shards, 2));
-    // Warm twice: the second query runs against the merged-back
-    // accelerator, so the timed loop measures the steady state.
+    // Warm twice: the first query builds, the second sizes the pooled
+    // merge scratch, so the timed loop measures the steady state.
     let reference = engine.emst(&points).edges;
     assert_eq!(engine.emst(&points).edges, reference);
     let host_cpus = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
@@ -440,7 +440,7 @@ pub fn measure_observability(
     let raw_config = ServeConfig { observability: false, ..ServeConfig::new(shards, 1) };
     let raw = ServeEngine::<_, 2>::new(Threads, raw_config);
     // Warm both engines twice so the timed loop measures the steady state
-    // (second query runs against the merged-back accelerator).
+    // (the second query sizes the pooled merge scratch).
     let reference = raw.emst(&points).edges;
     raw.emst(&points);
     assert_eq!(observed.emst(&points).edges, reference, "instrumentation must not perturb bits");

@@ -2,7 +2,7 @@
 //!
 //! A [`QueryTrace`] is the phase breakdown of one served query: an
 //! ordered list of [`SpanRecord`]s (digest, lease wait, local build,
-//! each cross-shard merge round, accel absorb, spill, …), each with a
+//! each cross-shard merge round, spill, …), each with a
 //! duration and a small set of integer fields (queries answered in a
 //! merge round, distance computations, boundary candidates, …). Fields
 //! are generic `(&'static str, u64)` pairs so this crate stays free of
@@ -19,7 +19,7 @@ use std::sync::Mutex;
 /// One timed phase inside a query.
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
-    /// Phase name (`digest`, `lease.wait`, `merge.round`, `absorb`, …).
+    /// Phase name (`digest`, `lease.wait`, `merge.round`, `update`, …).
     pub name: &'static str,
     /// Wall-clock duration of the phase, seconds.
     pub secs: f64,

@@ -9,10 +9,8 @@
 //!
 //! - the Morton-range [`emst_shard::ShardPlan`],
 //! - every shard's BVH (with its 4-wide rope-linked collapse) and local
-//!   MST, bundled as [`emst_shard::ShardArtifacts`],
-//! - the durable cross-query merge accelerator
-//!   ([`emst_shard::MergeAccel`]: floors + candidates learned by earlier
-//!   merges of the same cloud) —
+//!   MST, and the cross-shard merge's entry bounds with round 1's answers,
+//!   bundled as [`emst_shard::ShardArtifacts`] —
 //!
 //! keyed by [`CloudKey`]: the **content digest** of the points paired with
 //! the shard count (see [`spill`] for the keying scheme). Admission is
@@ -54,7 +52,7 @@
 //! cloud *incrementally*: each changed point routes to its Morton shard
 //! under the parent's plan, only the dirty shards re-solve
 //! ([`emst_shard::ShardArtifacts::apply_update`]), clean shards keep
-//! their BVHs, local MSTs and harvested accel floors (the bounds are
+//! their BVHs, local MSTs and merge entry bounds (the bounds are
 //! label-independent geometry, so surviving rows transfer verbatim), and
 //! the exact cross-shard merge re-runs. The mutated cloud is a **new**
 //! [`CloudKey`] (content digest changes) admitted alongside the parent,
@@ -70,14 +68,11 @@
 //!
 //! - **Shared, read-mostly**: the resident list (`RwLock<Vec<Arc<_>>>`;
 //!   queries take the read lock just long enough to clone an `Arc`,
-//!   admission/eviction takes the write lock) and each resident's
-//!   immutable points + artifacts.
-//! - **Shared, write-merged**: each resident's [`emst_shard::MergeAccel`].
-//!   A query copies it out under a read lock, runs the merge against the
-//!   copy, and folds the round-1 harvest back in under a write lock —
-//!   sound because any two queries that derive the same accel slot derive
-//!   the same value (see the `MergeAccel` docs), so absorb order is
-//!   irrelevant.
+//!   admission/eviction takes the write lock).
+//! - **Shared, immutable**: each resident's points and artifacts. A
+//!   resident never changes after admission — its artifacts already hold
+//!   round 1 of every merge — so queries read it through the `Arc` with
+//!   no lock at all.
 //! - **Per-thread**: Borůvka/merge scratch pools, checked out of a
 //!   bounded free list per query and returned by an RAII guard on drop
 //!   (also on the panic path), so warm queries still allocate nothing.
@@ -95,7 +90,7 @@
 //!
 //! All atomics (stats, LRU ticks) use relaxed ordering on purpose: they
 //! are advisory counters and recency hints, and every correctness-bearing
-//! handoff (artifacts, accel contents, resident list) goes through a
+//! handoff (artifacts, resident list) goes through a
 //! mutex/rwlock acquire-release pair. Each [`ServeStats`] field is one
 //! counter cell, which the metrics registry exports as
 //! `emst_serve_cache_events_total{event=…}` when observability is on.
@@ -141,7 +136,7 @@ use emst_exec::{ExecSpace, PhaseTimings};
 use emst_geometry::{Point, Scalar};
 use emst_hdbscan::{Hdbscan, HdbscanResult};
 use emst_obs::{Counter, Gauge, Histogram, QueryTrace, Registry, SpanRecord, TraceRing};
-use emst_shard::{MergeAccel, MergeScratch, ShardArtifacts, ShardConfig, UpdateReport};
+use emst_shard::{MergeScratch, ShardArtifacts, ShardConfig, UpdateReport};
 use flight::{Flights, Join};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
@@ -563,8 +558,8 @@ pub enum ServeResponse<const D: usize> {
 
 /// Response of an incremental mutation: the child cloud's identity, the
 /// post-mutation point set, how much of the parent's work was reused,
-/// and a full EMST answer over the child (which also warms its accel and
-/// gives callers a check digest in one round trip).
+/// and a full EMST answer over the child (which gives callers a check
+/// digest in the same round trip).
 #[derive(Clone, Debug)]
 pub struct MutateResponse<const D: usize> {
     /// Key of the mutated (child) cloud — use it for follow-up queries.
@@ -593,7 +588,7 @@ pub struct MutateResponse<const D: usize> {
 pub struct StatsResponse {
     /// Number of currently resident clouds.
     pub resident: usize,
-    /// Total heap bytes of resident artifacts + accelerators.
+    /// Total heap bytes of resident artifacts.
     pub resident_bytes: usize,
     /// Lifetime cache statistics.
     pub stats: ServeStats,
@@ -616,17 +611,12 @@ impl<const D: usize> Mutation<'_, D> {
 }
 
 /// One resident cloud. `key`, `points` and `artifacts` are immutable for
-/// the resident's whole life (any thread may read them through the `Arc`);
-/// the accelerator is the one shared-mutable piece and sits behind its own
-/// lock; `last_used` is a recency hint.
+/// the resident's whole life (any thread may read them through the `Arc`,
+/// with no lock); `last_used` is a recency hint.
 struct Resident<const D: usize> {
     key: CloudKey,
     points: Vec<Point<D>>,
     artifacts: ShardArtifacts<D>,
-    /// Durable floors/candidates shared by every merge of this cloud.
-    /// Queries copy it out, merge against the copy, and `absorb` the
-    /// harvest back — never holding this lock during traversal work.
-    accel: RwLock<MergeAccel>,
     /// Tick of the last query that touched this resident. Ticks come from
     /// one `fetch_add` clock, so they are unique engine-wide (ties are
     /// impossible) and the LRU minimum is unambiguous. `fetch_max` keeps
@@ -639,27 +629,23 @@ struct Resident<const D: usize> {
 struct QueryScratch {
     boruvka: BoruvkaScratch,
     merge: MergeScratch,
-    accel: MergeAccel,
 }
 
 impl QueryScratch {
     fn new() -> Self {
-        Self {
-            boruvka: BoruvkaScratch::new(),
-            merge: MergeScratch::new(),
-            accel: MergeAccel::new(),
-        }
+        Self { boruvka: BoruvkaScratch::new(), merge: MergeScratch::new() }
     }
 }
 
 /// Upper bound on pooled scratch sets. The pool otherwise grows to the
-/// peak query concurrency ever seen and each entry can retain a
-/// full-cloud accel copy, so it must not grow without bound.
+/// peak query concurrency ever seen and each entry retains merge arrays
+/// sized to the largest cloud it served, so it must not grow without
+/// bound.
 const MAX_POOLED_SCRATCH: usize = 32;
 
 /// A checked-out [`QueryScratch`] that returns itself to the pool on drop
 /// — including on the unwind path, so a panicking merge (a convergence
-/// assert, an accel debug_assert) cannot permanently leak its scratch.
+/// assert) cannot permanently leak its scratch.
 struct ScratchGuard<'a> {
     pool: &'a Mutex<Vec<QueryScratch>>,
     scratch: Option<QueryScratch>,
@@ -797,8 +783,6 @@ struct ServeObs {
     /// `emst_serve_lock_wait_seconds{lock="…"}`.
     lock_residents_read: Arc<Histogram>,
     lock_residents_write: Arc<Histogram>,
-    lock_accel_read: Arc<Histogram>,
-    lock_accel_write: Arc<Histogram>,
     lease_wait: Arc<Histogram>,
     spill_write: Arc<Histogram>,
     eviction: Arc<Histogram>,
@@ -834,8 +818,6 @@ impl ServeObs {
             resident_bytes: registry.gauge("emst_serve_resident_bytes"),
             lock_residents_read: lock("residents.read"),
             lock_residents_write: lock("residents.write"),
-            lock_accel_read: lock("accel.read"),
-            lock_accel_write: lock("accel.write"),
             lease_wait: registry.histogram("emst_serve_lease_wait_seconds"),
             spill_write: registry.histogram("emst_serve_spill_write_seconds"),
             eviction: registry.histogram("emst_serve_eviction_seconds"),
@@ -1072,13 +1054,9 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         v.into_iter().map(|(_, k)| k).collect()
     }
 
-    /// Total heap bytes of all resident state (artifacts + accelerators).
+    /// Total heap bytes of all resident state (the artifacts).
     pub fn resident_bytes(&self) -> usize {
-        self.residents
-            .read()
-            .iter()
-            .map(|r| r.artifacts.resident_bytes() + r.accel.read().resident_bytes())
-            .sum()
+        self.residents.read().iter().map(|r| r.artifacts.resident_bytes()).sum()
     }
 
     fn num_shards(&self) -> usize {
@@ -1287,14 +1265,8 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         artifacts: ShardArtifacts<D>,
         spans: &mut Vec<SpanRecord>,
     ) -> Arc<Resident<D>> {
-        let accel = artifacts.new_accel();
-        let resident = Arc::new(Resident {
-            key,
-            points,
-            artifacts,
-            accel: RwLock::new(accel),
-            last_used: AtomicU64::new(self.tick()),
-        });
+        let resident =
+            Arc::new(Resident { key, points, artifacts, last_used: AtomicU64::new(self.tick()) });
         let mut victims = Vec::new();
         {
             let wait = self.obs_now();
@@ -1617,17 +1589,6 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         ServeError::DeadlineExceeded(key)
     }
 
-    /// Copies `r`'s shared accel into `into` under its read lock, timing
-    /// the wait into `emst_serve_lock_wait_seconds{lock="accel.read"}`.
-    fn copy_accel(&self, r: &Resident<D>, into: &mut MergeAccel) {
-        let wait = self.obs_now();
-        let accel = r.accel.read();
-        if let (Some(obs), Some(wait)) = (&self.obs, wait) {
-            obs.lock_accel_read.record(wait.elapsed());
-        }
-        into.copy_from(&accel);
-    }
-
     fn answer_emst_deadline(
         &self,
         r: &Resident<D>,
@@ -1637,20 +1598,13 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         spans: &mut Vec<SpanRecord>,
         deadline: Option<Instant>,
     ) -> Result<QueryResponse, ServeError> {
+        // The resident is read-only: the merge borrows its artifacts and
+        // writes only the checked-out scratch, which the guard returns to
+        // the pool on drop, also when the deadline passes mid-merge.
         let mut scratch = self.checkout();
-        // One reborrow through the guard so the borrow checker can split
-        // `scratch.merge` / `scratch.accel` below.
-        let scratch = &mut *scratch;
-        // Copy-out / merge / absorb-back: the accel lock is only held for
-        // the two memcpy-scale critical sections, never across traversals.
-        self.copy_accel(r, &mut scratch.accel);
-        // Over budget at a round boundary, the accel copy may hold a
-        // partial round's learning; it is simply not absorbed — the shared
-        // accel stays exactly as it was, and the scratch guard returns the
-        // pools on drop.
         let merged = r
             .artifacts
-            .merge(&self.space, &mut scratch.merge, Some(&mut scratch.accel), deadline)
+            .merge(&self.space, &mut scratch.merge, deadline)
             .map_err(|_| self.deadline_exceeded(r.key))?;
         if self.obs.is_some() {
             for d in &merged.stats.round_details {
@@ -1668,18 +1622,6 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                         ("rope_hops", d.stats.rope_hops),
                     ],
                 });
-            }
-        }
-        {
-            let wait = self.obs_now();
-            let mut accel = r.accel.write();
-            if let (Some(obs), Some(wait)) = (&self.obs, wait) {
-                obs.lock_accel_write.record(wait.elapsed());
-            }
-            let absorbed = self.obs_now();
-            accel.absorb(&scratch.accel);
-            if let Some(absorbed) = absorbed {
-                spans.push(SpanRecord::new("absorb", absorbed.elapsed().as_secs_f64()));
             }
         }
         let mut timings = build_timings;
@@ -1909,10 +1851,9 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// serves the landed child; a vacancy derives child artifacts from
     /// the parent via [`emst_shard::ShardArtifacts::apply_update`] —
     /// re-solving only dirty shards, inheriting clean shards' BVHs/local
-    /// MSTs and the parent accel's harvested floors — and admits it as a
-    /// new resident. Finishes with a full (deadline-checked) EMST of the
-    /// child, which warms the child accel and hands the caller edges +
-    /// check digest in the same round trip.
+    /// MSTs and entry bounds — and admits it as a new resident. Finishes
+    /// with a full (deadline-checked) EMST of the child, which hands the
+    /// caller edges + check digest in the same round trip.
     fn answer_mutation(
         &self,
         cloud: CloudRef<'_, D>,
@@ -1974,27 +1915,18 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         let fill = |key, spans: &mut Vec<SpanRecord>| {
             let key = self.miss_key(key, &new_points);
             let derived = self.obs_now();
-            let (artifacts, derived_report) = {
-                let mut scratch = self.checkout();
-                let scratch = &mut *scratch;
-                // Copy the parent's accel out so its harvested floors seed
-                // the child's bounds without holding the parent's lock
-                // across the dirty solves.
-                self.copy_accel(&parent, &mut scratch.accel);
-                parent
-                    .artifacts
-                    .apply_update(
-                        &self.space,
-                        &parent.points,
-                        &new_points,
-                        &parent_of,
-                        &self.shard_config(),
-                        &mut scratch.boruvka,
-                        Some(&scratch.accel),
-                        deadline,
-                    )
-                    .map_err(|_| self.deadline_exceeded(parent.key))?
-            };
+            let (artifacts, derived_report) = parent
+                .artifacts
+                .apply_update(
+                    &self.space,
+                    &parent.points,
+                    &new_points,
+                    &parent_of,
+                    &self.shard_config(),
+                    &mut self.checkout().boruvka,
+                    deadline,
+                )
+                .map_err(|_| self.deadline_exceeded(parent.key))?;
             report = derived_report;
             let build_work = artifacts.build_work();
             let build_timings = artifacts.build_timings().clone();
@@ -2322,11 +2254,12 @@ mod tests {
         // Merge-only traversal stats: no solve iterations ran.
         assert_eq!(warm.query_work.iterations, 0);
         assert_eq!(warm.edges, cold.edges);
-        // The shared accelerator only shrinks warm traversal work: a
-        // second warm query re-derives nothing round 1 already proved.
+        // The resident never changes after admission: every warm merge
+        // starts from the same cached round-1 answers and does the same
+        // work.
         let warmer = engine.emst(&pts);
         assert_eq!(warmer.edges, cold.edges);
-        assert!(warmer.query_work.queries <= warm.query_work.queries);
+        assert_eq!(warmer.query_work.queries, warm.query_work.queries);
         assert_eq!(engine.stats(), ServeStats { hits: 2, misses: 1, ..Default::default() });
     }
 
@@ -2711,14 +2644,13 @@ mod tests {
         assert!(json.contains("p99_s"));
 
         // Newest-first traces: knn, then the warm emst with its merge
-        // rounds and absorb, then the cold emst with its build span.
+        // rounds, then the cold emst with its build span.
         let traces = engine.recent_traces(10);
         assert_eq!(traces.len(), 3);
         assert_eq!(traces[0].op, "knn");
         assert_eq!(traces[1].op, "emst");
         assert_eq!(traces[1].outcome, "hit");
         assert!(traces[1].spans.iter().any(|s| s.name == "digest"));
-        assert!(traces[1].spans.iter().any(|s| s.name == "absorb"));
         let round = traces[1]
             .spans
             .iter()
@@ -2971,7 +2903,7 @@ mod tests {
     }
 
     /// Tentpole: an expired deadline is an honest `DeadlineExceeded` at a
-    /// merge-round boundary — and the engine (accel, scratch, residency)
+    /// merge-round boundary — and the engine (scratch, residency)
     /// stays fully servable afterwards.
     #[test]
     fn deadline_exceeded_is_honest_and_recoverable() {

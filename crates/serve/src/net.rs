@@ -83,8 +83,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::fault::{faulted_read, FaultPlan, FaultSite};
 use crate::flight::{Flights, Join};
 use crate::{
-    digest_points, CacheOutcome, CloudKey, CloudRef, MutateResponse, ServeEngine, ServeRequest,
-    ServeResponse,
+    digest_points, CloudKey, CloudRef, MutateResponse, ServeEngine, ServeRequest, ServeResponse,
 };
 
 /// Longest accepted request line; anything longer gets one
@@ -199,14 +198,6 @@ impl<const D: usize> NetSession<D> {
     }
 }
 
-fn outcome_name(o: CacheOutcome) -> &'static str {
-    match o {
-        CacheOutcome::Hit => "hit",
-        CacheOutcome::Miss => "miss",
-        CacheOutcome::Reloaded => "reloaded",
-    }
-}
-
 /// Content check over an edge list: FNV-1a across `(u, v, weight_sq)` in
 /// index order. Lets a client (and the bit-identity tests) compare trees
 /// across transports without shipping every edge.
@@ -308,7 +299,7 @@ fn execute<S: ExecSpace, const D: usize>(
             };
             Ok(NetReply::ok(format!(
                 "emst cache={} n={} edges={} weight={:.6} check={:016x}",
-                outcome_name(r.outcome),
+                r.outcome.as_str(),
                 points.len(),
                 r.edges.len(),
                 r.total_weight,
@@ -335,7 +326,7 @@ fn execute<S: ExecSpace, const D: usize>(
             };
             Ok(NetReply::ok(format!(
                 "subset cache={} m={} edges={} weight={:.6} check={:016x}",
-                outcome_name(r.outcome),
+                r.outcome.as_str(),
                 subset.len(),
                 r.edges.len(),
                 r.total_weight,
@@ -362,12 +353,7 @@ fn execute<S: ExecSpace, const D: usize>(
             };
             let hits: Vec<String> =
                 r.neighbors.iter().map(|(i, d)| format!("{i}:{:.6}", d.sqrt())).collect();
-            Ok(NetReply::ok(format!(
-                "knn cache={} k={} {}",
-                outcome_name(r.outcome),
-                k,
-                hits.join(" ")
-            )))
+            Ok(NetReply::ok(format!("knn cache={} k={} {}", r.outcome.as_str(), k, hits.join(" "))))
         }
         "hdbscan" => {
             let k_pts = parse("<k_pts>", rest.first())?;
@@ -386,7 +372,7 @@ fn execute<S: ExecSpace, const D: usize>(
             let noise = r.result.labels.iter().filter(|&&l| l == emst_hdbscan::NOISE).count();
             Ok(NetReply::ok(format!(
                 "hdbscan cache={} clusters={} noise={} check={:016x}",
-                outcome_name(r.outcome),
+                r.outcome.as_str(),
                 r.result.num_clusters,
                 noise,
                 labels_check(&r.result.labels),
@@ -1036,6 +1022,30 @@ mod tests {
         let bad = respond(&engine, &mut session, "delete 5 5");
         assert_eq!(bad.text, "err invalid request: duplicate delete id 5\n");
         assert_eq!(session.points.len(), 200);
+    }
+
+    /// Every wire verb names the session's cloud by its points, so a
+    /// session cloud evicted by another session's `load` is rebuilt on its
+    /// next request and answers `cache=miss`, never a reload.
+    #[test]
+    fn an_evicted_session_cloud_answers_miss_not_reload() {
+        let pts = Arc::new(Kind::Uniform.generate::<2>(200, 7));
+        let engine = ServeEngine::new(Serial, ServeConfig::new(4, 1));
+        let loaded = Kind::Uniform.generate::<2>(150, 11);
+        let path =
+            std::env::temp_dir().join(format!("emst-net-evicted-{}.csv", std::process::id()));
+        emst_datasets::io::save_csv(&path, &loaded).unwrap();
+        let mut a = NetSession::new(Arc::clone(&pts));
+        let mut b = NetSession::new(Arc::clone(&pts));
+        assert!(respond(&engine, &mut a, "emst").text.starts_with("ok emst cache=miss "));
+        let load = respond(&engine, &mut b, &format!("load {}", path.display()));
+        assert!(load.text.starts_with("ok loaded n=150 "), "{}", load.text);
+        let again = respond(&engine, &mut a, "emst");
+        assert!(again.text.starts_with("ok emst cache=miss n=200 "), "{}", again.text);
+        let stats = respond(&engine, &mut a, "stats");
+        assert!(stats.text.contains(" evictions=2 "), "{}", stats.text);
+        assert!(stats.text.contains(" reloads=0 "), "{}", stats.text);
+        std::fs::remove_file(&path).ok();
     }
 
     /// `digest_points` calls made on this thread so far.

@@ -20,15 +20,18 @@
 //! |---------|---------|
 //! | `HEAD`  | `D` u32, shards u64, salt u32, `n` u64, points digest u64 |
 //! | `PNTS`  | `n · D` coordinate `f32` bit patterns, row-major |
-//! | `ARTS`  | *(optional)* serialized [`emst_shard::ShardArtifacts`] blob: plan, local MSTs, merge bounds |
+//! | `ARTS`  | *(optional)* serialized [`emst_shard::ShardArtifacts`] blob: plan, local MSTs, merge floors and round-1 candidates |
 //!
 //! Every section carries its own FNV-1a checksum, so a flipped bit or a
 //! short write is detected as such — never decoded into wrong points or
 //! wrong artifacts. The `ARTS` section makes reload cheap: a verified read
-//! of the plan, the local MSTs and the merge bounds replaces the
-//! deterministic-but-expensive local solves. It holds no BVH bytes — each
-//! shard tree is rebuilt from the verified points on restore, which costs
-//! less than decoding and checksumming the node arrays would.
+//! of the plan, the local MSTs and the merge bounds (the per-`(vertex,
+//! shard)` floors plus each vertex's round-1 candidate edge, stored only
+//! for vertices that have one) replaces the deterministic-but-expensive
+//! local solves and the build's round-1 probes. It holds no BVH bytes and
+//! no per-vertex `reach` — each shard tree is rebuilt from the verified
+//! points on restore, which costs less than decoding and checksumming the
+//! node arrays would, and `reach` is each floor row's minimum.
 //! Because the build *is* deterministic, artifacts are best-effort — a
 //! missing or corrupt `ARTS` section degrades to a rebuild from the
 //! (verified) points, reported via `SpillContents::artifacts` being

@@ -17,8 +17,7 @@
 //! service can keep them resident and answer repeated queries by
 //! re-running nothing but the merge. This is the object the `emst_serve`
 //! cache holds under its `(input digest, K)` key. Both calls take their
-//! scratch from the caller and an optional deadline; the full merge also
-//! takes an optional cross-query accelerator ([`MergeAccel`]).
+//! scratch from the caller and an optional deadline.
 //!
 //! ```
 //! use emst_datasets::Kind;
@@ -29,8 +28,8 @@
 //! let artifacts = ShardArtifacts::build(&Threads, &pts, &ShardConfig::new(4));
 //! // Merge-only queries: no plan, no local solves, no tree builds.
 //! let mut scratch = MergeScratch::new();
-//! let a = artifacts.merge(&Threads, &mut scratch, None, None).unwrap();
-//! let b = artifacts.merge(&Threads, &mut scratch, None, None).unwrap();
+//! let a = artifacts.merge(&Threads, &mut scratch, None).unwrap();
+//! let b = artifacts.merge(&Threads, &mut scratch, None).unwrap();
 //! assert_eq!(a.edges, b.edges); // deterministic, bit-identical
 //! assert_eq!(a.edges.len(), 599);
 //! ```
@@ -66,7 +65,7 @@ use emst_morton::MortonEncoder;
 use rayon::prelude::*;
 
 use crate::merge::{
-    cross_shard_boruvka, CrossBounds, Inherit, MergeAccel, MergeDeadlineExceeded, MergeShard,
+    cross_shard_boruvka, seed_hints, CrossBounds, Inherit, MergeDeadlineExceeded, MergeShard,
     MergeShardView,
 };
 use crate::plan::ShardPlan;
@@ -120,17 +119,6 @@ fn solve_local<S: ExecSpace, const D: usize>(
     (merge, seeds, iterations, work)
 }
 
-/// Each vertex's round-1 merge radius (min incident seed weight) — the
-/// refinement threshold for the entry bounds.
-fn seed_hints<const D: usize>(locals: &[LocalArtifact<D>], n: usize) -> Vec<Scalar> {
-    let mut hint = vec![Scalar::INFINITY; n];
-    for e in locals.iter().flat_map(|l| &l.seeds) {
-        hint[e.u as usize] = hint[e.u as usize].min(e.weight_sq);
-        hint[e.v as usize] = hint[e.v as usize].min(e.weight_sq);
-    }
-    hint
-}
-
 /// The resident product of a sharded build: plan + per-shard BVHs + local
 /// MSTs, ready to answer repeated merge-only queries. See the module docs.
 pub struct ShardArtifacts<const D: usize> {
@@ -141,9 +129,9 @@ pub struct ShardArtifacts<const D: usize> {
     local_iterations: Vec<u32>,
     build_work: CounterSnapshot,
     build_timings: PhaseTimings,
-    /// Label-independent merge bounds (vertex→shard maps + pristine
-    /// per-(vertex, shard) entry distances), precomputed so every warm
-    /// merge starts from a memcpy.
+    /// Label-independent merge bounds (vertex→shard maps, pristine
+    /// per-(vertex, shard) entry distances and round 1's candidates),
+    /// precomputed so every merge starts from a memcpy.
     bounds: CrossBounds,
     /// All local MST edges flattened in shard order — the full-cloud merge
     /// seeds, cached so warm queries skip the per-call gather.
@@ -185,11 +173,11 @@ impl<const D: usize> ShardArtifacts<D> {
         let local_iterations: Vec<u32> = locals.iter().map(|(_, it, _)| *it).collect();
         let build_work = locals.iter().fold(CounterSnapshot::default(), |acc, (_, _, w)| acc + *w);
         let locals: Vec<LocalArtifact<D>> = locals.into_iter().map(|(l, _, _)| l).collect();
+        let flat_seeds: Vec<Edge> = locals.iter().flat_map(|l| l.seeds.iter().copied()).collect();
         let bounds = timings.time("plan", || {
             let views: Vec<MergeShardView<'_, D>> = locals.iter().map(|l| l.merge.view()).collect();
-            CrossBounds::compute(space, &views, n, None, Some(&seed_hints(&locals, n)))
+            CrossBounds::compute(space, &views, n, None, Some(&seed_hints(&flat_seeds, n)))
         });
-        let flat_seeds: Vec<Edge> = locals.iter().flat_map(|l| l.seeds.iter().copied()).collect();
         Self {
             plan,
             locals,
@@ -234,8 +222,8 @@ impl<const D: usize> ShardArtifacts<D> {
     }
 
     /// Heap bytes held resident by the artifacts (BVHs, rank maps, seeds,
-    /// plan, precomputed merge bounds) — what a serving cache charges
-    /// against its budget.
+    /// plan, precomputed merge bounds and round-1 candidates) — what a
+    /// serving cache charges against its budget.
     pub fn resident_bytes(&self) -> usize {
         let per_local = |l: &LocalArtifact<D>| {
             l.merge.bvh.resident_bytes()
@@ -247,27 +235,18 @@ impl<const D: usize> ShardArtifacts<D> {
             + self.locals.iter().map(per_local).sum::<usize>()
     }
 
-    /// A pristine [`MergeAccel`] for this cloud: floors seeded from the
-    /// cached entry bounds, no candidates yet. Feed it to [`Self::merge`];
-    /// it is only valid for these exact artifacts.
-    pub fn new_accel(&self) -> MergeAccel {
-        MergeAccel::from_bounds(&self.bounds, self.n, self.locals.len())
-    }
-
     /// Runs the merge phase over the full cloud: the exact EMST, computed
     /// without re-planning, re-solving, or rebuilding anything.
     ///
     /// Every per-merge allocation is drawn from `scratch`, so a long-lived
     /// server's warm repeat queries allocate nothing; the scratch carries
-    /// no semantic state between calls. `accel` (built by
-    /// [`Self::new_accel`]) is read for, and re-deposited with, the
-    /// durable cross-query floors/candidates: the selected edges are
-    /// bit-identical with or without it, only the traversal work shrinks.
-    /// `deadline` is checked at every merge-round boundary; on
+    /// no semantic state between calls. The merge starts from the cached
+    /// bounds, which already hold round 1's answers, so its first round
+    /// fires no query and every merge of these artifacts does the same
+    /// work. `deadline` is checked at every merge-round boundary; on
     /// [`MergeDeadlineExceeded`] no partial result escapes, and the
-    /// accelerator and scratch are exactly as reusable as before the call
-    /// (the round-1 harvest of an abandoned merge is discarded with it).
-    /// With no deadline the call cannot fail.
+    /// scratch is exactly as reusable as before the call. With no deadline
+    /// the call cannot fail.
     ///
     /// The returned [`ShardStats`] covers **only this merge** (its `work`
     /// has `iterations == 0` since no Borůvka *solve* ran — the warm-query
@@ -278,7 +257,6 @@ impl<const D: usize> ShardArtifacts<D> {
         &self,
         space: &S,
         scratch: &mut MergeScratch,
-        accel: Option<&mut MergeAccel>,
         deadline: Option<Instant>,
     ) -> Result<ShardedResult, MergeDeadlineExceeded> {
         let mut timings = PhaseTimings::new();
@@ -307,7 +285,6 @@ impl<const D: usize> ShardArtifacts<D> {
             &counters,
             &mut timings,
             Some(&self.bounds),
-            accel,
             deadline,
             scratch,
         )?;
@@ -442,9 +419,8 @@ impl<const D: usize> ShardArtifacts<D> {
             &seeds,
             &counters,
             &mut timings,
-            // Subset views renumber vertices, so neither the cached
-            // full-cloud bounds nor any accelerator applies.
-            None,
+            // Subset views renumber vertices, so the cached full-cloud
+            // bounds do not apply.
             None,
             deadline,
             &mut MergeScratch::new(),
@@ -485,14 +461,14 @@ impl<const D: usize> ShardArtifacts<D> {
     ///
     /// Per shard: **clean** (no member inserted or deleted) reuses the BVH
     /// and local MST verbatim with renumbered vertex ids, and its
-    /// per-`(vertex, shard)` entry bounds are inherited — tightened by
-    /// `accel`'s durable round-1 floors, which are label-independent
-    /// geometric facts about the unchanged point set (the PR 6 commute
-    /// argument); **dirty** re-solves locally and recomputes its bounds
-    /// column (plus every inserted vertex's full row). Accel *candidates*
-    /// are never inherited: a parent candidate edge may name a deleted
-    /// point, so the child starts candidate-free and re-harvests on its
-    /// first merge.
+    /// per-`(vertex, shard)` entry bounds are inherited — label-independent
+    /// geometric facts about the unchanged point set; **dirty** re-solves
+    /// locally and recomputes its bounds column (plus every inserted
+    /// vertex's full row). Round 1's candidates are never inherited — a
+    /// parent candidate edge may name a deleted point — so the child's
+    /// bounds probe every shard, clean or dirty, whose bound falls within
+    /// the vertex's round-1 radius, exactly as a build does, and the
+    /// child's first merge starts with round 1 answered.
     ///
     /// When the mutation changes the set of non-empty shards (a shard
     /// drained, or inserts landed where nothing lived) the incremental
@@ -517,7 +493,6 @@ impl<const D: usize> ShardArtifacts<D> {
         parent_of: &[u32],
         config: &ShardConfig,
         scratch: &mut BoruvkaScratch,
-        accel: Option<&MergeAccel>,
         deadline: Option<Instant>,
     ) -> Result<(Self, UpdateReport), MergeDeadlineExceeded> {
         assert_eq!(old_points.len(), self.n, "old_points are not the ingested cloud");
@@ -601,7 +576,7 @@ impl<const D: usize> ShardArtifacts<D> {
         });
 
         // The incremental path keeps the parent's local-column layout
-        // (bounds stride, accel slots, serialization shape), which requires
+        // (bounds stride, serialization shape), which requires
         // the set of non-empty shards to be unchanged. Otherwise: honest
         // full rebuild.
         if (0..k).any(|s| self.plan.shard_indices(s).is_empty() != members[s].is_empty()) {
@@ -673,18 +648,13 @@ impl<const D: usize> ShardArtifacts<D> {
             Ok(())
         })?;
 
+        let flat_seeds: Vec<Edge> = locals.iter().flat_map(|l| l.seeds.iter().copied()).collect();
         let bounds = timings.time("plan", || {
             let views: Vec<MergeShardView<'_, D>> = locals.iter().map(|l| l.merge.view()).collect();
-            let inherit = Inherit { bounds: &self.bounds, accel, parent_of, dirty: &dirty_local };
-            CrossBounds::compute(
-                space,
-                &views,
-                n_new,
-                Some(inherit),
-                Some(&seed_hints(&locals, n_new)),
-            )
+            let inherit = Inherit { bounds: &self.bounds, parent_of, dirty: &dirty_local };
+            let radius = seed_hints(&flat_seeds, n_new);
+            CrossBounds::compute(space, &views, n_new, Some(inherit), Some(&radius))
         });
-        let flat_seeds: Vec<Edge> = locals.iter().flat_map(|l| l.seeds.iter().copied()).collect();
         Ok((
             Self {
                 plan,
@@ -728,15 +698,17 @@ impl<const D: usize> ShardArtifacts<D> {
     }
 
     /// Appends the durable binary encoding of these artifacts to `out` —
-    /// the plan, every local's seeds and the precomputed merge bounds,
-    /// framed as checksummed sections (magic `EMSTART2`).
+    /// the plan, every local's seeds and the precomputed merge bounds
+    /// (floors, then round 1's candidates as sparse `(vertex, weight, a,
+    /// b)` entries), framed as checksummed sections (magic `EMSTART3`).
     ///
     /// Only state that cannot be derived from the rest and the points is
     /// stored. The per-shard BVHs are not: a tree is a deterministic
     /// function of its shard's points, and [`Self::deserialize`] rebuilds
     /// it for less than decoding and checksumming its node arrays would
-    /// cost. `vertex_of_rank`, the vertex→shard maps, `shard_sizes` and
-    /// `flat_seeds` are likewise recomputed. Build-time accounting
+    /// cost. `vertex_of_rank`, the vertex→shard maps, each vertex's
+    /// `reach` (its row's minimum floor), `shard_sizes` and `flat_seeds`
+    /// are likewise recomputed. Build-time accounting
     /// (`build_work`, `build_timings`) is deliberately **not** persisted —
     /// a restore runs no Borůvka solve, and reporting zeros is the honest
     /// signature the serving stats rely on.
@@ -767,12 +739,18 @@ impl<const D: usize> ShardArtifacts<D> {
         }
         blob.section(b"LOCS", &locs.into_vec());
 
+        let b = &self.bounds;
         let mut bnds = ByteWriter::new();
-        for &d in &self.bounds.cross_dist {
+        for &d in &b.cross_dist {
             bnds.f32(d);
         }
-        for &r in &self.bounds.reach {
-            bnds.f32(r);
+        let cands: Vec<usize> = (0..self.n).filter(|&v| b.cand_a[v] != u32::MAX).collect();
+        bnds.u64(cands.len() as u64);
+        for v in cands {
+            bnds.u32(v as u32);
+            bnds.f32(b.cand_d[v]);
+            bnds.u32(b.cand_a[v]);
+            bnds.u32(b.cand_b[v]);
         }
         blob.section(b"BNDS", &bnds.into_vec());
         out.extend_from_slice(&blob.finish());
@@ -866,24 +844,30 @@ impl<const D: usize> ShardArtifacts<D> {
         let bnds_bytes = blob.section(b"BNDS")?;
         blob.done()?;
         let stride = decoded.len();
-        let expect = n
-            .checked_mul(stride)
-            .and_then(|c| c.checked_add(n))
-            .and_then(|c| c.checked_mul(4))
-            .ok_or_else(|| bad("artifact bounds: size overflow"))?;
-        if bnds_bytes.len() != expect {
-            return Err(bad("artifact bounds: wrong length"));
-        }
+        let floors = n.checked_mul(stride).ok_or_else(|| bad("artifact bounds: size overflow"))?;
         let mut r = ByteReader::new(bnds_bytes);
-        let mut cross_dist = Vec::with_capacity(n * stride);
-        for _ in 0..n * stride {
-            cross_dist.push(r.f32()?);
-        }
-        let mut reach = Vec::with_capacity(n);
-        for _ in 0..n {
-            reach.push(r.f32()?);
+        let cross_dist = (0..floors).map(|_| r.f32()).collect::<io::Result<Vec<Scalar>>>()?;
+        let num_cands = r.len_capped(n, "artifact bounds: more candidates than vertices")?;
+        let mut cand_d = vec![Scalar::INFINITY; n];
+        let mut cand_a = vec![u32::MAX; n];
+        let mut cand_b = vec![u32::MAX; n];
+        for _ in 0..num_cands {
+            let v = r.u32()? as usize;
+            let (w, a, b) = (r.f32()?, r.u32()?, r.u32()?);
+            if v >= n || cand_a[v] != u32::MAX {
+                return Err(bad("artifact bounds: candidate vertex out of range or repeated"));
+            }
+            if a >= b || b as usize >= n {
+                return Err(bad("artifact bounds: candidate endpoints out of range or unordered"));
+            }
+            (cand_d[v], cand_a[v], cand_b[v]) = (w, a, b);
         }
         r.done()?;
+        let reach = (0..n)
+            .map(|v| {
+                cross_dist[v * stride..][..stride].iter().fold(Scalar::INFINITY, |m, &d| m.min(d))
+            })
+            .collect();
 
         // Every byte is verified: rebuild the trees. The plan is a
         // permutation and every non-empty shard has exactly one local, so
@@ -907,7 +891,7 @@ impl<const D: usize> ShardArtifacts<D> {
                 rank_of[v as usize] = rank as u32;
             }
         }
-        let bounds = CrossBounds { shard_of, rank_of, cross_dist, reach };
+        let bounds = CrossBounds { shard_of, rank_of, cross_dist, reach, cand_d, cand_a, cand_b };
         let flat_seeds = locals.iter().flat_map(|l| l.seeds.iter().copied()).collect();
 
         Ok(Self {
@@ -938,7 +922,7 @@ pub struct UpdateReport {
 }
 
 /// Magic of the serialized-artifact blob ([`ShardArtifacts::serialize_into`]).
-pub const ARTIFACT_MAGIC: &[u8; 8] = b"EMSTART2";
+pub const ARTIFACT_MAGIC: &[u8; 8] = b"EMSTART3";
 
 #[cfg(test)]
 mod tests {
@@ -997,6 +981,13 @@ mod tests {
         let mut blob = vec![];
         artifacts.serialize_into(&mut blob);
         let restored = ShardArtifacts::<2>::deserialize(&Threads, &blob, points).unwrap();
+        // The bounds come back bit for bit: floors and candidates as
+        // stored, `reach` re-derived from the floors.
+        let bits = |b: &CrossBounds| {
+            let f = |xs: &[Scalar]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            [f(&b.cross_dist), f(&b.reach), f(&b.cand_d), b.cand_a.clone(), b.cand_b.clone()]
+        };
+        assert_eq!(bits(&restored.bounds), bits(&artifacts.bounds));
         assert_eq!(restored.locals.len(), artifacts.locals.len());
         for (a, b) in artifacts.locals.iter().zip(&restored.locals) {
             assert_eq!(a.shard, b.shard);
@@ -1004,8 +995,8 @@ mod tests {
             assert_eq!(a.merge.vertex_of_rank, b.merge.vertex_of_rank);
         }
         assert_eq!(
-            restored.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap().edges,
-            artifacts.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap().edges
+            restored.merge(&Serial, &mut MergeScratch::new(), None).unwrap().edges,
+            artifacts.merge(&Serial, &mut MergeScratch::new(), None).unwrap().edges
         );
         let mut blob2 = vec![];
         restored.serialize_into(&mut blob2);
@@ -1020,8 +1011,8 @@ mod tests {
         assert!(artifacts.build_work().iterations > 0);
         assert!(artifacts.resident_bytes() > 0);
         let cold = emst_sharded(&pts, 5);
-        let a = artifacts.merge(&Threads, &mut MergeScratch::new(), None, None).unwrap();
-        let b = artifacts.merge(&Threads, &mut MergeScratch::new(), None, None).unwrap();
+        let a = artifacts.merge(&Threads, &mut MergeScratch::new(), None).unwrap();
+        let b = artifacts.merge(&Threads, &mut MergeScratch::new(), None).unwrap();
         assert_eq!(a.edges, b.edges);
         assert_eq!(a.edges, cold.edges);
         // Merge-only stats: traversal queries happened, but no Borůvka
@@ -1126,12 +1117,15 @@ mod tests {
         // bytes: magic, three framed sections (tag, length, checksum),
         // then PLAN (n, K, order, K + 1 cuts), LOCS (count, then shard,
         // iterations, seed count and 12-byte seeds per local) and BNDS
-        // (one f32 per vertex and local, plus one reach per vertex).
+        // (one f32 per vertex and local, then a count and one 16-byte
+        // entry per vertex with a round-1 candidate).
         let (n, k, locals) = (pts.len(), built.plan().num_shards(), built.locals.len());
         let seeds: usize = built.locals.iter().map(|l| l.seeds.len()).sum();
+        let cands = built.bounds.cand_a.iter().filter(|&&a| a != u32::MAX).count();
+        assert!(cands > 0, "the build must answer round 1 for some vertex");
         let plan = 8 + 8 + 4 * n + 8 * (k + 1);
         let locs = 8 + 16 * locals + 12 * seeds;
-        let bnds = 4 * (n * locals + n);
+        let bnds = 4 * n * locals + 8 + 16 * cands;
         assert_eq!(blob.len(), 8 + 3 * (4 + 8 + 8) + plan + locs + bnds);
         // Restoring on another backend rebuilds every shard tree bit for
         // bit (and checks the rest of the round trip).
@@ -1145,8 +1139,8 @@ mod tests {
         assert_eq!(restored.build_work().iterations, 0);
 
         // Full-cloud merge, subset merge, and knn are all bit-identical.
-        let a = built.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
-        let b = restored.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
+        let a = built.merge(&Serial, &mut MergeScratch::new(), None).unwrap();
+        let b = restored.merge(&Serial, &mut MergeScratch::new(), None).unwrap();
         assert_eq!(a.edges, b.edges);
         let subset: Vec<u32> = (0..700).step_by(3).collect();
         let mut scratch = BoruvkaScratch::new();
@@ -1155,11 +1149,15 @@ mod tests {
         assert_eq!(sa.edges, sb.edges);
         let mut st = TraversalStats::default();
         assert_eq!(built.k_nearest(&pts[17], 5, &mut st), restored.k_nearest(&pts[17], 5, &mut st));
-        // Accelerated merges over the restored bounds stay bit-identical.
-        let mut accel = restored.new_accel();
+        // The restored bounds carry round 1's answers: merges over them,
+        // on one reused scratch, fire no round-1 query and stay
+        // bit-identical.
         let mut ms = MergeScratch::new();
-        let c = restored.merge(&Serial, &mut ms, Some(&mut accel), None).unwrap();
-        assert_eq!(a.edges, c.edges);
+        for _ in 0..2 {
+            let c = restored.merge(&Serial, &mut ms, None).unwrap();
+            assert_eq!(a.edges, c.edges);
+            assert_eq!(c.stats.round_details[0].queries, 0);
+        }
 
         // Re-serializing the restored artifacts reproduces the same bytes.
         let mut blob2 = vec![];
@@ -1198,6 +1196,29 @@ mod tests {
             let err = decode(&blob, wrong).err().expect("wrong-size cloud must not decode");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
+        // Well-framed bounds whose candidates break the format are refused
+        // too: re-frame BNDS with one candidate field edited — a vertex or
+        // an endpoint out of range, unordered endpoints, a repeated vertex.
+        let mut r = BlobReader::open(&blob, ARTIFACT_MAGIC).unwrap();
+        let [plan, locs, bnds] = [b"PLAN", b"LOCS", b"BNDS"].map(|t| r.section(t).unwrap());
+        assert!(built.bounds.cand_a.iter().filter(|&&a| a != u32::MAX).count() >= 2);
+        let first = 4 * pts.len() * built.locals.len() + 8;
+        let vertex = bnds[first..first + 4].to_vec();
+        for (at, field) in [
+            (first, u32::MAX.to_le_bytes().to_vec()),
+            (first + 12, u32::MAX.to_le_bytes().to_vec()),
+            (first + 8, u32::MAX.to_le_bytes().to_vec()),
+            (first + 16, vertex),
+        ] {
+            let mut edited = bnds.to_vec();
+            edited[at..at + 4].copy_from_slice(&field);
+            let mut w = BlobWriter::new(ARTIFACT_MAGIC);
+            w.section(b"PLAN", plan);
+            w.section(b"LOCS", locs);
+            w.section(b"BNDS", &edited);
+            let err = decode(&w.finish(), &pts).err().expect("a bad candidate must not decode");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "edit at {at}");
+        }
     }
 
     #[test]
@@ -1205,21 +1226,20 @@ mod tests {
         let pts = random_points_2d(500, 29);
         let artifacts = ShardArtifacts::build(&Serial, &pts, &ShardConfig::new(4));
         let mut scratch = MergeScratch::new();
-        let mut accel = artifacts.new_accel();
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let err = artifacts.merge(&Serial, &mut scratch, Some(&mut accel), Some(past));
+        let err = artifacts.merge(&Serial, &mut scratch, Some(past));
         assert_eq!(err.unwrap_err(), MergeDeadlineExceeded);
         let mut bs = BoruvkaScratch::new();
         let sub: Vec<u32> = (0..100).collect();
         let err = artifacts.merge_subset(&Serial, &pts, &sub, &mut bs, Some(past));
         assert_eq!(err.unwrap_err(), MergeDeadlineExceeded);
         // A generous deadline succeeds, bit-identically, with the same
-        // scratch and accelerator the failed attempts touched.
+        // scratch the failed attempts touched.
         let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let ok = artifacts.merge(&Serial, &mut scratch, Some(&mut accel), Some(far)).unwrap();
+        let ok = artifacts.merge(&Serial, &mut scratch, Some(far)).unwrap();
         assert_eq!(
             ok.edges,
-            artifacts.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap().edges
+            artifacts.merge(&Serial, &mut MergeScratch::new(), None).unwrap().edges
         );
     }
 
@@ -1258,44 +1278,23 @@ mod tests {
         let (np, parent_of) = with_inserts(&pts, &extra);
         let mut scratch = BoruvkaScratch::new();
         let (child, report) = parent
-            .apply_update(
-                &Serial,
-                &pts,
-                &np,
-                &parent_of,
-                &ShardConfig::new(6),
-                &mut scratch,
-                None,
-                None,
-            )
+            .apply_update(&Serial, &pts, &np, &parent_of, &ShardConfig::new(6), &mut scratch, None)
             .unwrap();
         assert!(!report.full_rebuild);
         assert!(report.reused_shards >= 4, "cluster inserts must keep most shards clean");
         assert_eq!(report.dirty_shards.len() + report.reused_shards, 6);
-        let r = child.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
+        let r = child.merge(&Serial, &mut MergeScratch::new(), None).unwrap();
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
         // The child is a first-class artifact: restored against its own
         // points, it rebuilds the trees it reused and re-solved bit for
         // bit and merges to the same edges, like any built one.
         let restored = assert_restores_bit_identically(&child, &np);
-        assert_eq!(
-            restored.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap().edges,
-            r.edges
-        );
+        assert_eq!(restored.merge(&Serial, &mut MergeScratch::new(), None).unwrap().edges, r.edges);
         // So is a grandchild, whose clean shards carry trees two updates
         // old: delete a few of the parent's points from the child.
         let (np2, parent_of2) = with_deletes(&np, &[5, 90, 211]);
         let (grandchild, report) = child
-            .apply_update(
-                &Serial,
-                &np,
-                &np2,
-                &parent_of2,
-                &ShardConfig::new(6),
-                &mut scratch,
-                None,
-                None,
-            )
+            .apply_update(&Serial, &np, &np2, &parent_of2, &ShardConfig::new(6), &mut scratch, None)
             .unwrap();
         assert!(!report.full_rebuild && report.reused_shards > 0);
         assert_restores_bit_identically(&grandchild, &np2);
@@ -1314,58 +1313,48 @@ mod tests {
         let (np, parent_of) = with_deletes(&pts, &del);
         let mut scratch = BoruvkaScratch::new();
         let (child, report) = parent
-            .apply_update(
-                &Serial,
-                &pts,
-                &np,
-                &parent_of,
-                &ShardConfig::new(5),
-                &mut scratch,
-                None,
-                None,
-            )
+            .apply_update(&Serial, &pts, &np, &parent_of, &ShardConfig::new(5), &mut scratch, None)
             .unwrap();
         assert!(!report.full_rebuild);
         assert!(!report.dirty_shards.is_empty() && report.reused_shards > 0);
-        let r = child.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
+        let r = child.merge(&Serial, &mut MergeScratch::new(), None).unwrap();
         assert_eq!(r.edges.len(), np.len() - 1);
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
         // A delete child restores against its own points bit for bit.
         assert_restores_bit_identically(&child, &np);
     }
 
+    /// An insert child's bounds answer round 1 like a build's: its first
+    /// merge fires no round-1 query, the candidates found through the
+    /// inherited clean columns equal those of bounds computed afresh over
+    /// the same shards, and the answer matches brute force and a
+    /// from-scratch build.
     #[test]
-    fn incremental_update_inherits_accel_floors_bit_identically() {
+    fn insert_child_first_merge_fires_no_round_one_query() {
         let pts = random_points_2d(350, 41);
-        let parent = ShardArtifacts::build(&Serial, &pts, &ShardConfig::new(4));
-        // Warm the parent accelerator so there are durable floors to
-        // inherit.
-        let mut accel = parent.new_accel();
-        let mut ms = MergeScratch::new();
-        parent.merge(&Serial, &mut ms, Some(&mut accel), None).unwrap();
-        assert!(accel.num_candidates() > 0, "round 1 must have harvested candidates");
-
+        let cfg = ShardConfig::new(4);
+        let parent = ShardArtifacts::build(&Serial, &pts, &cfg);
         let extra = vec![Point::new([0.05f32, -0.4]), Point::new([-0.6f32, 0.33])];
         let (np, parent_of) = with_inserts(&pts, &extra);
         let mut scratch = BoruvkaScratch::new();
-        let cfg = ShardConfig::new(4);
-        let derive = |accel: Option<&MergeAccel>, scratch: &mut BoruvkaScratch| {
-            parent.apply_update(&Serial, &pts, &np, &parent_of, &cfg, scratch, accel, None).unwrap()
-        };
-        let (plain, _) = derive(None, &mut scratch);
-        let (floored, _) = derive(Some(&accel), &mut scratch);
-        // Inherited floors only prune provably-dead work: the merge result
-        // is bit-identical, and repeated merges through the child's own
-        // accelerator stay so.
-        let a = plain.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
-        let b = floored.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
-        assert_eq!(a.edges, b.edges);
-        let mut child_accel = floored.new_accel();
-        for _ in 0..2 {
-            let c = floored.merge(&Serial, &mut ms, Some(&mut child_accel), None).unwrap();
-            assert_eq!(c.edges, b.edges);
-        }
-        assert_eq!(weight_multiset(&a.edges), weight_multiset(&brute_force_emst(&np)));
+        let (child, report) =
+            parent.apply_update(&Serial, &pts, &np, &parent_of, &cfg, &mut scratch, None).unwrap();
+        assert!(!report.full_rebuild && report.reused_shards > 0, "no clean column to inherit");
+        let first = child.merge(&Serial, &mut MergeScratch::new(), None).unwrap();
+        assert_eq!(first.stats.round_details[0].queries, 0, "round 1 fired a query");
+        let views: Vec<MergeShardView<'_, 2>> =
+            child.locals.iter().map(|l| l.merge.view()).collect();
+        let radius = seed_hints(&child.flat_seeds, np.len());
+        let fresh = CrossBounds::compute(&Serial, &views, np.len(), None, Some(&radius));
+        assert!(child.bounds.cand_a.iter().any(|&a| a != u32::MAX));
+        assert_eq!(child.bounds.cand_a, fresh.cand_a);
+        assert_eq!(child.bounds.cand_b, fresh.cand_b);
+        let d = |b: &CrossBounds| b.cand_d.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(d(&child.bounds), d(&fresh));
+        let rebuilt = ShardArtifacts::build(&Serial, &np, &cfg);
+        let rebuilt = rebuilt.merge(&Serial, &mut MergeScratch::new(), None).unwrap();
+        assert_eq!(weight_multiset(&first.edges), weight_multiset(&brute_force_emst(&np)));
+        assert_eq!(weight_multiset(&first.edges), weight_multiset(&rebuilt.edges));
     }
 
     #[test]
@@ -1377,20 +1366,11 @@ mod tests {
         let (np, parent_of) = with_deletes(&pts, &del);
         let mut scratch = BoruvkaScratch::new();
         let (child, report) = parent
-            .apply_update(
-                &Serial,
-                &pts,
-                &np,
-                &parent_of,
-                &ShardConfig::new(4),
-                &mut scratch,
-                None,
-                None,
-            )
+            .apply_update(&Serial, &pts, &np, &parent_of, &ShardConfig::new(4), &mut scratch, None)
             .unwrap();
         assert!(report.full_rebuild);
         assert_eq!(report.reused_shards, 0);
-        let r = child.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
+        let r = child.merge(&Serial, &mut MergeScratch::new(), None).unwrap();
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
     }
 
@@ -1408,7 +1388,6 @@ mod tests {
             &parent_of,
             &ShardConfig::new(4),
             &mut scratch,
-            None,
             Some(past),
         );
         assert!(matches!(err, Err(MergeDeadlineExceeded)));
@@ -1422,14 +1401,13 @@ mod tests {
                 &parent_of,
                 &ShardConfig::new(4),
                 &mut scratch,
-                None,
                 Some(far),
             )
             .unwrap();
-        let r = child.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap();
+        let r = child.merge(&Serial, &mut MergeScratch::new(), None).unwrap();
         assert_eq!(weight_multiset(&r.edges), weight_multiset(&brute_force_emst(&np)));
         assert_eq!(
-            parent.merge(&Serial, &mut MergeScratch::new(), None, None).unwrap().edges.len(),
+            parent.merge(&Serial, &mut MergeScratch::new(), None).unwrap().edges.len(),
             pts.len() - 1
         );
     }

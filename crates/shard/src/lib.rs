@@ -48,7 +48,7 @@ pub mod plan;
 pub mod stream;
 
 pub use artifacts::{ShardArtifacts, UpdateReport, ARTIFACT_MAGIC};
-pub use merge::{MergeAccel, MergeDeadlineExceeded, MergeRoundDetail, MergeScratch};
+pub use merge::{MergeDeadlineExceeded, MergeRoundDetail, MergeScratch};
 pub use plan::ShardPlan;
 pub use stream::{emst_sharded_csv, StreamConfig};
 
@@ -142,7 +142,7 @@ pub fn emst_sharded_with<S: ExecSpace, const D: usize>(
     }
     let artifacts = ShardArtifacts::build(space, points, config);
     let mut result =
-        artifacts.merge(space, &mut MergeScratch::new(), None, None).expect("no deadline was set");
+        artifacts.merge(space, &mut MergeScratch::new(), None).expect("no deadline was set");
     let mut timings = artifacts.build_timings().clone();
     timings.absorb(&result.stats.timings);
     result.stats.timings = timings;

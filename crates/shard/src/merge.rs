@@ -45,6 +45,13 @@
 //! - **Entry bounds** ([`CrossBounds`], cached in the artifacts): a
 //!   per-`(vertex, shard)` lower bound on the cross distance — skip the
 //!   shard while the component radius is below it, with one compare.
+//! - **Round 1, answered at build time**: the cached bounds also hold each
+//!   vertex's minimum cross-shard edge within its round-1 radius (its
+//!   lightest seed edge), found by the same radius-capped probes that
+//!   sharpen the entry bounds. In round 1 every component is a singleton,
+//!   so that edge and every probe's floor are pure geometry, the same for
+//!   every merge of the cloud; the merge starts from them and its first
+//!   round fires no query.
 //! - **Durable floors**: a query that accepts nothing raises that bound to
 //!   the walker's radius-pruned frontier minimum
 //!   (`TraversalStats::pruned_min_sq`) — every abandoned leaf lies beyond
@@ -54,13 +61,12 @@
 //!   cross-component is still its vertex's minimum outgoing cross edge
 //!   (the candidate set only shrinks), so the vertex skips querying
 //!   entirely; the stored edge is re-offered to both sides each round.
-//! - **Incremental labels**: only ranks whose vertex changed component
-//!   re-reduce their node-label path (full parallel reduction when at
-//!   least half a shard changed), and the union/winner bookkeeping walks
-//!   the representative list, not all of `n`.
 //!
-//! None of this changes a single selected edge — the serving tests assert
-//! warm answers bit-identical to cold solves across backends.
+//! Only ranks whose vertex changed component re-reduce their node-label
+//! path (full parallel reduction when at least half a shard changed), and
+//! the union/winner bookkeeping walks the representative list, not all of
+//! `n`. None of this changes a single selected edge — the serving tests
+//! assert warm answers bit-identical to cold solves across backends.
 
 use std::sync::atomic::AtomicU32;
 
@@ -185,10 +191,12 @@ impl QueryWork {
 }
 
 /// Label-independent per-cloud state the merge consumes: vertex → (shard,
-/// Morton rank) maps plus the pristine per-`(vertex, shard)` entry bounds.
-/// A pure function of the shard geometry, so [`crate::ShardArtifacts`]
-/// computes it once at build time and every warm merge starts from a
-/// memcpy instead of recomputing `n·K` box distances.
+/// Morton rank) maps, the pristine per-`(vertex, shard)` entry bounds and,
+/// when computed with round-1 radii, round 1's answers. A pure function of
+/// the shard geometry (and the seeds that set those radii), so
+/// [`crate::ShardArtifacts`] computes it once at build time and every
+/// merge starts from a memcpy instead of recomputing `n·K` box distances
+/// and re-running round 1's queries.
 ///
 /// The bound is the min distance to the other shard's depth-4 node
 /// frontier (≤ 16 boxes) rather than its scene box: Morton-range scene
@@ -207,6 +215,13 @@ pub(crate) struct CrossBounds {
     pub cross_dist: Vec<Scalar>,
     /// Per-vertex min of `cross_dist` over the other shards.
     pub reach: Vec<Scalar>,
+    /// Squared weight of `v`'s minimum outgoing cross-shard edge, when one
+    /// lies within `v`'s round-1 radius.
+    pub cand_d: Vec<Scalar>,
+    /// Min endpoint of that edge; `u32::MAX` marks a vertex without one.
+    pub cand_a: Vec<u32>,
+    /// Max endpoint of that edge.
+    pub cand_b: Vec<u32>,
 }
 
 /// A mutated cloud's parent facts for [`CrossBounds::compute`]:
@@ -216,7 +231,6 @@ pub(crate) struct CrossBounds {
 #[derive(Clone, Copy)]
 pub(crate) struct Inherit<'a> {
     pub bounds: &'a CrossBounds,
-    pub accel: Option<&'a MergeAccel>,
     pub parent_of: &'a [u32],
     pub dirty: &'a [bool],
 }
@@ -242,33 +256,54 @@ fn frontiers<const D: usize>(shards: &[MergeShardView<'_, D>]) -> Vec<Vec<u32>> 
         .collect()
 }
 
-/// One pristine `(vertex, shard)` entry bound: the min distance from `q` to
-/// `shard`'s frontier boxes, optionally sharpened by a radius-capped nearest
-/// probe when the box bound falls at or below `refine` (see
-/// [`CrossBounds::compute`] for why the probe result is still a sound lower
-/// bound — either the exact nearest distance or the probe's pruned floor).
-fn entry_bound<const D: usize>(
-    shard: &MergeShardView<'_, D>,
-    frontier: &[u32],
-    q: &Point<D>,
-    refine: Option<Scalar>,
-) -> Scalar {
-    let mut d = frontier
-        .iter()
-        .map(|&id| shard.bvh.node_distance_sq(id, q))
-        .fold(Scalar::INFINITY, Scalar::min);
-    if let Some(hint) = refine {
-        if d <= hint {
-            let mut st = TraversalStats::default();
-            let hit = shard.bvh.nearest_floor(q, hint, |_| false, |_, e| Some(e), &mut st);
-            d = match hit {
-                Some(h) => h.dist_sq,
-                None => st.pruned_min_sq,
-            }
-            .max(d);
-        }
+/// Each vertex's round-1 merge radius: its min incident seed weight
+/// (`+inf` for a vertex no seed touches).
+pub(crate) fn seed_hints(seeds: &[Edge], n_vertices: usize) -> Vec<Scalar> {
+    let mut hint = vec![Scalar::INFINITY; n_vertices];
+    for e in seeds {
+        hint[e.u as usize] = hint[e.u as usize].min(e.weight_sq);
+        hint[e.v as usize] = hint[e.v as usize].min(e.weight_sq);
     }
-    d
+    hint
+}
+
+/// The best cross edge seen so far from one vertex: its `(ordered weight
+/// bits, min endpoint, max endpoint)` key — the merge's global edge order
+/// — and its squared weight.
+type BestEdge = Option<((u32, u32, u32), Scalar)>;
+
+/// A radius-capped nearest probe from vertex `v` at `q` into `shard`:
+/// returns the exact nearest-point distance when one lies within `radius`,
+/// else the walker's pruned floor — either way a lower bound on `v`'s
+/// distance to every point of `shard` — and folds every point it accepts
+/// into `best`, the way the merge's query phase tracks its candidate.
+fn probe<const D: usize>(
+    shard: &MergeShardView<'_, D>,
+    q: &Point<D>,
+    v: u32,
+    radius: Scalar,
+    best: &mut BestEdge,
+) -> Scalar {
+    let mut st = TraversalStats::default();
+    let vor = shard.vertex_of_rank;
+    let hit = shard.bvh.nearest_floor(
+        q,
+        radius,
+        |_| false,
+        |rank, e| {
+            let x = vor[rank as usize];
+            let key = (nonneg_f32_to_ordered_bits(e), v.min(x), v.max(x));
+            if best.is_none_or(|(b, _)| key < b) {
+                *best = Some((key, e));
+            }
+            Some(e)
+        },
+        &mut st,
+    );
+    match hit {
+        Some(h) => h.dist_sq,
+        None => st.pruned_min_sq,
+    }
 }
 
 impl CrossBounds {
@@ -290,50 +325,59 @@ impl CrossBounds {
 
     /// Computes the maps and pristine bounds for `shards`.
     ///
-    /// `refine_radius` (per vertex id) sharpens weak bounds: wherever the
-    /// frontier bound falls at or below a vertex's hint radius — i.e.
-    /// wherever the merge's first round would otherwise fire a (usually
-    /// empty) query — a radius-capped nearest probe replaces the box bound
-    /// with the exact nearest-point distance, or with the probe's own
-    /// pruned floor when nothing lies within the hint. Callers pass each
-    /// vertex's min incident seed weight (its round-1 radius), shifting
-    /// the discovery cost into the one-time build.
+    /// `radius` (per vertex id) runs the merge's round 1 here, once:
+    /// wherever a vertex's bound falls at or below its radius — i.e.
+    /// wherever round 1 would otherwise fire a query — a nearest probe
+    /// capped at that radius replaces the bound with the exact
+    /// nearest-point distance, or with the probe's own pruned floor when
+    /// nothing lies within it, and the lightest cross edge any probe of
+    /// the vertex accepts (under the `(weight, min, max)` order) becomes
+    /// its candidate. Callers pass each vertex's min incident seed weight,
+    /// which is its round-1 radius. In round 1 every component is a
+    /// singleton, so no same-component skip can fire: each probe's floor
+    /// is a fact about the point set alone and the candidate is the
+    /// vertex's global minimum cross-shard edge, exactly what round 1 of
+    /// any merge over these shards would derive. Every shard is probed at
+    /// the full radius (the merge's own loop shrinks it as candidates
+    /// appear), which leaves the stronger floors. Without `radius` no
+    /// vertex has a candidate and the merge runs round 1 itself.
     ///
     /// `inherit` carries a *mutated* cloud's still-valid parent facts, so
     /// only what the mutation invalidated is recomputed. An entry `(v, s)`
     /// is a lower bound on `v`'s distance to shard `s`'s points — a pure
     /// function of `v`'s position and `s`'s geometry — so for a surviving
     /// vertex (position unchanged) and a clean shard (point set unchanged)
-    /// the parent entry still holds verbatim, tightened by the parent
-    /// accelerator's durable floor for the same slot when one is supplied:
-    /// accel floors are harvested from round 1 only, where no
-    /// same-component skip can fire, so they too are label-independent
-    /// geometric facts about the unchanged `(position, point set)` pair.
-    /// Dirty columns and inserted vertices' full rows are computed as
-    /// without `inherit`.
+    /// the parent entry still holds, and stands in for the frontier bound
+    /// before the probe. Dirty columns and inserted vertices' full rows
+    /// start from the frontier bound as without `inherit`. Candidates are
+    /// never inherited (a parent candidate may name a deleted point); the
+    /// probes find the child's.
     pub fn compute<S: ExecSpace, const D: usize>(
         space: &S,
         shards: &[MergeShardView<'_, D>],
         n_vertices: usize,
         inherit: Option<Inherit<'_>>,
-        refine_radius: Option<&[Scalar]>,
+        radius: Option<&[Scalar]>,
     ) -> Self {
         let stride = shards.len();
         if let Some(i) = &inherit {
             debug_assert_eq!(i.parent_of.len(), n_vertices);
             debug_assert_eq!(i.dirty.len(), stride);
             debug_assert_eq!(i.bounds.cross_dist.len() % stride.max(1), 0, "parent stride differs");
-            if let Some(a) = i.accel {
-                debug_assert_eq!(a.stride, stride, "accel built for a different sharding");
-            }
         }
         let (shard_of, rank_of) = Self::maps(shards, n_vertices);
         let frontiers = frontiers(shards);
         let mut reach = vec![Scalar::INFINITY; n_vertices];
         let mut cross_dist = vec![Scalar::INFINITY; n_vertices * stride];
+        let mut cand_d = vec![Scalar::INFINITY; n_vertices];
+        let mut cand_a = vec![u32::MAX; n_vertices];
+        let mut cand_b = vec![u32::MAX; n_vertices];
         {
             let reach_s = SyncUnsafeSlice::new(reach.as_mut_slice());
             let cross_s = SyncUnsafeSlice::new(cross_dist.as_mut_slice());
+            let cand_d_s = SyncUnsafeSlice::new(cand_d.as_mut_slice());
+            let cand_a_s = SyncUnsafeSlice::new(cand_a.as_mut_slice());
+            let cand_b_s = SyncUnsafeSlice::new(cand_b.as_mut_slice());
             let (shard_of, rank_of, frontiers) = (&shard_of, &rank_of, &frontiers);
             space.parallel_for(n_vertices, |v| {
                 let home = shard_of[v] as usize;
@@ -342,187 +386,45 @@ impl CrossBounds {
                 let parent_row = inherit
                     .filter(|i| i.parent_of[v] != u32::MAX)
                     .map(|i| (i, i.parent_of[v] as usize * stride));
+                let mut best: BestEdge = None;
                 let mut r = Scalar::INFINITY;
                 for (s, shard) in shards.iter().enumerate() {
-                    let d = match parent_row {
+                    let mut d = match parent_row {
                         _ if s == home => Scalar::INFINITY,
-                        Some((i, row)) if !i.dirty[s] => {
-                            let d = i.bounds.cross_dist[row + s];
-                            i.accel.map_or(d, |a| d.max(a.cross_dist[row + s]))
-                        }
-                        _ => entry_bound(shard, &frontiers[s], q, refine_radius.map(|h| h[v])),
+                        Some((i, row)) if !i.dirty[s] => i.bounds.cross_dist[row + s],
+                        _ => frontiers[s]
+                            .iter()
+                            .map(|&id| shard.bvh.node_distance_sq(id, q))
+                            .fold(Scalar::INFINITY, Scalar::min),
                     };
+                    if let Some(radius) = radius.map(|h| h[v]).filter(|&h| s != home && d <= h) {
+                        d = d.max(probe(shard, q, v as u32, radius, &mut best));
+                    }
                     // SAFETY: one writer per slot.
                     unsafe { cross_s.write(v * stride + s, d) };
                     r = r.min(d);
                 }
                 // SAFETY: one writer per slot.
                 unsafe { reach_s.write(v, r) };
+                if let Some(((_, a, b), w)) = best {
+                    // SAFETY: one writer per slot.
+                    unsafe {
+                        cand_d_s.write(v, w);
+                        cand_a_s.write(v, a);
+                        cand_b_s.write(v, b);
+                    }
+                }
             });
         }
-        Self { shard_of, rank_of, cross_dist, reach }
+        Self { shard_of, rank_of, cross_dist, reach, cand_d, cand_a, cand_b }
     }
 
     /// Heap bytes the bounds hold resident.
     pub fn resident_bytes(&self) -> usize {
-        (self.shard_of.len() + self.rank_of.len()) * std::mem::size_of::<u32>()
-            + (self.cross_dist.len() + self.reach.len()) * std::mem::size_of::<Scalar>()
-    }
-}
-
-/// Durable cross-query acceleration state for one cloud's merges: the
-/// per-`(vertex, shard)` floors and per-vertex candidates that hold for
-/// *every* merge over the same shards, not just the query that learned
-/// them.
-///
-/// Everything here is harvested from **round 1 only** of a merge. In round
-/// 1 every component is a singleton with a distinct label, so no
-/// same-component skip can fire anywhere — node labels never equal a
-/// foreign query's label, leaf points are never label-rejected, and the
-/// hoisted root skip is impossible. Round-1 facts are therefore purely
-/// geometric:
-///
-/// - a failed `(v, s)` query's `pruned_min_sq` bounds `v`'s distance to
-///   every point of shard `s` (nothing was label-hidden), and
-/// - a found candidate is `v`'s global minimum outgoing cross-shard edge
-///   under the `(weight, min, max)` order.
-///
-/// Rounds ≥ 2 tighten the *working* copies with label-dependent facts
-/// (same-component leaves are still cross-shard edges to a fresh merge)
-/// and must never land here — which is exactly why the harvest happens
-/// once, right after round 1's query phase.
-///
-/// Two queries that both derive a slot derive the *same value* (the
-/// geometry is deterministic and candidates are unique under the total
-/// order), so [`MergeAccel::absorb`] is order-independent: concurrent
-/// queries can merge their harvests back into a shared instance in any
-/// interleaving and reach the same state.
-pub struct MergeAccel {
-    stride: usize,
-    /// `cross_dist[v * stride + s]`: tightened lower bound on `v`'s
-    /// distance to any point of shard `s`.
-    cross_dist: Vec<Scalar>,
-    /// Per-vertex lower bound on the min of `cross_dist` over other shards.
-    reach: Vec<Scalar>,
-    /// Squared weight of `v`'s minimum outgoing cross edge (when known).
-    cand_d: Vec<Scalar>,
-    /// Min endpoint of that edge; `u32::MAX` marks an empty slot.
-    cand_a: Vec<u32>,
-    /// Max endpoint of that edge.
-    cand_b: Vec<u32>,
-}
-
-impl MergeAccel {
-    /// Pristine accelerator over `bounds`: floors start at the build-time
-    /// entry bounds, no candidates known yet.
-    pub(crate) fn from_bounds(bounds: &CrossBounds, n_vertices: usize, stride: usize) -> Self {
-        debug_assert_eq!(bounds.cross_dist.len(), n_vertices * stride);
-        Self {
-            stride,
-            cross_dist: bounds.cross_dist.clone(),
-            reach: bounds.reach.clone(),
-            cand_d: vec![Scalar::INFINITY; n_vertices],
-            cand_a: vec![u32::MAX; n_vertices],
-            cand_b: vec![u32::MAX; n_vertices],
-        }
-    }
-
-    /// An empty accelerator, for pools that size lazily via
-    /// [`MergeAccel::copy_from`].
-    pub fn new() -> Self {
-        Self {
-            stride: 0,
-            cross_dist: vec![],
-            reach: vec![],
-            cand_d: vec![],
-            cand_a: vec![],
-            cand_b: vec![],
-        }
-    }
-
-    /// Becomes a copy of `other` (resizing as needed, reusing allocations).
-    pub fn copy_from(&mut self, other: &Self) {
-        self.stride = other.stride;
-        self.cross_dist.clone_from(&other.cross_dist);
-        self.reach.clone_from(&other.reach);
-        self.cand_d.clone_from(&other.cand_d);
-        self.cand_a.clone_from(&other.cand_a);
-        self.cand_b.clone_from(&other.cand_b);
-    }
-
-    /// Folds another accelerator over the same cloud into this one: floors
-    /// take the elementwise max (both are valid lower bounds, so the max
-    /// is the tighter valid bound), candidates fill empty slots. When both
-    /// sides know a candidate they know the *same* one — each is the
-    /// unique total-order minimum cross edge of its vertex — so merge
-    /// order cannot matter.
-    pub fn absorb(&mut self, other: &Self) {
-        debug_assert_eq!(self.stride, other.stride);
-        debug_assert_eq!(self.cross_dist.len(), other.cross_dist.len());
-        for (mine, theirs) in self.cross_dist.iter_mut().zip(&other.cross_dist) {
-            *mine = mine.max(*theirs);
-        }
-        for (mine, theirs) in self.reach.iter_mut().zip(&other.reach) {
-            *mine = mine.max(*theirs);
-        }
-        for v in 0..self.cand_a.len() {
-            if other.cand_a[v] == u32::MAX {
-                continue;
-            }
-            if self.cand_a[v] == u32::MAX {
-                self.cand_d[v] = other.cand_d[v];
-                self.cand_a[v] = other.cand_a[v];
-                self.cand_b[v] = other.cand_b[v];
-            } else {
-                debug_assert_eq!(
-                    (self.cand_a[v], self.cand_b[v], self.cand_d[v].to_bits()),
-                    (other.cand_a[v], other.cand_b[v], other.cand_d[v].to_bits()),
-                    "two derivations of vertex {v}'s minimum cross edge disagree"
-                );
-            }
-        }
-    }
-
-    /// Snapshots a merge's round-1 working state (see the type docs for
-    /// why round 1, and only round 1, is durable).
-    fn harvest(
-        &mut self,
-        cross_dist: &[Scalar],
-        reach: &[Scalar],
-        cand_d: &[Scalar],
-        cand_a: &[u32],
-        cand_b: &[u32],
-    ) {
-        self.cross_dist.clone_from_slice(cross_dist);
-        self.reach.clone_from_slice(reach);
-        self.cand_d.clone_from_slice(cand_d);
-        self.cand_a.clone_from_slice(cand_a);
-        self.cand_b.clone_from_slice(cand_b);
-    }
-
-    /// Number of vertices whose minimum outgoing cross edge is known.
-    pub fn num_candidates(&self) -> usize {
-        self.cand_a.iter().filter(|&&a| a != u32::MAX).count()
-    }
-
-    /// Sum of the per-`(vertex, shard)` floor values — monotone under
-    /// merges and harvests, so tests can assert the accelerator only ever
-    /// tightens.
-    pub fn floor_mass(&self) -> f64 {
-        self.cross_dist.iter().filter(|d| d.is_finite()).map(|&d| d as f64).sum()
-    }
-
-    /// Heap bytes the accelerator holds resident.
-    pub fn resident_bytes(&self) -> usize {
-        (self.cross_dist.len() + self.reach.len() + self.cand_d.len())
-            * std::mem::size_of::<Scalar>()
-            + (self.cand_a.len() + self.cand_b.len()) * std::mem::size_of::<u32>()
-    }
-}
-
-impl Default for MergeAccel {
-    fn default() -> Self {
-        Self::new()
+        (self.shard_of.len() + self.rank_of.len() + self.cand_a.len() + self.cand_b.len())
+            * std::mem::size_of::<u32>()
+            + (self.cross_dist.len() + self.reach.len() + self.cand_d.len())
+                * std::mem::size_of::<Scalar>()
     }
 }
 
@@ -572,10 +474,6 @@ impl MergeScratch {
             self.min_of_root.clear();
             self.min_of_root.resize(n, u32::MAX);
         }
-        self.cand_a.clear();
-        self.cand_a.resize(n, u32::MAX);
-        self.cand_b.resize(n, u32::MAX);
-        self.cand_d.resize(n, Scalar::INFINITY);
         self.upper.resize(n, Scalar::INFINITY);
         if self.comp_key.len() < n {
             self.comp_key.resize_with(n, AtomicU64Min::new_max);
@@ -602,15 +500,13 @@ impl MergeScratch {
 /// candidate `seeds`, returning the MST of `H` (see module docs).
 ///
 /// `bounds` carries the precomputed [`CrossBounds`] when the caller has
-/// them cached (the resident-artifact paths); `None` recomputes them here.
-/// `scratch` is the caller's allocation pool — reused across calls, never
-/// carrying semantic state between them. `accel`, when given, must be an
-/// accelerator for this exact cloud (same vertex numbering and shards,
-/// initialised via [`MergeAccel::from_bounds`]): the merge starts its
-/// working floors/candidates from it instead of the pristine bounds, and
-/// deposits the round-1 harvest back into it. The selected edges are
-/// bit-identical with or without it (every accel-driven skip is provably
-/// work the walker would have discarded).
+/// them cached (the resident-artifact paths); `None` recomputes them here,
+/// without round-1 answers. The merge starts its working floors and
+/// candidates from the bounds, so cached bounds that carry round 1's
+/// answers let round 1 fire no query; the selected edges are bit-identical
+/// either way (every skip is provably work the walker would have
+/// discarded). `scratch` is the caller's allocation pool — reused across
+/// calls, never carrying semantic state between them.
 ///
 /// Panics if `H` is disconnected, which cannot happen for the two callers:
 /// local-MST seeds connect each shard internally and the cross-shard edge
@@ -625,7 +521,6 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
     counters: &Counters,
     timings: &mut PhaseTimings,
     bounds: Option<&CrossBounds>,
-    mut accel: Option<&mut MergeAccel>,
     deadline: Option<std::time::Instant>,
     scratch: &mut MergeScratch,
 ) -> Result<MergeOutcome, MergeDeadlineExceeded> {
@@ -675,25 +570,15 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
         live_seeds,
     } = scratch;
     // Working copies: the query rounds tighten `cross_dist`/`reach` with
-    // durable floors learned from failed queries, so the pristine bounds
-    // stay untouched in the cache. An accelerator seeds tighter floors and
-    // known candidates from earlier merges of the same cloud.
+    // durable floors learned from failed queries and replace candidates as
+    // components merge, so the cached bounds stay untouched.
     let (shard_of, rank_of) = (&bounds.shard_of, &bounds.rank_of);
-    match accel.as_deref() {
-        Some(a) => {
-            debug_assert_eq!(a.stride, stride, "accel built for a different sharding");
-            debug_assert_eq!(a.cand_a.len(), n_vertices, "accel built for a different cloud");
-            reach.clone_from(&a.reach);
-            cross_dist.clone_from(&a.cross_dist);
-            cand_d.copy_from_slice(&a.cand_d);
-            cand_a.copy_from_slice(&a.cand_a);
-            cand_b.copy_from_slice(&a.cand_b);
-        }
-        None => {
-            reach.clone_from(&bounds.reach);
-            cross_dist.clone_from(&bounds.cross_dist);
-        }
-    }
+    debug_assert_eq!(bounds.cross_dist.len(), n_vertices * stride, "bounds for another sharding");
+    reach.clone_from(&bounds.reach);
+    cross_dist.clone_from(&bounds.cross_dist);
+    cand_d.clone_from(&bounds.cand_d);
+    cand_a.clone_from(&bounds.cand_a);
+    cand_b.clone_from(&bounds.cand_b);
     live_seeds.extend_from_slice(seeds);
 
     let mut edges: Vec<Edge> = Vec::with_capacity(n_vertices - 1);
@@ -956,17 +841,6 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
         counters.add_distance_computations(work.stats.distances);
         counters.add_subtrees_skipped(work.stats.skipped);
 
-        // Round 1's post-query working state is durable (see [`MergeAccel`]
-        // docs): snapshot it before any label-dependent round can taint the
-        // working arrays. Later rounds never write back.
-        if rounds == 1 {
-            if let Some(a) = accel.as_deref_mut() {
-                timings.time("merge.harvest", || {
-                    a.harvest(cross_dist, reach, cand_d, cand_a, cand_b);
-                });
-            }
-        }
-
         // Phase 4: resolve each component's winner. Among candidates that
         // attain `comp_key = (weight, min endpoint)`, the smallest packed
         // `(min, max)` pair wins — completing the total order.
@@ -1118,7 +992,6 @@ mod tests {
             &mut timings,
             None,
             None,
-            None,
             &mut MergeScratch::new(),
         )
         .unwrap();
@@ -1169,7 +1042,6 @@ mod tests {
             &mut timings,
             None,
             None,
-            None,
             &mut MergeScratch::new(),
         )
         .unwrap();
@@ -1178,29 +1050,51 @@ mod tests {
         assert_eq!(out.boundary_candidates, 0);
     }
 
-    /// Repeated merges through a shared accelerator stay bit-identical to
-    /// the accel-free merge, while the accelerator itself only tightens:
-    /// floors grow monotonically and known candidates never vanish.
+    /// Bounds computed with round-1 radii carry round 1's answers: every
+    /// candidate is its vertex's lightest cross-shard edge within its
+    /// radius, a merge started from them fires no round-1 query, and its
+    /// edges are bit-identical to a merge over plain frontier bounds,
+    /// which runs round 1 itself.
     #[test]
-    fn accelerated_merges_are_bit_identical_and_monotone() {
+    fn round_one_bounds_hold_candidates_and_merge_bit_identically() {
         let pts = random_points_2d(90, 13);
         let (a, b) = pts.split_at(40);
         let va: Vec<u32> = (0..40).collect();
         let vb: Vec<u32> = (40..90).collect();
         let shards = [MergeShard::build(&Serial, a, &va), MergeShard::build(&Serial, b, &vb)];
         let views: Vec<_> = shards.iter().map(MergeShard::view).collect();
-        let bounds = CrossBounds::compute(&Serial, &views, 90, None, None);
-        // Local-MST seeds give every vertex a finite round-1 radius, so
-        // interior queries fail and raise durable floors.
+        // Local-MST seeds give every vertex a finite round-1 radius.
         let mut seeds = brute_force_emst(a);
         seeds
             .extend(brute_force_emst(b).iter().map(|e| Edge::new(e.u + 40, e.v + 40, e.weight_sq)));
+        let radius = seed_hints(&seeds, 90);
+        let plain = CrossBounds::compute(&Serial, &views, 90, None, None);
+        let answered = CrossBounds::compute(&Serial, &views, 90, None, Some(&radius));
+        assert!(plain.cand_a.iter().all(|&a| a == u32::MAX));
+        assert!(answered.cand_a.iter().any(|&a| a != u32::MAX), "round 1 must find candidates");
+        for v in 0..90u32 {
+            let home = answered.shard_of[v as usize];
+            // Brute force: the lightest cross edge within the radius.
+            let lightest = (0..90u32)
+                .filter(|&x| answered.shard_of[x as usize] != home)
+                .map(|x| (pts[v as usize].squared_distance(&pts[x as usize]), v.min(x), v.max(x)))
+                .filter(|&(d, _, _)| d <= radius[v as usize])
+                .min_by_key(|&(d, a, b)| (d.to_bits(), a, b));
+            let i = v as usize;
+            let got = (answered.cand_d[i].to_bits(), answered.cand_a[i], answered.cand_b[i]);
+            match lightest {
+                Some((d, a, b)) => assert_eq!(got, (d.to_bits(), a, b), "vertex {v}"),
+                None => assert_eq!(got.1, u32::MAX, "vertex {v}"),
+            }
+        }
+        // The probes only ever sharpen the frontier bounds.
+        assert!(answered.cross_dist.iter().zip(&plain.cross_dist).all(|(r, p)| r >= p));
+
         let counters = Counters::new();
         let mut scratch = MergeScratch::new();
-
-        let seeds = &seeds;
-        let mut run = |accel: Option<&mut MergeAccel>| {
+        let mut run = |bounds: &CrossBounds| {
             let mut timings = PhaseTimings::new();
+            let seeds = &seeds;
             cross_shard_boruvka(
                 &Serial,
                 &views,
@@ -1208,40 +1102,19 @@ mod tests {
                 seeds,
                 &counters,
                 &mut timings,
-                Some(&bounds),
-                accel,
+                Some(bounds),
                 None,
                 &mut scratch,
             )
             .unwrap()
-            .edges
         };
-        let baseline = run(None);
-
-        let mut accel = MergeAccel::from_bounds(&bounds, 90, 2);
-        let pristine_mass = accel.floor_mass();
-        let mut last_mass = pristine_mass;
-        let mut last_cands = 0;
-        for _ in 0..3 {
-            let edges = run(Some(&mut accel));
-            assert_eq!(edges, baseline, "accelerated merge must stay bit-identical");
-            assert!(accel.floor_mass() >= last_mass, "floors must only tighten");
-            assert!(accel.num_candidates() >= last_cands, "candidates must persist");
-            last_mass = accel.floor_mass();
-            last_cands = accel.num_candidates();
+        let baseline = run(&plain);
+        assert!(baseline.round_details[0].queries > 0);
+        for _ in 0..2 {
+            let answered_run = run(&answered);
+            assert_eq!(answered_run.edges, baseline.edges, "round-1 answers must not change bits");
+            assert_eq!(answered_run.round_details[0].queries, 0, "round 1 fired a query");
         }
-        assert!(last_cands > 0, "round 1 must have harvested some candidates");
-        assert!(last_mass > pristine_mass, "failed queries must have raised floors");
-
-        // Absorbing a fresh harvest into a pristine accel reproduces it —
-        // and absorbing it again is idempotent.
-        let mut merged = MergeAccel::from_bounds(&bounds, 90, 2);
-        merged.absorb(&accel);
-        merged.absorb(&accel);
-        assert_eq!(merged.floor_mass(), accel.floor_mass());
-        assert_eq!(merged.num_candidates(), accel.num_candidates());
-        let edges = run(Some(&mut merged));
-        assert_eq!(edges, baseline);
     }
 
     #[test]
@@ -1258,7 +1131,6 @@ mod tests {
             &[],
             &counters,
             &mut timings,
-            None,
             None,
             None,
             &mut MergeScratch::new(),

@@ -298,7 +298,6 @@ fn stream_shards<S: ExecSpace, const D: usize>(
                 timings,
                 None,
                 None,
-                None,
                 &mut merge_scratch,
             )
             .expect("no deadline was set");

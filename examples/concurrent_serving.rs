@@ -11,7 +11,8 @@
 //! `threads` workers at once and checks three things:
 //!
 //! - every concurrent answer is bit-identical to the single-threaded one
-//!   (the shared merge accelerator changes the *work*, never the answer);
+//!   (residents are immutable after admission, so no interleaving can
+//!   change an answer);
 //! - exactly one build ran, no matter how many threads raced the first
 //!   miss (single-flight coalescing);
 //! - aggregate warm throughput, which scales with physical cores — on a

@@ -177,9 +177,8 @@ fn knn_and_hdbscan_ride_the_resident_cloud() {
 
 /// Tentpole property: N threads hammering one shared engine — mixed query
 /// types, overlapping clouds, evictions forced by a tiny residency budget
-/// — must produce answers bit-identical to a single-threaded engine,
-/// including after the shared merge accelerator has absorbed floors and
-/// candidates from many interleaved queries.
+/// — must produce answers bit-identical to a single-threaded engine, with
+/// every resident read by many interleaved queries at once.
 #[test]
 fn concurrent_mixed_queries_are_bit_identical_to_single_threaded() {
     let clouds: Vec<Vec<Point<2>>> = (0..3).map(|s| cloud(350, 80 + s)).collect();
@@ -189,7 +188,7 @@ fn concurrent_mixed_queries_are_bit_identical_to_single_threaded() {
 
     // Reference answers from a single-threaded engine with the same tiny
     // budget (so its cache churns the same way), each cloud queried twice
-    // so the accel merge-back path is exercised there too.
+    // so the warm merge path is exercised there too.
     let single = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(4, 2));
     let reference: Vec<_> = clouds
         .iter()
@@ -238,7 +237,7 @@ fn concurrent_mixed_queries_are_bit_identical_to_single_threaded() {
     assert_eq!(stats.spill_failures, 0);
 
     // After all the churn, fresh queries still reproduce the exact bits —
-    // the merged-back accelerator state changed the work, never the answer.
+    // residents are immutable, so no interleaving can change an answer.
     for (ci, c) in clouds.iter().enumerate() {
         assert_eq!(engine.emst(c).edges, reference[ci].0);
     }
@@ -263,9 +262,9 @@ fn concurrent_mixed_queries_are_bit_identical_to_single_threaded() {
     assert!(traces.windows(2).all(|w| w[0].seq > w[1].seq), "traces must be newest-first");
 }
 
-/// Warm queries carry a full span breakdown: digest, per-round merge
-/// deltas from the shard layer's `MergeRoundDetail`, and the accel
-/// absorb — the per-query flight recorder the tentpole promises.
+/// Warm queries carry a full span breakdown — digest and per-round merge
+/// deltas from the shard layer's `MergeRoundDetail` — so each query's
+/// trace shows where its time went.
 #[test]
 fn warm_query_traces_expose_merge_round_spans() {
     let pts = cloud(500, 97);
@@ -289,7 +288,6 @@ fn warm_query_traces_expose_merge_round_spans() {
         assert!(round.fields.iter().any(|&(k, _)| k == key), "merge.round misses {key}");
     }
     assert!(round.fields.iter().any(|&(k, v)| k == "round" && v == 1));
-    span("absorb");
     // A cold query on a fresh engine additionally records the build span.
     let fresh = ServeEngine::<_, 2>::new(Threads, ServeConfig::new(4, 2));
     fresh.emst(&pts);
