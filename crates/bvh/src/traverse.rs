@@ -17,6 +17,7 @@
 //! exactly (see `wide.rs`), so that minimum is bit-identical to a brute
 //! force over the same candidates.
 
+use emst_exec::counters::CounterSnapshot;
 use emst_geometry::{Point, Scalar};
 
 use crate::build::Bvh;
@@ -96,6 +97,21 @@ impl TraversalStats {
             skipped: self.skipped + other.skipped,
             rope_hops: self.rope_hops + other.rope_hops,
             pruned_min_sq: self.pruned_min_sq.min(other.pruned_min_sq),
+        }
+    }
+
+    /// The walk's work as counter fields (distances, node and leaf
+    /// visits, skipped subtrees, rope hops) — the one bridge from a
+    /// traversal into [`Counters`](emst_exec::Counters). Queries and heap
+    /// operations are the caller's to count.
+    pub fn work(&self) -> CounterSnapshot {
+        CounterSnapshot {
+            distance_computations: self.distances,
+            node_visits: self.nodes,
+            rope_hops: self.rope_hops,
+            leaf_visits: self.leaves,
+            subtrees_skipped: self.skipped,
+            ..CounterSnapshot::default()
         }
     }
 }

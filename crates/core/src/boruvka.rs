@@ -553,11 +553,7 @@ pub fn run_boruvka_scratch<S: ExecSpace, M: Metric, const D: usize>(
                 |a, b| (a.0.merged(b.0), a.1 + b.1),
             );
             counters.add_queries(queries);
-            counters.add_node_visits(stats.nodes);
-            counters.add_rope_hops(stats.rope_hops);
-            counters.add_leaf_visits(stats.leaves);
-            counters.add_distance_computations(stats.distances);
-            counters.add_subtrees_skipped(stats.skipped);
+            counters.add(&stats.work());
         });
 
         // Normalize the winning edge of every component into `comp_edge`.

@@ -167,16 +167,46 @@ pub fn read_points_chunked<const D: usize>(
 // build and parse in-memory byte vectors; durability policy (retry, backoff,
 // relocation, fault injection) lives with the caller.
 
-/// FNV-1a 64-bit over a byte slice — the same hash family the serving layer
-/// uses for content digests; stable across platforms and fast enough that
-/// checksumming never shows up next to the file I/O it guards.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// Streaming FNV-1a 64-bit (`default()` is the offset basis): the one hash
+/// behind blob checksums, the serving layer's content digests and reply
+/// checks, and the fault injector's decisions. Stable across platforms and
+/// fast enough that checksumming never shows up next to the file I/O it
+/// guards. Feeding a byte stream in pieces gives the same value as hashing
+/// it in one call.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf29ce484222325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Mixes in `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    /// Mixes in the little-endian bytes of `word`.
+    pub fn write_u64(&mut self, word: u64) {
+        self.write(&word.to_le_bytes());
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a 64-bit over a byte slice (one-shot [`Fnv1a`]).
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Little-endian primitive encoder for blob payloads.
@@ -509,6 +539,16 @@ mod tests {
 
     #[test]
     fn blob_round_trips_and_detects_every_single_byte_flip() {
+        // The checksum is FNV-1a 64: the published test vectors, and a
+        // stream fed in pieces hashes like the whole slice.
+        assert_eq!(fnv1a_64(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63dc4c8601ec8c);
+        let mut h = Fnv1a::default();
+        h.write(b"fo");
+        h.write(b"obar");
+        h.write_u64(0x0102_0304_0506_0708);
+        assert_eq!(h.finish(), fnv1a_64(b"foobar\x08\x07\x06\x05\x04\x03\x02\x01"));
+
         const MAGIC: &[u8; 8] = b"EMSTTST1";
         let mut w = ByteWriter::new();
         w.u32(7);

@@ -94,6 +94,29 @@ impl Counters {
         self.heap_ops.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Every counter, in [`CounterSnapshot::named_fields`] order.
+    fn cells(&self) -> [&AtomicU64; 9] {
+        [
+            &self.distance_computations,
+            &self.node_visits,
+            &self.rope_hops,
+            &self.leaf_visits,
+            &self.subtrees_skipped,
+            &self.queries,
+            &self.iterations,
+            &self.bytes_accessed,
+            &self.heap_ops,
+        ]
+    }
+
+    /// Adds every field of `work` (e.g. a traversal's
+    /// `TraversalStats::work`) to its counter.
+    pub fn add(&self, work: &CounterSnapshot) {
+        for (cell, (_, v)) in self.cells().into_iter().zip(work.named_fields()) {
+            cell.fetch_add(v, Ordering::Relaxed);
+        }
+    }
+
     /// Copies the current values into a plain snapshot.
     pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
@@ -111,15 +134,9 @@ impl Counters {
 
     /// Zeroes every counter.
     pub fn reset(&self) {
-        self.distance_computations.store(0, Ordering::Relaxed);
-        self.node_visits.store(0, Ordering::Relaxed);
-        self.rope_hops.store(0, Ordering::Relaxed);
-        self.leaf_visits.store(0, Ordering::Relaxed);
-        self.subtrees_skipped.store(0, Ordering::Relaxed);
-        self.queries.store(0, Ordering::Relaxed);
-        self.iterations.store(0, Ordering::Relaxed);
-        self.bytes_accessed.store(0, Ordering::Relaxed);
-        self.heap_ops.store(0, Ordering::Relaxed);
+        for cell in self.cells() {
+            cell.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -277,6 +294,11 @@ mod tests {
         assert_eq!(fields[8], ("heap_ops", 9));
         let sum: u64 = fields.iter().map(|&(_, v)| v).sum();
         assert_eq!(sum, 45, "every field value appears exactly once");
+        // `Counters::add` lands each field on its own counter.
+        let c = Counters::new();
+        c.add(&snap);
+        c.add(&snap);
+        assert_eq!(c.snapshot(), snap + snap);
     }
 
     #[test]

@@ -68,10 +68,7 @@ pub fn core_distances_sq_instrumented<S: ExecSpace, const D: usize>(
             emst_bvh::TraversalStats::merged,
         );
         counters.add_queries(n as u64);
-        counters.add_node_visits(stats.nodes);
-        counters.add_rope_hops(stats.rope_hops);
-        counters.add_leaf_visits(stats.leaves);
-        counters.add_distance_computations(stats.distances);
+        counters.add(&stats.work());
         // Every candidate offer costs up to one heap sift.
         counters.add_heap_ops(stats.leaves * heap_depth);
     }

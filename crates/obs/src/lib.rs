@@ -15,8 +15,8 @@
 //!   records, each a list of named [`trace::SpanRecord`] phases (digest,
 //!   lease wait, merge rounds, …) with integer fields. Memory is bounded
 //!   by construction; readout is newest-first.
-//! - [`log`] — a leveled structured logger (text or JSON lines, to
-//!   stderr or a file) replacing ad-hoc `eprintln!` diagnostics.
+//! - [`log`] — a structured logger (text or JSON lines on stderr)
+//!   replacing ad-hoc `eprintln!` diagnostics.
 //!
 //! Everything here is advisory instrumentation: relaxed atomics, no
 //! happens-before obligations, and nothing in this crate may influence

@@ -1,14 +1,11 @@
-//! A leveled structured logger: text or JSON lines, to stderr or a file.
+//! A structured logger: text or JSON lines on stderr.
 //!
 //! The workspace previously reported serve-side diagnostics with ad-hoc
-//! `eprintln!` calls, which a JSON-consuming supervisor cannot parse and
-//! a quiet deployment cannot silence. This module is the replacement: a
-//! process-global logger with
-//!
-//! - a [`Level`] threshold (`debug` < `info` < `warn` < `error`),
-//! - a [`Format`] (`text` for humans, `json` for machines — one JSON
-//!   object per line), and
-//! - a sink (stderr by default, or an append-opened file).
+//! `eprintln!` calls, which a JSON-consuming supervisor cannot parse. This
+//! module is the replacement: a process-global logger with a [`Format`]
+//! (`text` for humans, `json` for machines — one JSON object per line)
+//! writing each record to stderr at one of two levels, [`info`] for
+//! lifecycle events and [`warn`] for degraded-but-continuing ones.
 //!
 //! Call sites pass a *target* (the emitting subsystem, e.g.
 //! `emst-serve`), a message, and a list of `key = value` fields:
@@ -20,71 +17,22 @@
 //! In JSON format the line is `{"ts":…,"level":"warn","target":"…",
 //! "msg":"…","key":"uniform-1000"}` — the keys `ts`, `level`, `target`
 //! and `msg` are reserved for the envelope, so field keys must avoid
-//! them. Level and format live in relaxed atomics (reading them is free)
-//! and the sink behind a mutex taken only when a record passes the
-//! threshold.
+//! them. The format lives in a relaxed atomic, so reading it is free.
 
-use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::Path;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
-
-/// Log severity, ordered `Debug < Info < Warn < Error`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
-    /// Verbose diagnostics (per-query chatter).
-    Debug = 0,
-    /// Lifecycle events (engine start, cache admissions).
-    Info = 1,
-    /// Degraded but continuing (spill write failed, collision verified).
-    Warn = 2,
-    /// Operation failed.
-    Error = 3,
-}
-
-impl Level {
-    /// Lower-case name (`"warn"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Level::Debug => "debug",
-            Level::Info => "info",
-            Level::Warn => "warn",
-            Level::Error => "error",
-        }
-    }
-
-    /// Parses a lower-case name.
-    pub fn parse(s: &str) -> Option<Level> {
-        match s {
-            "debug" => Some(Level::Debug),
-            "info" => Some(Level::Info),
-            "warn" => Some(Level::Warn),
-            "error" => Some(Level::Error),
-            _ => None,
-        }
-    }
-}
 
 /// Output format of the global logger.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Format {
     /// Human-readable single lines: `[warn emst-serve] msg key="value"`.
-    Text = 0,
+    Text,
     /// One JSON object per line.
-    Json = 1,
+    Json,
 }
 
 impl Format {
-    /// Lower-case name (`"json"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Format::Text => "text",
-            Format::Json => "json",
-        }
-    }
-
     /// Parses a lower-case name (the CLI's `--log-format` values).
     pub fn parse(s: &str) -> Option<Format> {
         match s {
@@ -95,87 +43,36 @@ impl Format {
     }
 }
 
-enum Sink {
-    Stderr,
-    File(File),
-}
-
-static LEVEL: AtomicU8 = AtomicU8::new(Level::Info as u8);
-static FORMAT: AtomicU8 = AtomicU8::new(Format::Text as u8);
-static SINK: Mutex<Sink> = Mutex::new(Sink::Stderr);
-
-/// Sets the global threshold; records below it are dropped.
-pub fn set_level(level: Level) {
-    LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
-/// The current global threshold.
-pub fn level() -> Level {
-    match LEVEL.load(Ordering::Relaxed) {
-        0 => Level::Debug,
-        1 => Level::Info,
-        2 => Level::Warn,
-        _ => Level::Error,
-    }
-}
+/// Whether the global format is [`Format::Json`].
+static JSON: AtomicBool = AtomicBool::new(false);
 
 /// Sets the global output format.
 pub fn set_format(format: Format) {
-    FORMAT.store(format as u8, Ordering::Relaxed);
+    JSON.store(format == Format::Json, Ordering::Relaxed);
 }
 
-/// The current global output format.
-pub fn format() -> Format {
-    if FORMAT.load(Ordering::Relaxed) == Format::Json as u8 {
-        Format::Json
-    } else {
-        Format::Text
-    }
-}
-
-fn sink() -> std::sync::MutexGuard<'static, Sink> {
-    SINK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Routes subsequent records to stderr (the default).
-pub fn log_to_stderr() {
-    *sink() = Sink::Stderr;
-}
-
-/// Routes subsequent records to `path`, opened for append.
-pub fn log_to_file(path: &Path) -> std::io::Result<()> {
-    let file = OpenOptions::new().create(true).append(true).open(path)?;
-    *sink() = Sink::File(file);
-    Ok(())
-}
-
-/// Whether a record at `level` would currently be emitted.
-pub fn enabled(level: Level) -> bool {
-    level >= self::level()
-}
-
-/// Emits one record if `level` passes the threshold. `fields` are
-/// `key = value` annotations appended after the message.
-pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, &str)]) {
-    if !enabled(level) {
-        return;
-    }
-    let line = match format() {
+/// Renders one record at `level` (`"info"` or `"warn"`) as a line
+/// (without the newline) in `format`; `ts` (seconds since the Unix epoch)
+/// appears in JSON lines only.
+fn render(
+    format: Format,
+    ts: f64,
+    level: &str,
+    target: &str,
+    msg: &str,
+    fields: &[(&str, &str)],
+) -> String {
+    match format {
         Format::Text => {
-            let mut line = format!("[{} {target}] {msg}", level.as_str());
+            let mut line = format!("[{level} {target}] {msg}");
             for (k, v) in fields {
                 line.push_str(&format!(" {k}={v:?}"));
             }
             line
         }
         Format::Json => {
-            let ts = SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_secs_f64())
-                .unwrap_or(0.0);
             let mut line = format!(
-                "{{\"ts\":{ts:.3},\"level\":\"{}\",\"target\":\"{}\",\"msg\":\"{}\"",
-                level.as_str(),
+                "{{\"ts\":{ts:.3},\"level\":\"{level}\",\"target\":\"{}\",\"msg\":\"{}\"",
                 crate::json_escape(target),
                 crate::json_escape(msg)
             );
@@ -189,94 +86,58 @@ pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, &str)]) {
             line.push('}');
             line
         }
-    };
-    let mut sink = sink();
-    let result = match &mut *sink {
-        Sink::Stderr => writeln!(std::io::stderr().lock(), "{line}"),
-        Sink::File(f) => writeln!(f, "{line}").and_then(|()| f.flush()),
-    };
-    // A logger that panics on a full disk would take the server down for
-    // the sake of a diagnostic; drop the record instead.
-    let _ = result;
+    }
 }
 
-/// [`log`] at [`Level::Debug`].
-pub fn debug(target: &str, msg: &str, fields: &[(&str, &str)]) {
-    log(Level::Debug, target, msg, fields);
+/// Writes one record to stderr in the global format. `fields` are
+/// `key = value` annotations appended after the message.
+fn log(level: &str, target: &str, msg: &str, fields: &[(&str, &str)]) {
+    let format = if JSON.load(Ordering::Relaxed) { Format::Json } else { Format::Text };
+    let ts = SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs_f64()).unwrap_or(0.0);
+    let line = render(format, ts, level, target, msg, fields);
+    // A logger that panics on a closed stderr would take the server down
+    // for the sake of a diagnostic; drop the record instead.
+    let _ = writeln!(std::io::stderr().lock(), "{line}");
 }
 
-/// [`log`] at [`Level::Info`].
+/// Logs a lifecycle event (engine start, cache admissions).
 pub fn info(target: &str, msg: &str, fields: &[(&str, &str)]) {
-    log(Level::Info, target, msg, fields);
+    log("info", target, msg, fields);
 }
 
-/// [`log`] at [`Level::Warn`].
+/// Logs a degraded-but-continuing event (spill write failed, collision
+/// verified).
 pub fn warn(target: &str, msg: &str, fields: &[(&str, &str)]) {
-    log(Level::Warn, target, msg, fields);
-}
-
-/// [`log`] at [`Level::Error`].
-pub fn error(target: &str, msg: &str, fields: &[(&str, &str)]) {
-    log(Level::Error, target, msg, fields);
+    log("warn", target, msg, fields);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// One test exercising sink/format/level together: the logger is
-    /// process-global, so splitting these into separate `#[test]`s would
-    /// let the harness interleave their reconfigurations.
     #[test]
-    fn file_sink_formats_and_levels() {
-        let path =
-            std::env::temp_dir().join(format!("emst_obs_log_test_{}.log", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        log_to_file(&path).unwrap();
+    fn records_render_as_text_and_json() {
+        let text = render(Format::Text, 0.0, "warn", "test", "kept", &[("key", "va l\"ue")]);
+        assert_eq!(text, "[warn test] kept key=\"va l\\\"ue\"");
 
-        set_format(Format::Text);
-        set_level(Level::Warn);
-        info("test", "dropped below threshold", &[]);
-        warn("test", "kept", &[("key", "va l\"ue")]);
-        assert!(enabled(Level::Error) && !enabled(Level::Info));
-
-        set_format(Format::Json);
-        set_level(Level::Debug);
-        debug("test", "json line", &[("k", "v")]);
-        error("test", "json \"quoted\"", &[]);
-
-        // Restore defaults before reading back, so a failing assert below
-        // cannot leave later compilations of this crate chatty.
-        set_format(Format::Text);
-        set_level(Level::Info);
-        log_to_stderr();
-
-        let contents = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = contents.lines().collect();
-        assert_eq!(lines.len(), 3, "info below threshold must be dropped: {lines:?}");
-        assert_eq!(lines[0], "[warn test] kept key=\"va l\\\"ue\"");
-        assert!(lines[1].starts_with("{\"ts\":"));
-        assert!(lines[1].contains("\"level\":\"debug\""));
-        assert!(lines[1].contains("\"target\":\"test\""));
-        assert!(lines[1].contains("\"msg\":\"json line\""));
-        assert!(lines[1].contains("\"k\":\"v\""));
-        assert!(lines[1].ends_with('}'));
-        assert!(lines[2].contains("\"msg\":\"json \\\"quoted\\\"\""));
-        for json_line in &lines[1..] {
+        let json = render(Format::Json, 1.5, "info", "test", "json line", &[("k", "v")]);
+        assert!(json.starts_with("{\"ts\":"));
+        assert!(json.contains("\"level\":\"info\""));
+        assert!(json.contains("\"target\":\"test\""));
+        assert!(json.contains("\"msg\":\"json line\""));
+        assert!(json.contains("\"k\":\"v\""));
+        assert!(json.ends_with('}'));
+        let quoted = render(Format::Json, 1.5, "warn", "test", "json \"quoted\"", &[]);
+        assert!(quoted.contains("\"msg\":\"json \\\"quoted\\\"\""));
+        for json_line in [&json, &quoted] {
             assert_eq!(json_line.matches('{').count(), json_line.matches('}').count());
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn level_and_format_parse_round_trip() {
-        for level in [Level::Debug, Level::Info, Level::Warn, Level::Error] {
-            assert_eq!(Level::parse(level.as_str()), Some(level));
-        }
-        for format in [Format::Text, Format::Json] {
-            assert_eq!(Format::parse(format.as_str()), Some(format));
-        }
-        assert_eq!(Level::parse("loud"), None);
+    fn format_names_parse() {
+        assert_eq!(Format::parse("text"), Some(Format::Text));
+        assert_eq!(Format::parse("json"), Some(Format::Json));
         assert_eq!(Format::parse("yaml"), None);
     }
 }

@@ -1,12 +1,19 @@
-//! Deterministic fault injection for the spill/reload paths.
+//! Deterministic fault injection, and the one path every stored file takes.
 //!
 //! A [`FaultPlan`] is a seeded set of rules, one decision per I/O
-//! operation: every spill write and every spill read asks the plan whether
-//! (and how) to fail. Decisions are a pure function of `(seed, site,
-//! operation ordinal, rule index)` — the same plan replayed over the same
-//! operation sequence injects the same faults, which is what lets the chaos
-//! suite assert exact outcomes and lets a CI failure be reproduced from its
-//! seed alone.
+//! operation: every spill write and read, every `--metrics-file` write and
+//! every dataset ingest read asks the plan whether (and how) to fail.
+//! Decisions are a pure function of `(seed, site, operation ordinal, rule
+//! index)` — the same plan replayed over the same operation sequence
+//! injects the same faults, which is what lets the chaos suite assert
+//! exact outcomes and lets a CI failure be reproduced from its seed alone.
+//!
+//! Those operations all go through [`faulted_write`] and [`faulted_read`],
+//! so each fault kind means the same thing at every site. The writer is
+//! atomic and durable (temp file, `sync_data`, rename): a failed write,
+//! an injected `ENOSPC` included, leaves the destination as it was. The
+//! reader reads the file before it asks the plan, so a missing file is
+//! `NotFound` and consumes no decision.
 //!
 //! The plan deliberately covers the two failure shapes a storage layer must
 //! survive:
@@ -30,7 +37,14 @@
 //! 0.25. Rules are evaluated in spec order per site; the first that fires
 //! wins, so at most one fault applies per operation.
 
+use std::borrow::Cow;
+use std::ffi::OsString;
+use std::fs::File;
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+use emst_datasets::io::Fnv1a;
 
 /// Where in the storage path a fault decision is being made.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,10 +62,10 @@ pub enum FaultSite {
 /// The failure to inject.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The operation errors with `EIO` (nothing is written/read).
+    /// The operation errors with `EIO` (nothing is written or returned).
     Eio,
-    /// A write lands a partial file, then errors with `ENOSPC`; a read
-    /// errors the same way (quota exceeded mid-read).
+    /// A write fails part-way with `ENOSPC` and leaves the destination as
+    /// it was; a read errors the same way (quota exceeded mid-read).
     Enospc,
     /// Silent truncation: the operation *succeeds* but only a prefix of
     /// the bytes makes it through.
@@ -80,36 +94,24 @@ struct Rule {
 pub struct FaultPlan {
     seed: u64,
     rules: Vec<Rule>,
-    write_ops: AtomicU64,
-    read_ops: AtomicU64,
-    metrics_write_ops: AtomicU64,
-    ingest_read_ops: AtomicU64,
+    /// Operation ordinals, one per [`FaultSite`] (`site as usize`).
+    ops: [AtomicU64; 4],
     injected: AtomicU64,
 }
 
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+/// FNV-1a over the little-endian bytes of `words`.
+fn hash_words(words: &[u64]) -> u64 {
+    let mut h = Fnv1a::default();
+    for &w in words {
+        h.write_u64(w);
     }
-    h
+    h.finish()
 }
 
 impl FaultPlan {
     /// An empty plan (no rules — never injects) with the given seed.
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            rules: vec![],
-            write_ops: AtomicU64::new(0),
-            read_ops: AtomicU64::new(0),
-            metrics_write_ops: AtomicU64::new(0),
-            ingest_read_ops: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
-        }
+        Self { seed, rules: vec![], ops: Default::default(), injected: AtomicU64::new(0) }
     }
 
     /// Appends a rule: at `site`, inject `kind` with probability `prob`
@@ -120,9 +122,9 @@ impl FaultPlan {
     }
 
     /// Parses the CLI spec format (see the module docs):
-    /// `seed=N;<site>=<kind>[:ms]@<prob>;...` where `site` is
-    /// `write`/`read` and `kind` is `eio`, `enospc`, `shortwrite`,
-    /// `bitflip` or `stall:<ms>`.
+    /// `seed=N;<site>=<kind>[:ms]@<prob>;...` where `site` is `write`,
+    /// `read`, `metrics` or `ingest` and `kind` is `eio`, `enospc`,
+    /// `shortwrite`, `bitflip` or `stall:<ms>`.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = Self::new(0);
         let mut saw_seed = false;
@@ -170,24 +172,15 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    fn ordinal(&self, site: FaultSite) -> &AtomicU64 {
-        match site {
-            FaultSite::Write => &self.write_ops,
-            FaultSite::Read => &self.read_ops,
-            FaultSite::MetricsWrite => &self.metrics_write_ops,
-            FaultSite::IngestRead => &self.ingest_read_ops,
-        }
-    }
-
     /// Decides the fate of the next operation at `site`: `None` means run
     /// cleanly. Consumes one ordinal per call regardless of outcome.
     pub fn decide(&self, site: FaultSite) -> Option<FaultKind> {
-        let op = self.ordinal(site).fetch_add(1, Relaxed);
+        let op = self.ops[site as usize].fetch_add(1, Relaxed);
         for (i, rule) in self.rules.iter().enumerate() {
             if rule.site != site {
                 continue;
             }
-            let h = fnv1a(&[self.seed, site as u64, op, i as u64]);
+            let h = hash_words(&[self.seed, site as u64, op, i as u64]);
             // Map the hash to [0, 1) and compare against the rule's odds.
             if (h >> 11) as f64 / ((1u64 << 53) as f64) < rule.prob {
                 self.injected.fetch_add(1, Relaxed);
@@ -205,8 +198,8 @@ impl FaultPlan {
             return 0;
         }
         // `decide` already consumed the ordinal for this op; reuse it.
-        let op = self.ordinal(site).load(Relaxed);
-        (fnv1a(&[self.seed ^ 0x9e3779b97f4a7c15, site as u64, op]) % len as u64) as usize
+        let op = self.ops[site as usize].load(Relaxed);
+        (hash_words(&[self.seed ^ 0x9e3779b97f4a7c15, site as u64, op]) % len as u64) as usize
     }
 
     /// Total faults injected so far — the chaos tests' sanity check that
@@ -216,77 +209,94 @@ impl FaultPlan {
     }
 }
 
-/// Writes `bytes` to `path` through the plan's fault decision at `site`
-/// (pass [`FaultSite::MetricsWrite`] for metrics snapshots). `None` plan
-/// writes cleanly. Mirrors the spill-layer fault semantics: `Eio` writes
-/// nothing, `Enospc` lands a partial file then errors, `ShortWrite` and
-/// `BitFlip` *succeed* with corrupted bytes, `Stall` sleeps then succeeds.
+/// `EIO`, the injected honest I/O error.
+const EIO: i32 = 5;
+/// `ENOSPC`, the injected full disk.
+const ENOSPC: i32 = 28;
+
+/// Applies `kind` to an operation's in-memory image: `Eio` and `Enospc`
+/// fail the operation, `ShortWrite` truncates the image and `BitFlip`
+/// flips one bit in it (both silently), and `Stall` sleeps.
+fn inject(
+    plan: &FaultPlan,
+    site: FaultSite,
+    kind: FaultKind,
+    image: &mut Cow<'_, [u8]>,
+) -> io::Result<()> {
+    match kind {
+        FaultKind::Eio => return Err(io::Error::from_raw_os_error(EIO)),
+        FaultKind::Enospc => return Err(io::Error::from_raw_os_error(ENOSPC)),
+        FaultKind::ShortWrite => {
+            let cut = plan.position(site, image.len());
+            image.to_mut().truncate(cut);
+        }
+        FaultKind::BitFlip if !image.is_empty() => {
+            let pos = plan.position(site, image.len());
+            image.to_mut()[pos] ^= 1 << (pos % 8);
+        }
+        FaultKind::BitFlip => {}
+        FaultKind::Stall(ms) => std::thread::sleep(std::time::Duration::from_millis(ms)),
+    }
+    Ok(())
+}
+
+/// The temp name a write to `path` lands under before its rename:
+/// `.tmp-<name>` beside the destination.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = OsString::from(".tmp-");
+    name.push(path.file_name().unwrap_or_default());
+    path.with_file_name(name)
+}
+
+/// Writes `bytes` to `path` through the plan's decision at `site` — the
+/// one writer for every site. The image is written to `.tmp-<name>` beside
+/// `path`, synced and renamed over `path`, so a failed write leaves `path`
+/// as it was and removes the temp file. `Eio` writes nothing; `ShortWrite`
+/// and `BitFlip` write a corrupted image and *succeed* (only a reader's
+/// checksums catch them); `Stall` sleeps, then writes; `Enospc` fails the
+/// write part-way. `None` plan writes cleanly.
 pub fn faulted_write(
     plan: Option<&FaultPlan>,
     site: FaultSite,
-    path: &std::path::Path,
+    path: &Path,
     bytes: &[u8],
-) -> std::io::Result<()> {
-    let Some(plan) = plan else { return std::fs::write(path, bytes) };
-    match plan.decide(site) {
-        None => std::fs::write(path, bytes),
-        Some(FaultKind::Eio) => Err(std::io::Error::from_raw_os_error(5)),
-        Some(FaultKind::Enospc) => {
-            let cut = plan.position(site, bytes.len());
-            let _ = std::fs::write(path, &bytes[..cut]);
-            Err(std::io::Error::from_raw_os_error(28))
+) -> io::Result<()> {
+    let mut image = Cow::Borrowed(bytes);
+    let mut disk_full = false;
+    if let Some((plan, kind)) = plan.and_then(|p| Some((p, p.decide(site)?))) {
+        // A full disk takes a prefix of the image, then fails the write.
+        disk_full = kind == FaultKind::Enospc;
+        let kind = if disk_full { FaultKind::ShortWrite } else { kind };
+        inject(plan, site, kind, &mut image)?;
+    }
+    let tmp = tmp_path(path);
+    let written = File::create(&tmp).and_then(|mut out| {
+        out.write_all(&image)?;
+        if disk_full {
+            return Err(io::Error::from_raw_os_error(ENOSPC));
         }
-        Some(FaultKind::ShortWrite) => {
-            std::fs::write(path, &bytes[..plan.position(site, bytes.len())])
-        }
-        Some(FaultKind::BitFlip) => {
-            let mut image = bytes.to_vec();
-            if !image.is_empty() {
-                let pos = plan.position(site, image.len());
-                image[pos] ^= 1 << (pos % 8);
-            }
-            std::fs::write(path, &image)
-        }
-        Some(FaultKind::Stall(ms)) => {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-            std::fs::write(path, bytes)
+        out.sync_data()
+    });
+    match written.and_then(|()| std::fs::rename(&tmp, path)) {
+        Ok(()) => Ok(()),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
         }
     }
 }
 
-/// Reads `path` through the plan's fault decision at `site` (pass
-/// [`FaultSite::IngestRead`] for dataset ingest). `None` plan reads
-/// cleanly. `Eio`/`Enospc` error before reading; `ShortWrite` silently
-/// truncates the returned bytes; `BitFlip` silently flips one bit; `Stall`
-/// sleeps then reads cleanly.
-pub fn faulted_read(
-    plan: Option<&FaultPlan>,
-    site: FaultSite,
-    path: &std::path::Path,
-) -> std::io::Result<Vec<u8>> {
-    let Some(plan) = plan else { return std::fs::read(path) };
-    match plan.decide(site) {
-        None => std::fs::read(path),
-        Some(FaultKind::Eio) => Err(std::io::Error::from_raw_os_error(5)),
-        Some(FaultKind::Enospc) => Err(std::io::Error::from_raw_os_error(28)),
-        Some(FaultKind::ShortWrite) => {
-            let mut bytes = std::fs::read(path)?;
-            bytes.truncate(plan.position(site, bytes.len()));
-            Ok(bytes)
-        }
-        Some(FaultKind::BitFlip) => {
-            let mut bytes = std::fs::read(path)?;
-            if !bytes.is_empty() {
-                let pos = plan.position(site, bytes.len());
-                bytes[pos] ^= 1 << (pos % 8);
-            }
-            Ok(bytes)
-        }
-        Some(FaultKind::Stall(ms)) => {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-            std::fs::read(path)
-        }
+/// Reads `path`, then applies the plan's decision at `site` to the bytes
+/// read: `Eio`/`Enospc` error, `ShortWrite` silently truncates the
+/// returned bytes, `BitFlip` silently flips one bit and `Stall` sleeps. A
+/// read that fails on its own (a missing file is `NotFound`) returns that
+/// error and consumes no fault ordinal. `None` plan reads cleanly.
+pub fn faulted_read(plan: Option<&FaultPlan>, site: FaultSite, path: &Path) -> io::Result<Vec<u8>> {
+    let mut image = Cow::Owned(std::fs::read(path)?);
+    if let Some((plan, kind)) = plan.and_then(|p| Some((p, p.decide(site)?))) {
+        inject(plan, site, kind, &mut image)?;
     }
+    Ok(image.into_owned())
 }
 
 #[cfg(test)]
@@ -299,6 +309,9 @@ mod tests {
             let plan = FaultPlan::new(seed).with_rule(FaultSite::Write, FaultKind::Eio, 0.5);
             (0..1000).map(|_| plan.decide(FaultSite::Write).is_some()).collect::<Vec<_>>()
         };
+        // Pinned: seed 42's first 32 decisions (bit i is operation i).
+        let pinned = run(42).into_iter().take(32).enumerate().map(|(i, x)| u32::from(x) << i);
+        assert_eq!(pinned.sum::<u32>(), 0x4d92_49b2);
         let a = run(7);
         assert_eq!(a, run(7), "same seed, same decisions");
         assert_ne!(a, run(8), "different seed, different decisions");
@@ -392,6 +405,22 @@ mod tests {
         assert_eq!(flipped, 1);
         assert_eq!(faulted_read(None, FaultSite::IngestRead, &path).unwrap(), payload);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn injected_enospc_leaves_the_previous_file_and_no_temp() {
+        let dir = std::env::temp_dir().join(format!("emst_fault_enospc_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("metrics.prom");
+        faulted_write(None, FaultSite::MetricsWrite, &path, b"first\n").unwrap();
+        let plan = FaultPlan::new(4).with_rule(FaultSite::MetricsWrite, FaultKind::Enospc, 1.0);
+        let err = faulted_write(Some(&plan), FaultSite::MetricsWrite, &path, b"second, longer\n")
+            .unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(ENOSPC));
+        assert_eq!(std::fs::read(&path).unwrap(), b"first\n");
+        assert!(!tmp_path(&path).exists());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "only the destination is left");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

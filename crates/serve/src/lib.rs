@@ -1128,59 +1128,70 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
     /// would claim salt 0, and its own eviction would overwrite the
     /// original's spill file — which a later by-key reload would then pass
     /// off as the original (a true collision shares the digest, so the
-    /// reload digest check cannot catch it). A spill whose contents equal
-    /// `points` is this cloud's own earlier eviction: its salt is reused.
-    /// Only a readable spill holding different points proves another
-    /// owner: a spill that stays unreadable through the retry ladder proves
-    /// nothing, so it is logged and skipped, and a transient read fault
-    /// cannot re-key a cloud.
+    /// reload digest check cannot catch it). A verified spill whose points
+    /// equal `points` is this cloud's own earlier eviction: its salt is
+    /// reused. Only a verified spill holding different points proves
+    /// another owner (a relocated one in the fallback directory as firmly
+    /// as a primary one): a spill that stays corrupt or unreadable through
+    /// the lookup's retry ladder proves nothing, so it is logged and the
+    /// salt kept, and a transient read fault cannot re-key a cloud.
     fn durable_salt(&self, mut key: CloudKey, points: &[Point<D>]) -> CloudKey {
         // Bounded so a pathological run of distinct colliding clouds
-        // cannot loop forever. Both spill directories are probed: a
-        // relocated spill claims its salt just as firmly as a primary one.
-        'salts: for _ in 0..1024 {
-            for dir in self.spill_dirs() {
-                match self.read_spill_retrying(dir, key) {
-                    Ok(None) => {}
-                    Ok(Some(existing)) if spill::same_bits(&existing.points, points) => return key,
-                    Ok(Some(_)) => {
-                        key.salt += 1;
-                        continue 'salts;
-                    }
-                    Err(e) => emst_obs::log::warn(
+        // cannot loop forever.
+        for _ in 0..1024 {
+            match self.find_spill(key) {
+                Ok(existing) if !spill::same_bits(&existing.points, points) => key.salt += 1,
+                Ok(_) | Err(ServeError::UnknownKey(_)) => return key,
+                Err(e) => {
+                    emst_obs::log::warn(
                         "emst-serve",
                         "unreadable spill proves no other owner, keeping the salt",
-                        &[
-                            ("key", &key.to_string()),
-                            ("dir", &dir.display().to_string()),
-                            ("error", &e.to_string()),
-                        ],
-                    ),
+                        &[("key", &key.to_string()), ("error", &e.to_string())],
+                    );
+                    return key;
                 }
             }
-            return key;
         }
         key
     }
 
-    /// Reads `key`'s spill in `dir` on the write ladder's schedule
-    /// ([`ServeConfig::spill_retries`] retries, see [`backoff`]); errs only
-    /// when every attempt did.
-    fn read_spill_retrying(
-        &self,
-        dir: &Path,
-        key: CloudKey,
-    ) -> std::io::Result<Option<spill::SpillContents<D>>> {
-        let mut attempt = 0;
-        loop {
-            match spill::read_spill::<D>(dir, key, self.fault_plan()) {
-                Err(_) if attempt < u64::from(self.config.spill_retries) => {
-                    attempt += 1;
+    /// The one verified spill lookup, behind both the salt probe and
+    /// [`Self::reload`]: reads `key`'s spill from the primary directory,
+    /// then the fallback, each on the write ladder's schedule
+    /// ([`ServeConfig::spill_retries`] retries, see [`backoff`]), and
+    /// returns the first copy whose points digest to `key.digest`. Every
+    /// read attempt that fails verification is counted in
+    /// `checksum_failures`; a missing file is not retried. Without a
+    /// verified copy it errs with `DigestMismatch` when any attempt failed
+    /// verification, else `Spill` when any read failed, else `UnknownKey`.
+    fn find_spill(&self, key: CloudKey) -> Result<spill::SpillContents<D>, ServeError> {
+        let mut corrupt = false;
+        let mut io_err = None;
+        for dir in self.spill_dirs() {
+            for attempt in 0..=u64::from(self.config.spill_retries) {
+                if attempt > 0 {
                     backoff(attempt);
                 }
-                read => return read,
+                match spill::read_spill::<D>(dir, key, self.fault_plan()) {
+                    Ok(None) => break,
+                    Ok(Some(c)) if digest_points(&c.points) == key.digest => return Ok(c),
+                    Ok(Some(_)) => {
+                        self.count_checksum_failure(key, "points digest mismatch");
+                        corrupt = true;
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                        self.count_checksum_failure(key, "spill frame corrupt");
+                        corrupt = true;
+                    }
+                    Err(e) => io_err = Some(e),
+                }
             }
         }
+        Err(match io_err {
+            _ if corrupt => ServeError::DigestMismatch(key),
+            Some(e) => ServeError::Spill(e),
+            None => ServeError::UnknownKey(key),
+        })
     }
 
     /// Spill directories in probe/write order: primary, then fallback.
@@ -1372,8 +1383,12 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
 
     /// [`Self::resolve_digest_traced`] untraced and without a deadline —
     /// the seam the collision tests use to alias two distinct clouds.
+    /// `points` digest to `digest` on this thread from here on
+    /// ([`spill::forge_digest`]), so the spill lookup verifies their
+    /// spills as it would a true collision's.
     #[cfg(test)]
     fn resolve_digest(&self, digest: u64, points: &[Point<D>]) -> Resolved<D> {
+        spill::forge_digest(points, digest);
         self.resolve_digest_traced(digest, points, None, &mut Vec::new())
             .expect("a follower without a deadline cannot time out")
     }
@@ -1497,8 +1512,9 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         key
     }
 
-    /// Reloads the evicted `key` down the degradation ladder: primary read
-    /// → fallback read → artifact restore → deterministic rebuild → typed
+    /// Reloads the evicted `key` down the degradation ladder: verified
+    /// spill lookup ([`Self::find_spill`]: primary, then fallback, each
+    /// with retries) → artifact restore → deterministic rebuild → typed
     /// error. Corruption at any rung is *detected* (section checksums, key
     /// digest), counted, and degrades to the next rung — never decoded
     /// into wrong bits.
@@ -1508,39 +1524,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
         spans: &mut Vec<SpanRecord>,
     ) -> Result<Resolved<D>, ServeError> {
         let reload_started = self.obs_now();
-        let mut corrupt = false;
-        let mut io_err: Option<std::io::Error> = None;
-        let mut found: Option<spill::SpillContents<D>> = None;
-        for dir in self.spill_dirs() {
-            match spill::read_spill::<D>(dir, key, self.fault_plan()) {
-                Ok(Some(c)) => {
-                    if digest_points(&c.points) == key.digest {
-                        found = Some(c);
-                        break;
-                    }
-                    self.count_checksum_failure(key, "points digest mismatch");
-                    corrupt = true;
-                }
-                Ok(None) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    self.count_checksum_failure(key, "spill frame corrupt");
-                    corrupt = true;
-                }
-                Err(e) => io_err = Some(e),
-            }
-        }
-        let contents = match found {
-            Some(c) => c,
-            None => {
-                return Err(if corrupt {
-                    ServeError::DigestMismatch(key)
-                } else if let Some(e) = io_err {
-                    ServeError::Spill(e)
-                } else {
-                    ServeError::UnknownKey(key)
-                });
-            }
-        };
+        let contents = self.find_spill(key)?;
         self.stats.reloads.inc();
         if contents.artifact_corrupt {
             self.count_checksum_failure(key, "artifact section corrupt");
@@ -1808,15 +1792,7 @@ impl<S: ExecSpace, const D: usize> ServeEngine<S, D> {
                     outcome,
                     key: r.key,
                     build_work,
-                    query_work: CounterSnapshot {
-                        distance_computations: stats.distances,
-                        node_visits: stats.nodes,
-                        rope_hops: stats.rope_hops,
-                        leaf_visits: stats.leaves,
-                        subtrees_skipped: stats.skipped,
-                        queries: 1,
-                        ..CounterSnapshot::default()
-                    },
+                    query_work: CounterSnapshot { queries: 1, ..stats.work() },
                 };
                 self.record_work(&(resp.build_work + resp.query_work));
                 self.finish_trace("knn", resp.key, outcome, started, spans);
@@ -2284,7 +2260,7 @@ mod tests {
     #[test]
     fn unknown_key_is_an_error() {
         let engine = ServeEngine::<_, 2>::new(Serial, ServeConfig::new(2, 1));
-        let missing = CloudKey::forged(0xdead, 2);
+        let missing = CloudKey { digest: 0xdead, shards: 2, salt: 0 };
         assert!(matches!(engine.emst_by_key(missing), Err(ServeError::UnknownKey(_))));
     }
 
@@ -3042,6 +3018,38 @@ mod tests {
         assert_eq!(again.key, cold.key);
         assert_eq!(again.edges, cold.edges);
         assert_eq!(engine.stats().digest_collisions, 0);
+        assert!(engine.stats().checksum_failures >= 1, "every rejected probe read is counted");
+    }
+
+    /// A transient read fault on a by-key reload is retried, as on a salt
+    /// probe: the reload's first read gets an injected EIO, the retry
+    /// reads clean, and the reload answers bit-identically.
+    #[test]
+    fn transient_read_fault_on_reload_is_retried() {
+        let rule = |seed| FaultPlan::new(seed).with_rule(FaultSite::Read, FaultKind::Eio, 0.5);
+        let seed = (0..)
+            .find(|&seed| {
+                let plan = rule(seed);
+                plan.decide(FaultSite::Read).is_some() && plan.decide(FaultSite::Read).is_none()
+            })
+            .unwrap();
+        let plan = Arc::new(rule(seed));
+        let mut cfg = ServeConfig::new(3, 1);
+        cfg.fault_plan = Some(Arc::clone(&plan));
+        let engine = ServeEngine::<_, 2>::new(Serial, cfg);
+        let a = random_points_2d(250, 87);
+        let cold = engine.emst(&a);
+        // Evicting `a`: the salt probes found no spill file, so no read
+        // was decided yet.
+        engine.emst(&random_points_2d(250, 88));
+        assert_eq!(plan.injected(), 0);
+        let back = engine.emst_by_key(cold.key).unwrap();
+        assert_eq!(plan.injected(), 1, "the reload's first read was faulted");
+        assert_eq!(back.outcome, CacheOutcome::Reloaded);
+        assert_eq!(back.edges, cold.edges);
+        assert_eq!(back.total_weight, cold.total_weight);
+        assert_eq!(engine.stats().reloads, 1);
+        assert_stats_match_metrics(&engine);
     }
 
     /// Evictions record spill-write durations and eviction events in the
@@ -3149,7 +3157,7 @@ mod tests {
             Err(ServeError::InvalidRequest(msg)) if msg.contains("at least 2")
         ));
         // Unknown parent keys surface exactly like any by-key query.
-        let missing = CloudKey::forged(0xbeef, 3);
+        let missing = CloudKey { digest: 0xbeef, shards: 3, salt: 0 };
         assert!(matches!(engine.insert(missing, &pts[..1]), Err(ServeError::UnknownKey(_))));
         assert_eq!(engine.num_resident(), 1, "failed mutations admit nothing");
         let stats = engine.stats();

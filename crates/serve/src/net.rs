@@ -73,7 +73,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use emst_core::Edge;
-use emst_datasets::io::{fnv1a_64, parse_csv, parse_xyz};
+use emst_datasets::io::{parse_csv, parse_xyz, Fnv1a};
 use emst_exec::ExecSpace;
 use emst_geometry::{is_valid_coordinate, Point};
 use emst_hdbscan::Hdbscan;
@@ -202,22 +202,22 @@ impl<const D: usize> NetSession<D> {
 /// index order. Lets a client (and the bit-identity tests) compare trees
 /// across transports without shipping every edge.
 fn edges_check(edges: &[Edge]) -> u64 {
-    let mut bytes = Vec::with_capacity(edges.len() * 12);
+    let mut h = Fnv1a::default();
     for e in edges {
-        bytes.extend_from_slice(&e.u.to_le_bytes());
-        bytes.extend_from_slice(&e.v.to_le_bytes());
-        bytes.extend_from_slice(&e.weight_sq.to_bits().to_le_bytes());
+        h.write(&e.u.to_le_bytes());
+        h.write(&e.v.to_le_bytes());
+        h.write(&e.weight_sq.to_bits().to_le_bytes());
     }
-    fnv1a_64(&bytes)
+    h.finish()
 }
 
 /// Content check over HDBSCAN labels (FNV-1a across the `i32` labels).
 fn labels_check(labels: &[i32]) -> u64 {
-    let mut bytes = Vec::with_capacity(labels.len() * 4);
+    let mut h = Fnv1a::default();
     for &l in labels {
-        bytes.extend_from_slice(&l.to_le_bytes());
+        h.write(&l.to_le_bytes());
     }
-    fnv1a_64(&bytes)
+    h.finish()
 }
 
 /// Executes one request line against the engine and formats the wire

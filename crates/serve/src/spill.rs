@@ -38,20 +38,22 @@
 //! `None` with `SpillContents::artifact_corrupt` distinguishing "was
 //! never written" from "was written and damaged".
 //!
-//! Writes go through a temp file + rename, so a crash (or injected
-//! `ENOSPC` mid-write) never leaves a half-written file under the final
-//! name. All fault injection (see [`crate::fault`]) is applied to the
-//! in-memory byte image before it touches the filesystem, which keeps the
-//! chaos tests hermetic and deterministic.
+//! Spill files are written and read through [`crate::fault`]'s one writer
+//! and one reader, like every other file the engine and CLI store: the
+//! write lands under a temp name, is synced and renamed into place, so a
+//! crash (or an injected `ENOSPC` mid-write) never leaves a half-written
+//! file under the final name. Fault injection is applied to the in-memory
+//! byte image, which keeps the chaos tests hermetic and deterministic.
+//! This module only encodes, names and decodes; the engine's one verified
+//! lookup (retries, fallback directory, points digest) sits on top.
 
-use std::fs::File;
-use std::io::{self, Read as _, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
-use emst_datasets::io::{BlobReader, BlobWriter, ByteReader, ByteWriter};
+use emst_datasets::io::{BlobReader, BlobWriter, ByteReader, ByteWriter, Fnv1a};
 use emst_geometry::Point;
 
-use crate::fault::{FaultKind, FaultPlan, FaultSite};
+use crate::fault::{faulted_read, faulted_write, FaultPlan, FaultSite};
 
 /// Magic bytes of the serve spill format, version 2 (binary, checksummed).
 pub const SPILL_MAGIC: &[u8; 8] = b"EMSTSP02";
@@ -81,13 +83,6 @@ impl CloudKey {
     pub(crate) fn minted(digest: u64, shards: usize) -> Self {
         Self { digest, shards, salt: 0 }
     }
-
-    /// Test-only: a key with a chosen digest, bypassing [`digest_points`]
-    /// — the seam collision tests use to alias two distinct clouds.
-    #[doc(hidden)]
-    pub fn forged(digest: u64, shards: usize) -> Self {
-        Self::minted(digest, shards)
-    }
 }
 
 impl std::fmt::Display for CloudKey {
@@ -105,6 +100,18 @@ thread_local! {
     /// [`digest_points`] calls made on this thread, so tests can pin which
     /// paths hash a cloud.
     pub(crate) static DIGEST_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// `(digest, forged digest)` pairs [`forge_digest`] set on this thread.
+    static FORGED: std::cell::RefCell<Vec<(u64, u64)>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Test-only: from now on [`digest_points`] returns `digest` for `points`
+/// on this thread, so collision tests can alias two distinct clouds under
+/// one digest everywhere the engine hashes them, as a true 64-bit
+/// collision would.
+#[cfg(test)]
+pub(crate) fn forge_digest<const D: usize>(points: &[Point<D>], digest: u64) {
+    let real = digest_points(points);
+    FORGED.with(|f| f.borrow_mut().push((real, digest)));
 }
 
 /// FNV-1a 64 over the exact coordinate bits of `points`, with the
@@ -112,25 +119,23 @@ thread_local! {
 /// different NaN payloads) digest differently, which errs on the side of a
 /// rebuild rather than a false hit.
 pub fn digest_points<const D: usize>(points: &[Point<D>]) -> u64 {
-    #[cfg(test)]
-    DIGEST_CALLS.with(|calls| calls.set(calls.get() + 1));
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    mix(D as u64);
-    mix(points.len() as u64);
+    let mut h = Fnv1a::default();
+    h.write_u64(D as u64);
+    h.write_u64(points.len() as u64);
     for p in points {
         for d in 0..D {
-            mix(p[d].to_bits() as u64);
+            h.write_u64(p[d].to_bits() as u64);
         }
     }
-    h
+    #[cfg(test)]
+    {
+        DIGEST_CALLS.with(|calls| calls.set(calls.get() + 1));
+        let forged = FORGED.with(|f| f.borrow().iter().find(|p| p.0 == h.finish()).map(|p| p.1));
+        if let Some(forged) = forged {
+            return forged;
+        }
+    }
+    h.finish()
 }
 
 /// Bit-exact equality of two clouds — the relation [`digest_points`]
@@ -243,9 +248,9 @@ fn decode_spill<const D: usize>(bytes: &[u8], key: CloudKey) -> io::Result<Spill
 }
 
 /// Writes `key`'s spill file into `dir` (created if needed), optionally
-/// carrying serialized artifacts, with fault injection applied to the
-/// in-memory image. Injected `ShortWrite`/`BitFlip` faults *succeed* —
-/// that is the point: only the read-side checksums can catch them.
+/// carrying serialized artifacts, through [`faulted_write`]'s write site.
+/// Injected `ShortWrite`/`BitFlip` faults *succeed* — that is the point:
+/// only the read-side checksums can catch them.
 pub(crate) fn write_spill<const D: usize>(
     dir: &Path,
     key: CloudKey,
@@ -253,85 +258,27 @@ pub(crate) fn write_spill<const D: usize>(
     artifacts: Option<&[u8]>,
     fault: Option<&FaultPlan>,
 ) -> io::Result<()> {
-    let mut image = encode_spill(key, points, artifacts);
-    if let Some(plan) = fault {
-        match plan.decide(FaultSite::Write) {
-            None => {}
-            Some(FaultKind::Eio) => return Err(io::Error::from_raw_os_error(5)),
-            Some(FaultKind::Stall(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
-            Some(FaultKind::ShortWrite) => {
-                image.truncate(plan.position(FaultSite::Write, image.len()));
-            }
-            Some(FaultKind::BitFlip) => {
-                let pos = plan.position(FaultSite::Write, image.len());
-                image[pos] ^= 1 << (pos % 8);
-            }
-            Some(FaultKind::Enospc) => {
-                // Land a partial file under the *temp* name, then fail —
-                // the rename never happens, so the final path stays clean.
-                std::fs::create_dir_all(dir)?;
-                let tmp = tmp_path(dir, key);
-                let _ = std::fs::write(&tmp, &image[..image.len() / 2]);
-                let _ = std::fs::remove_file(&tmp);
-                return Err(io::Error::from_raw_os_error(28));
-            }
-        }
-    }
     std::fs::create_dir_all(dir)?;
-    let tmp = tmp_path(dir, key);
-    let mut out = File::create(&tmp)?;
-    if let Err(e) = out.write_all(&image).and_then(|()| out.sync_data()) {
-        drop(out);
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    drop(out);
-    std::fs::rename(&tmp, spill_path(dir, key))
+    let image = encode_spill(key, points, artifacts);
+    faulted_write(fault, FaultSite::Write, &spill_path(dir, key), &image)
 }
 
-fn tmp_path(dir: &Path, key: CloudKey) -> PathBuf {
-    let final_name =
-        spill_path(dir, key).file_name().expect("spill paths always have a file name").to_owned();
-    let mut name = std::ffi::OsString::from(".tmp-");
-    name.push(final_name);
-    dir.join(name)
-}
-
-/// Reads and verifies `key`'s spilled cloud. Returns `None` when no spill
-/// file exists; I/O failures are `Err` with the OS kind, and corruption
-/// anywhere in the header or points is `Err(InvalidData)` — never wrong
-/// points. Read-site faults are applied to the loaded image before
-/// verification, so an injected bit flip is *detected*, not served.
+/// Reads and verifies `key`'s spilled cloud through [`faulted_read`]'s
+/// read site. Returns `None` when no spill file exists; I/O failures are
+/// `Err` with the OS kind, and corruption anywhere in the header or points
+/// is `Err(InvalidData)` — never wrong points. Read-site faults are
+/// applied to the loaded image before verification, so an injected bit
+/// flip is *detected*, not served.
 pub(crate) fn read_spill<const D: usize>(
     dir: &Path,
     key: CloudKey,
     fault: Option<&FaultPlan>,
 ) -> io::Result<Option<SpillContents<D>>> {
-    let path = spill_path(dir, key);
-    let mut file = match File::open(&path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let mut image = Vec::new();
-    file.read_to_end(&mut image)?;
-    if let Some(plan) = fault {
-        match plan.decide(FaultSite::Read) {
-            None => {}
-            Some(FaultKind::Eio) => return Err(io::Error::from_raw_os_error(5)),
-            Some(FaultKind::Enospc) => return Err(io::Error::from_raw_os_error(28)),
-            Some(FaultKind::Stall(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
-            Some(FaultKind::ShortWrite) => {
-                image.truncate(plan.position(FaultSite::Read, image.len()));
-            }
-            Some(FaultKind::BitFlip) if !image.is_empty() => {
-                let pos = plan.position(FaultSite::Read, image.len());
-                image[pos] ^= 1 << (pos % 8);
-            }
-            Some(FaultKind::BitFlip) => {}
-        }
+    match faulted_read(fault, FaultSite::Read, &spill_path(dir, key)) {
+        Ok(image) => decode_spill(&image, key).map(Some),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
     }
-    decode_spill(&image, key).map(Some)
 }
 
 #[cfg(test)]
@@ -362,6 +309,13 @@ mod tests {
             digest_points(&[Point::new([0.0f32, 0.0])]),
             digest_points(&[Point::new([-0.0f32, 0.0])])
         );
+        // Pinned: cache keys and spill names depend on this exact value.
+        let fixed = [
+            Point::new([0.0f32, 1.0, 2.0]),
+            Point::new([-1.5f32, 0.25, 3.0e-3]),
+            Point::new([1.0e6f32, -0.0, 7.5]),
+        ];
+        assert_eq!(digest_points(&fixed), 0x4bdf_b728_2661_8cfe);
     }
 
     #[test]

@@ -65,8 +65,8 @@ use emst_morton::MortonEncoder;
 use rayon::prelude::*;
 
 use crate::merge::{
-    cross_shard_boruvka, seed_hints, CrossBounds, Inherit, MergeDeadlineExceeded, MergeShard,
-    MergeShardView,
+    cross_shard_boruvka, seed_hints, Candidate, CrossBounds, Inherit, MergeDeadlineExceeded,
+    MergeShard, MergeShardView,
 };
 use crate::plan::ShardPlan;
 use crate::{MergeScratch, ShardConfig, ShardStats, ShardedResult};
@@ -744,13 +744,12 @@ impl<const D: usize> ShardArtifacts<D> {
         for &d in &b.cross_dist {
             bnds.f32(d);
         }
-        let cands: Vec<usize> = (0..self.n).filter(|&v| b.cand_a[v] != u32::MAX).collect();
-        bnds.u64(cands.len() as u64);
-        for v in cands {
-            bnds.u32(v as u32);
-            bnds.f32(b.cand_d[v]);
-            bnds.u32(b.cand_a[v]);
-            bnds.u32(b.cand_b[v]);
+        bnds.u64(b.cands.len() as u64);
+        for c in &b.cands {
+            bnds.u32(c.vertex);
+            bnds.f32(c.weight);
+            bnds.u32(c.a);
+            bnds.u32(c.b);
         }
         blob.section(b"BNDS", &bnds.into_vec());
         out.extend_from_slice(&blob.finish());
@@ -848,19 +847,16 @@ impl<const D: usize> ShardArtifacts<D> {
         let mut r = ByteReader::new(bnds_bytes);
         let cross_dist = (0..floors).map(|_| r.f32()).collect::<io::Result<Vec<Scalar>>>()?;
         let num_cands = r.len_capped(n, "artifact bounds: more candidates than vertices")?;
-        let mut cand_d = vec![Scalar::INFINITY; n];
-        let mut cand_a = vec![u32::MAX; n];
-        let mut cand_b = vec![u32::MAX; n];
+        let mut cands: Vec<Candidate> = Vec::with_capacity(num_cands);
         for _ in 0..num_cands {
-            let v = r.u32()? as usize;
-            let (w, a, b) = (r.f32()?, r.u32()?, r.u32()?);
-            if v >= n || cand_a[v] != u32::MAX {
-                return Err(bad("artifact bounds: candidate vertex out of range or repeated"));
+            let c = Candidate { vertex: r.u32()?, weight: r.f32()?, a: r.u32()?, b: r.u32()? };
+            if c.vertex as usize >= n || cands.last().is_some_and(|p| p.vertex >= c.vertex) {
+                return Err(bad("artifact bounds: candidate vertex out of range or order"));
             }
-            if a >= b || b as usize >= n {
+            if c.a >= c.b || c.b as usize >= n {
                 return Err(bad("artifact bounds: candidate endpoints out of range or unordered"));
             }
-            (cand_d[v], cand_a[v], cand_b[v]) = (w, a, b);
+            cands.push(c);
         }
         r.done()?;
         let reach = (0..n)
@@ -880,18 +876,12 @@ impl<const D: usize> ShardArtifacts<D> {
                 LocalArtifact { shard, merge: MergeShard::build(space, &pts, ids), seeds }
             })
             .collect();
-        // shard_of / rank_of are derived from the rank maps (local index,
-        // not plan shard index — mirroring CrossBounds::compute, which the
-        // merge's cross_dist indexing depends on).
-        let mut shard_of = vec![0u32; n];
-        let mut rank_of = vec![0u32; n];
-        for (s, l) in locals.iter().enumerate() {
-            for (rank, &v) in l.merge.vertex_of_rank.iter().enumerate() {
-                shard_of[v as usize] = s as u32;
-                rank_of[v as usize] = rank as u32;
-            }
-        }
-        let bounds = CrossBounds { shard_of, rank_of, cross_dist, reach, cand_d, cand_a, cand_b };
+        // shard_of / rank_of come from the rank maps (local index, not plan
+        // shard index), as in CrossBounds::compute, which the merge's
+        // cross_dist indexing depends on.
+        let views: Vec<MergeShardView<'_, D>> = locals.iter().map(|l| l.merge.view()).collect();
+        let (shard_of, rank_of) = CrossBounds::maps(&views, n);
+        let bounds = CrossBounds { shard_of, rank_of, cross_dist, reach, cands };
         let flat_seeds = locals.iter().flat_map(|l| l.seeds.iter().copied()).collect();
 
         Ok(Self {
@@ -985,7 +975,8 @@ mod tests {
         // stored, `reach` re-derived from the floors.
         let bits = |b: &CrossBounds| {
             let f = |xs: &[Scalar]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-            [f(&b.cross_dist), f(&b.reach), f(&b.cand_d), b.cand_a.clone(), b.cand_b.clone()]
+            let cands = b.cands.iter().flat_map(|c| [c.vertex, c.weight.to_bits(), c.a, c.b]);
+            [f(&b.cross_dist), f(&b.reach), cands.collect()]
         };
         assert_eq!(bits(&restored.bounds), bits(&artifacts.bounds));
         assert_eq!(restored.locals.len(), artifacts.locals.len());
@@ -1121,7 +1112,7 @@ mod tests {
         // entry per vertex with a round-1 candidate).
         let (n, k, locals) = (pts.len(), built.plan().num_shards(), built.locals.len());
         let seeds: usize = built.locals.iter().map(|l| l.seeds.len()).sum();
-        let cands = built.bounds.cand_a.iter().filter(|&&a| a != u32::MAX).count();
+        let cands = built.bounds.cands.len();
         assert!(cands > 0, "the build must answer round 1 for some vertex");
         let plan = 8 + 8 + 4 * n + 8 * (k + 1);
         let locs = 8 + 16 * locals + 12 * seeds;
@@ -1198,18 +1189,21 @@ mod tests {
         }
         // Well-framed bounds whose candidates break the format are refused
         // too: re-frame BNDS with one candidate field edited — a vertex or
-        // an endpoint out of range, unordered endpoints, a repeated vertex.
+        // an endpoint out of range, unordered endpoints, a repeated vertex,
+        // vertices out of order.
         let mut r = BlobReader::open(&blob, ARTIFACT_MAGIC).unwrap();
         let [plan, locs, bnds] = [b"PLAN", b"LOCS", b"BNDS"].map(|t| r.section(t).unwrap());
-        assert!(built.bounds.cand_a.iter().filter(|&&a| a != u32::MAX).count() >= 2);
+        let [c0, c1] = [built.bounds.cands[0], built.bounds.cands[1]];
+        assert!((c1.vertex as usize) + 1 < pts.len());
         let first = 4 * pts.len() * built.locals.len() + 8;
-        let vertex = bnds[first..first + 4].to_vec();
         for (at, field) in [
-            (first, u32::MAX.to_le_bytes().to_vec()),
-            (first + 12, u32::MAX.to_le_bytes().to_vec()),
-            (first + 8, u32::MAX.to_le_bytes().to_vec()),
-            (first + 16, vertex),
+            (first, u32::MAX),
+            (first + 12, u32::MAX),
+            (first + 8, u32::MAX),
+            (first + 16, c0.vertex),
+            (first, c1.vertex + 1),
         ] {
+            let field = field.to_le_bytes();
             let mut edited = bnds.to_vec();
             edited[at..at + 4].copy_from_slice(&field);
             let mut w = BlobWriter::new(ARTIFACT_MAGIC);
@@ -1346,11 +1340,11 @@ mod tests {
             child.locals.iter().map(|l| l.merge.view()).collect();
         let radius = seed_hints(&child.flat_seeds, np.len());
         let fresh = CrossBounds::compute(&Serial, &views, np.len(), None, Some(&radius));
-        assert!(child.bounds.cand_a.iter().any(|&a| a != u32::MAX));
-        assert_eq!(child.bounds.cand_a, fresh.cand_a);
-        assert_eq!(child.bounds.cand_b, fresh.cand_b);
-        let d = |b: &CrossBounds| b.cand_d.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-        assert_eq!(d(&child.bounds), d(&fresh));
+        assert!(!child.bounds.cands.is_empty());
+        let bits = |b: &CrossBounds| {
+            b.cands.iter().map(|c| (c.vertex, c.weight.to_bits(), c.a, c.b)).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&child.bounds), bits(&fresh));
         let rebuilt = ShardArtifacts::build(&Serial, &np, &cfg);
         let rebuilt = rebuilt.merge(&Serial, &mut MergeScratch::new(), None).unwrap();
         assert_eq!(weight_multiset(&first.edges), weight_multiset(&brute_force_emst(&np)));

@@ -215,13 +215,20 @@ pub(crate) struct CrossBounds {
     pub cross_dist: Vec<Scalar>,
     /// Per-vertex min of `cross_dist` over the other shards.
     pub reach: Vec<Scalar>,
-    /// Squared weight of `v`'s minimum outgoing cross-shard edge, when one
-    /// lies within `v`'s round-1 radius.
-    pub cand_d: Vec<Scalar>,
-    /// Min endpoint of that edge; `u32::MAX` marks a vertex without one.
-    pub cand_a: Vec<u32>,
-    /// Max endpoint of that edge.
-    pub cand_b: Vec<u32>,
+    /// Round 1's answers, in vertex order: one entry per vertex whose
+    /// minimum outgoing cross-shard edge lies within its round-1 radius
+    /// (about 1% of vertices on clustered clouds).
+    pub cands: Vec<Candidate>,
+}
+
+/// A vertex's round-1 candidate: its minimum outgoing cross-shard edge
+/// `(a, b)`, `a < b`, of squared weight `weight`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Candidate {
+    pub vertex: u32,
+    pub weight: Scalar,
+    pub a: u32,
+    pub b: u32,
 }
 
 /// A mutated cloud's parent facts for [`CrossBounds::compute`]:
@@ -308,7 +315,7 @@ fn probe<const D: usize>(
 
 impl CrossBounds {
     /// Derives the vertex → (shard, rank) maps from the rank maps.
-    fn maps<const D: usize>(
+    pub(crate) fn maps<const D: usize>(
         shards: &[MergeShardView<'_, D>],
         n_vertices: usize,
     ) -> (Vec<u32>, Vec<u32>) {
@@ -369,15 +376,11 @@ impl CrossBounds {
         let frontiers = frontiers(shards);
         let mut reach = vec![Scalar::INFINITY; n_vertices];
         let mut cross_dist = vec![Scalar::INFINITY; n_vertices * stride];
-        let mut cand_d = vec![Scalar::INFINITY; n_vertices];
-        let mut cand_a = vec![u32::MAX; n_vertices];
-        let mut cand_b = vec![u32::MAX; n_vertices];
+        let mut found: Vec<Option<Candidate>> = vec![None; n_vertices];
         {
             let reach_s = SyncUnsafeSlice::new(reach.as_mut_slice());
             let cross_s = SyncUnsafeSlice::new(cross_dist.as_mut_slice());
-            let cand_d_s = SyncUnsafeSlice::new(cand_d.as_mut_slice());
-            let cand_a_s = SyncUnsafeSlice::new(cand_a.as_mut_slice());
-            let cand_b_s = SyncUnsafeSlice::new(cand_b.as_mut_slice());
+            let found_s = SyncUnsafeSlice::new(found.as_mut_slice());
             let (shard_of, rank_of, frontiers) = (&shard_of, &rank_of, &frontiers);
             space.parallel_for(n_vertices, |v| {
                 let home = shard_of[v] as usize;
@@ -406,25 +409,21 @@ impl CrossBounds {
                 }
                 // SAFETY: one writer per slot.
                 unsafe { reach_s.write(v, r) };
-                if let Some(((_, a, b), w)) = best {
+                if let Some(((_, a, b), weight)) = best {
                     // SAFETY: one writer per slot.
-                    unsafe {
-                        cand_d_s.write(v, w);
-                        cand_a_s.write(v, a);
-                        cand_b_s.write(v, b);
-                    }
+                    unsafe { found_s.write(v, Some(Candidate { vertex: v as u32, weight, a, b })) };
                 }
             });
         }
-        Self { shard_of, rank_of, cross_dist, reach, cand_d, cand_a, cand_b }
+        let cands = found.iter().flatten().copied().collect();
+        Self { shard_of, rank_of, cross_dist, reach, cands }
     }
 
     /// Heap bytes the bounds hold resident.
     pub fn resident_bytes(&self) -> usize {
-        (self.shard_of.len() + self.rank_of.len() + self.cand_a.len() + self.cand_b.len())
-            * std::mem::size_of::<u32>()
-            + (self.cross_dist.len() + self.reach.len() + self.cand_d.len())
-                * std::mem::size_of::<Scalar>()
+        (self.shard_of.len() + self.rank_of.len()) * std::mem::size_of::<u32>()
+            + (self.cross_dist.len() + self.reach.len()) * std::mem::size_of::<Scalar>()
+            + self.cands.len() * std::mem::size_of::<Candidate>()
     }
 }
 
@@ -444,9 +443,9 @@ pub struct MergeScratch {
     comp_key: Vec<AtomicU64Min>,
     comp_pair: Vec<AtomicU64Min>,
     upper: Vec<Scalar>,
-    cand_d: Vec<Scalar>,
-    cand_a: Vec<u32>,
-    cand_b: Vec<u32>,
+    cand_w: Vec<Scalar>,
+    cand_lo: Vec<u32>,
+    cand_hi: Vec<u32>,
     min_of_root: Vec<u32>,
     relabel: Vec<u32>,
     reps: Vec<u32>,
@@ -560,9 +559,9 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
         comp_key,
         comp_pair,
         upper,
-        cand_d,
-        cand_a,
-        cand_b,
+        cand_w,
+        cand_lo,
+        cand_hi,
         min_of_root,
         relabel,
         reps,
@@ -571,14 +570,23 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
     } = scratch;
     // Working copies: the query rounds tighten `cross_dist`/`reach` with
     // durable floors learned from failed queries and replace candidates as
-    // components merge, so the cached bounds stay untouched.
+    // components merge, so the cached bounds stay untouched. Each vertex's
+    // candidate is dense here (`cand_lo[v] == u32::MAX`: none yet), filled
+    // from round 1's sparse answers.
     let (shard_of, rank_of) = (&bounds.shard_of, &bounds.rank_of);
     debug_assert_eq!(bounds.cross_dist.len(), n_vertices * stride, "bounds for another sharding");
     reach.clone_from(&bounds.reach);
     cross_dist.clone_from(&bounds.cross_dist);
-    cand_d.clone_from(&bounds.cand_d);
-    cand_a.clone_from(&bounds.cand_a);
-    cand_b.clone_from(&bounds.cand_b);
+    cand_w.clear();
+    cand_w.resize(n_vertices, Scalar::INFINITY);
+    cand_lo.clear();
+    cand_lo.resize(n_vertices, u32::MAX);
+    cand_hi.clear();
+    cand_hi.resize(n_vertices, u32::MAX);
+    for c in &bounds.cands {
+        let v = c.vertex as usize;
+        (cand_w[v], cand_lo[v], cand_hi[v]) = (c.weight, c.a, c.b);
+    }
     live_seeds.extend_from_slice(seeds);
 
     let mut edges: Vec<Edge> = Vec::with_capacity(n_vertices - 1);
@@ -687,16 +695,16 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
                     comp_key[lv as usize].fetch_min(key);
                 }
             });
-            let (cand_d, cand_a, cand_b) = (&cand_d, &cand_a, &cand_b);
+            let (cand_w, cand_lo, cand_hi) = (&cand_w, &cand_lo, &cand_hi);
             space.parallel_for(n_vertices, |v| {
-                let a = cand_a[v];
+                let a = cand_lo[v];
                 if a == u32::MAX {
                     return;
                 }
-                let b = cand_b[v];
+                let b = cand_hi[v];
                 let (la, lb) = (labels[a as usize], labels[b as usize]);
                 if la != lb {
-                    let key = pack_dist_payload(cand_d[v], a);
+                    let key = pack_dist_payload(cand_w[v], a);
                     comp_key[la as usize].fetch_min(key);
                     comp_key[lb as usize].fetch_min(key);
                 }
@@ -717,9 +725,9 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
             let upper = &upper;
             let shard_of = &shard_of;
             let rank_of = &rank_of;
-            let cand_d_s = SyncUnsafeSlice::new(cand_d.as_mut_slice());
-            let cand_a_s = SyncUnsafeSlice::new(cand_a.as_mut_slice());
-            let cand_b_s = SyncUnsafeSlice::new(cand_b.as_mut_slice());
+            let cand_w_s = SyncUnsafeSlice::new(cand_w.as_mut_slice());
+            let cand_lo_s = SyncUnsafeSlice::new(cand_lo.as_mut_slice());
+            let cand_hi_s = SyncUnsafeSlice::new(cand_hi.as_mut_slice());
             let reach_s = SyncUnsafeSlice::new(reach.as_mut_slice());
             let cross_s = SyncUnsafeSlice::new(cross_dist.as_mut_slice());
             space.parallel_reduce(
@@ -736,9 +744,9 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
                     // offered to both sides in phases 2 and 4, so the fresh
                     // query could only re-find it.
                     // SAFETY: slot `v` is only touched by this thread.
-                    let a = unsafe { *cand_a_s.get(v) };
+                    let a = unsafe { *cand_lo_s.get(v) };
                     if a != u32::MAX
-                        && labels[a as usize] != labels[unsafe { *cand_b_s.get(v) } as usize]
+                        && labels[a as usize] != labels[unsafe { *cand_hi_s.get(v) } as usize]
                     {
                         return QueryWork::default();
                     }
@@ -822,9 +830,9 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
                     if let Some((_, a, b)) = best {
                         // SAFETY: one writer per slot `v`.
                         unsafe {
-                            cand_d_s.write(v, best_d);
-                            cand_a_s.write(v, a);
-                            cand_b_s.write(v, b);
+                            cand_w_s.write(v, best_d);
+                            cand_lo_s.write(v, a);
+                            cand_hi_s.write(v, b);
                         }
                         comp_key[c as usize].fetch_min(pack_dist_payload(best_d, a));
                     }
@@ -835,11 +843,7 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
         });
         boundary_candidates += work.boundary;
         counters.add_queries(work.queries);
-        counters.add_node_visits(work.stats.nodes);
-        counters.add_rope_hops(work.stats.rope_hops);
-        counters.add_leaf_visits(work.stats.leaves);
-        counters.add_distance_computations(work.stats.distances);
-        counters.add_subtrees_skipped(work.stats.skipped);
+        counters.add(&work.stats.work());
 
         // Phase 4: resolve each component's winner. Among candidates that
         // attain `comp_key = (weight, min endpoint)`, the smallest packed
@@ -866,21 +870,21 @@ pub(crate) fn cross_shard_boruvka<S: ExecSpace, const D: usize>(
                     comp_pair[lv as usize].fetch_min(pair);
                 }
             });
-            let (cand_d, cand_a, cand_b) = (&cand_d, &cand_a, &cand_b);
+            let (cand_w, cand_lo, cand_hi) = (&cand_w, &cand_lo, &cand_hi);
             space.parallel_for(n_vertices, |v| {
-                let a = cand_a[v];
+                let a = cand_lo[v];
                 if a == u32::MAX {
                     return;
                 }
                 // Stale (now intra-component) candidates must not compete:
                 // a coincidental `(weight, min endpoint)` match would let a
                 // dead pair shadow the true winner.
-                let b = cand_b[v];
+                let b = cand_hi[v];
                 let (la, lb) = (labels[a as usize], labels[b as usize]);
                 if la == lb {
                     return;
                 }
-                let key = pack_dist_payload(cand_d[v], a);
+                let key = pack_dist_payload(cand_w[v], a);
                 let pair = ((a as u64) << 32) | b as u64;
                 if key == comp_key[la as usize].load() {
                     comp_pair[la as usize].fetch_min(pair);
@@ -1070,8 +1074,9 @@ mod tests {
         let radius = seed_hints(&seeds, 90);
         let plain = CrossBounds::compute(&Serial, &views, 90, None, None);
         let answered = CrossBounds::compute(&Serial, &views, 90, None, Some(&radius));
-        assert!(plain.cand_a.iter().all(|&a| a == u32::MAX));
-        assert!(answered.cand_a.iter().any(|&a| a != u32::MAX), "round 1 must find candidates");
+        assert!(plain.cands.is_empty());
+        assert!(!answered.cands.is_empty(), "round 1 must find candidates");
+        assert!(answered.cands.windows(2).all(|w| w[0].vertex < w[1].vertex), "vertex order");
         for v in 0..90u32 {
             let home = answered.shard_of[v as usize];
             // Brute force: the lightest cross edge within the radius.
@@ -1080,12 +1085,9 @@ mod tests {
                 .map(|x| (pts[v as usize].squared_distance(&pts[x as usize]), v.min(x), v.max(x)))
                 .filter(|&(d, _, _)| d <= radius[v as usize])
                 .min_by_key(|&(d, a, b)| (d.to_bits(), a, b));
-            let i = v as usize;
-            let got = (answered.cand_d[i].to_bits(), answered.cand_a[i], answered.cand_b[i]);
-            match lightest {
-                Some((d, a, b)) => assert_eq!(got, (d.to_bits(), a, b), "vertex {v}"),
-                None => assert_eq!(got.1, u32::MAX, "vertex {v}"),
-            }
+            let got = answered.cands.iter().find(|c| c.vertex == v);
+            let got = got.map(|c| (c.weight.to_bits(), c.a, c.b));
+            assert_eq!(got, lightest.map(|(d, a, b)| (d.to_bits(), a, b)), "vertex {v}");
         }
         // The probes only ever sharpen the frontier bounds.
         assert!(answered.cross_dist.iter().zip(&plain.cross_dist).all(|(r, p)| r >= p));

@@ -27,8 +27,9 @@
 //! Serve diagnostics go through the `emst::obs` structured logger —
 //! `--log-format json` turns them into machine-parseable JSON lines — and
 //! `--metrics-file <path>` keeps a Prometheus-style exposition of the
-//! engine's metrics current on disk (rewritten after each stdin line and
-//! at exit; write failures are logged and counted, never fatal).
+//! engine's metrics current on disk (rewritten atomically after each stdin
+//! line and at exit, so a reader sees a whole snapshot; write failures are
+//! logged and counted, never fatal, and leave the previous file).
 //!
 //! Fault tolerance: `--spill-dir`/`--fallback-spill-dir` choose where
 //! evicted clouds are persisted (both are probed for writability at
@@ -483,10 +484,11 @@ fn validate_spill_dir(flag: &str, dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Rewrites the `--metrics-file` exposition; failures are logged and
-/// counted, never fatal (a full disk must not take the serving loop
-/// down). The write goes through the fault plan's metrics site, so chaos
-/// drills cover this path too.
+/// Rewrites the `--metrics-file` exposition through the one atomic,
+/// synced writer ([`faulted_write`]) at the fault plan's metrics site, so
+/// chaos drills cover this path too. Failures are logged and counted,
+/// never fatal (a full disk must not take the serving loop down), and
+/// leave the previous snapshot in place.
 fn write_metrics_file<S: ExecSpace, const D: usize>(
     engine: &ServeEngine<S, D>,
     path: &Path,

@@ -648,12 +648,15 @@ fn serve_fault_plan_injects_and_stats_report_it() {
 #[test]
 fn metrics_file_writes_go_through_the_fault_plan() {
     // Regression for the ROADMAP fault-site gap: `--metrics-file` writes
-    // route through the injector's `metrics` site. Every write fails with
-    // EIO here — counted and logged, the serving loop survives, and no
-    // snapshot file appears.
+    // route through the injector's `metrics` site. Every write fails here,
+    // with EIO and then with ENOSPC — counted and logged, the serving loop
+    // survives, and neither a snapshot file nor a partial temp file
+    // appears (the writer is atomic: a disk that fills mid-write leaves
+    // the destination as it was).
     let pts = tmp("serve-metricsfault-points.csv");
     let metrics = tmp("serve-metricsfault.prom");
-    std::fs::remove_file(&metrics).ok();
+    let temp =
+        metrics.with_file_name(format!(".tmp-{}", metrics.file_name().unwrap().to_str().unwrap()));
     assert!(bin()
         .args(["generate", "--kind", "uniform", "--n", "200", "--dim", "2"])
         .args(["--seed", "31", "--output", pts.to_str().unwrap()])
@@ -663,23 +666,27 @@ fn metrics_file_writes_go_through_the_fault_plan() {
 
     use std::io::Write as _;
     use std::process::Stdio;
-    let mut child = bin()
-        .args(["serve", "--input", pts.to_str().unwrap()])
-        .args(["--metrics-file", metrics.to_str().unwrap()])
-        .args(["--fault-plan", "seed=7;metrics=eio@1.0"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    child.stdin.as_mut().unwrap().write_all(b"emst\nstats\nquit\n").unwrap();
-    let out = child.wait_with_output().unwrap();
-    assert!(out.status.success(), "serve failed: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.starts_with("ok emst cache="), "server must keep serving: {stdout}");
-    assert!(!metrics.exists(), "every metrics write was injected to fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("metrics file write failed"), "stderr: {stderr}");
+    for kind in ["eio", "enospc"] {
+        std::fs::remove_file(&metrics).ok();
+        let mut child = bin()
+            .args(["serve", "--input", pts.to_str().unwrap()])
+            .args(["--metrics-file", metrics.to_str().unwrap()])
+            .args(["--fault-plan", &format!("seed=7;metrics={kind}@1.0")])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        child.stdin.as_mut().unwrap().write_all(b"emst\nstats\nquit\n").unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert!(out.status.success(), "serve failed: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("ok emst cache="), "{kind}: server must keep serving: {stdout}");
+        assert!(!metrics.exists(), "{kind}: every metrics write was injected to fail");
+        assert!(!temp.exists(), "{kind}: a failed write must not leave its temp file");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("metrics file write failed"), "{kind}: stderr: {stderr}");
+    }
     std::fs::remove_file(&pts).ok();
 }
 
